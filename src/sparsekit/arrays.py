@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import NumericError, hermitian_eig
+from .core import NumericError
 from .spectral import CovarianceEstimate
 
 
@@ -111,11 +111,7 @@ def mdl_enumerate(covariance):
     m = covariance.snapshots
     if m < 2:
         raise ValueError("need the snapshot count recorded in the covariance")
-    eigvals, eigvecs = hermitian_eig(r)
-    trace = float(np.sum(eigvals))
-    if np.any(eigvals < -1e-8 * max(trace, 1.0)):
-        raise NumericError("covariance has a significantly negative eigenvalue")
-    eigvals = np.clip(eigvals, 1e-300, None)
+    eigvals = np.clip(covariance.eigvals, 1e-300, None)
 
     criteria = np.empty(n)
     kappas = np.empty(n, dtype=int)
@@ -129,7 +125,7 @@ def mdl_enumerate(covariance):
         criteria[k] = sphericity + 0.5 * kappa * math.log(m)
     k_hat = int(np.argmin(criteria))
 
-    _check_ml_trace_identity(eigvals, eigvecs, r, k_hat)
+    _check_ml_trace_identity(eigvals, covariance.eigvecs, r, k_hat)
     return MdlReport(estimated_k=k_hat, criteria=criteria, free_params=kappas)
 
 

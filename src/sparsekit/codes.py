@@ -375,13 +375,15 @@ def conv_impulsive_decode(received, code, cfg=None):
     noise_image = projector @ y
     beta = cfg.beta if cfg.beta is not None else max(float(np.max(np.abs(noise_image))), 1e-30)
     nu = np.zeros_like(y)
+    misfit = noise_image  # noise_image - projector @ nu, kept for the next blend
     for i in range(1, cfg.max_iters + 1):
-        blended = nu + cfg.relax * (noise_image - projector @ nu)
+        blended = nu + cfg.relax * misfit
         threshold = beta * math.exp(-cfg.alpha * i)
         nu = np.where(np.abs(blended) > threshold, blended, 0.0)
+        misfit = noise_image - projector @ nu
         report.iterations += 1
         report.thresholds.append(threshold)
-        report.residuals.append(float(np.linalg.norm(noise_image - projector @ nu)))
+        report.residuals.append(float(np.linalg.norm(misfit)))
     g = code.generator_matrix(input_length)
     estimate, *_ = np.linalg.lstsq(g, y - nu, rcond=None)
     report.wall_time = time.perf_counter() - started

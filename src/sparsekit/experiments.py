@@ -14,10 +14,8 @@ import math
 
 import numpy as np
 
-from . import codes, ofdm, sampling, sca, spectral
+from . import __version__, codes, ofdm, sampling, sca, spectral
 from .core import RandomSource, SupportSet, snr_db
-
-TOOLKIT_VERSION = "0.1.0"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -621,7 +619,7 @@ def run_experiment(spec):
         with open(path, "rb") as fh:
             digests[filename] = hashlib.sha256(fh.read()).hexdigest()
     manifest = RunManifest(
-        toolkit_version=TOOLKIT_VERSION,
+        toolkit_version=__version__,
         experiment_id=spec.experiment_id,
         config={"params": config, "trials": trials},
         seed=spec.seed,

@@ -179,13 +179,15 @@ def estimate_linear(rx_block, cfg):
 class MimatConfig:
     """Growing threshold beta*exp(alpha*i) plus the MMSE-step SNR.
 
-    beta defaults to 5e-3 of the peak initial time-domain estimate: the
-    first pass must admit even heavily interpolation-attenuated taps
-    (candidates are capped at the pilot count to keep the solve
-    determined), and the growing threshold then prunes the false ones.
+    beta defaults to a quarter of the median magnitude of the initial
+    time-domain estimate over the cyclic-prefix bins, floored at 1e-12 of
+    its peak magnitude and at 1e-30: the first pass must admit even heavily
+    interpolation-attenuated taps (candidates are capped at the pilot count
+    to keep the solve determined), and the growing threshold then prunes
+    the false ones.
     """
 
-    beta: float = None  # default: half the median CP-bin magnitude
+    beta: float = None  # default: max(0.25 median|h[:cp]|, 1e-12 max|h|, 1e-30)
     alpha: float = 0.6
     max_iters: int = 10
     snr_linear: float = 1e12

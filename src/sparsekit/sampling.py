@@ -87,20 +87,16 @@ class ImatConfig:
             raise ValueError("alpha must be positive")
 
 
-def _sparsity_projector(freq_mask):
-    n = freq_mask.size
+def _masked_system(observed, sample_mask, sparsity_mask):
+    """Checked masks and the density-compensated masked operator.
 
-    def project(z):
-        spectrum = np.fft.fft(z) / math.sqrt(n)
-        spectrum[~freq_mask] = 0.0
-        return np.fft.ifft(spectrum) * math.sqrt(n)
-
-    return project
-
-
-def _check_masks(observed, sample_mask, sparsity_mask):
-    x = as_values(observed)
-    n = x.size
+    apply_ps(z) keeps the retained time samples of z, scales them by n/m so
+    a uniform Nyquist sampling is recovered in one projection, and projects
+    onto the frequency support. Returns (x_obs, smask, apply_ps,
+    apply_ps(x_obs)).
+    """
+    x_obs = as_values(observed)
+    n = x_obs.size
     if sample_mask.n != n or sparsity_mask.n != n:
         raise ValueError("mask ambient lengths must match the signal length")
     if sample_mask.kind != "time-sample" or sparsity_mask.kind != "frequency-support":
@@ -111,7 +107,22 @@ def _check_masks(observed, sample_mask, sparsity_mask):
         raise ValueError(
             f"infeasible masks: {t} sparse coefficients but only {m} samples"
         )
-    return x, sample_mask.bool_mask(), sparsity_mask.bool_mask()
+    smask = sample_mask.bool_mask()
+    outside = ~sparsity_mask.bool_mask()
+    comp = n / smask.sum()
+
+    def apply_ps(z):
+        spectrum = np.fft.fft(np.where(smask, z, 0.0) * comp) / math.sqrt(n)
+        spectrum[outside] = 0.0
+        return np.fft.ifft(spectrum) * math.sqrt(n)
+
+    return x_obs, smask, apply_ps, apply_ps(x_obs)
+
+
+def _record_snr(report, reference, estimate):
+    """Append the SNR of estimate against reference, when one was given."""
+    if reference is not None:
+        report.snrs.append(snr_db(reference, estimate))
 
 
 def _masked_operator_matrix(sample_mask, sparsity_mask):
@@ -139,27 +150,20 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, cfg=None, refere
     (three consecutive residual increases) is flagged, not fatal.
     """
     cfg = cfg or IterationConfig()
-    x_obs, smask, fmask = _check_masks(observed, sample_mask, sparsity_mask)
-    n = x_obs.size
-    comp = n / smask.sum()
-    project = _sparsity_projector(fmask)
+    x_obs, smask, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
 
     started = time.perf_counter()
-    report = SolverReport(solver="iterative", params={"cfg": dataclasses.asdict(cfg)})
-    if reference is not None:
-        report.snrs = []
-
-    b = project(np.where(smask, x_obs, 0.0) * comp)
-    x = np.zeros(n, dtype=np.complex128)
+    report = SolverReport(solver="iterative", params={"cfg": dataclasses.asdict(cfg)},
+                          snrs=None if reference is None else [])
+    x = np.zeros(x_obs.size, dtype=np.complex128)
     grow_streak = 0
     prev_resid = math.inf
     for _ in range(cfg.max_iters):
-        x_new = x + cfg.relax * (b - project(np.where(smask, x, 0.0) * comp))
+        x_new = x + cfg.relax * (b - apply_ps(x))
         resid = float(np.linalg.norm((x_new - x_obs)[smask]))
         report.iterations += 1
         report.residuals.append(resid)
-        if reference is not None:
-            report.snrs.append(snr_db(reference, x_new))
+        _record_snr(report, reference, x_new)
         grow_streak = grow_streak + 1 if resid > prev_resid else 0
         if grow_streak >= 3 and not report.diverged:
             report.diverged = True
@@ -187,11 +191,7 @@ def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, referen
     iterative_reconstruct.
     """
     cfg = cfg or IterationConfig()
-    x_obs, smask, fmask = _check_masks(observed, sample_mask, sparsity_mask)
-    n = x_obs.size
-    comp = n / smask.sum()
-    project = _sparsity_projector(fmask)
-
+    x_obs, smask, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
     if cfg.frame_bounds is not None:
         bound_a, bound_b = cfg.frame_bounds
     else:
@@ -203,29 +203,20 @@ def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, referen
     report = SolverReport(
         solver="chebyshev",
         params={"cfg": dataclasses.asdict(cfg), "A": bound_a, "B": bound_b},
+        snrs=None if reference is None else [],
     )
-    if reference is not None:
-        report.snrs = []
-
-    b = project(np.where(smask, x_obs, 0.0) * comp)
-
-    def apply_ps(z):
-        return project(np.where(smask, z, 0.0) * comp)
-
     lam = 2.0
-    x_prev = np.zeros(n, dtype=np.complex128)
+    x_prev = np.zeros(x_obs.size, dtype=np.complex128)
     x_cur = gain * b
     report.iterations = 1
     report.residuals.append(float(np.linalg.norm((x_cur - x_obs)[smask])))
-    if reference is not None:
-        report.snrs.append(snr_db(reference, x_cur))
+    _record_snr(report, reference, x_cur)
     for _ in range(cfg.max_iters - 1):
         lam = 1.0 / (1.0 - 0.25 * rho * rho * lam)
         x_next = x_prev + lam * (x_cur - x_prev + gain * (b - apply_ps(x_cur)))
         report.iterations += 1
         report.residuals.append(float(np.linalg.norm((x_next - x_obs)[smask])))
-        if reference is not None:
-            report.snrs.append(snr_db(reference, x_next))
+        _record_snr(report, reference, x_next)
         step = float(np.linalg.norm(x_next - x_cur))
         x_prev, x_cur = x_cur, x_next
         if step < cfg.eps:
@@ -242,9 +233,8 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
     Terminates on ||r|| < eps, iteration budget, or breakdown of the
     curvature inner product (flagged; best iterate returned).
     """
-    report = SolverReport(solver="cg", params={"max_iters": max_iters, "eps": eps})
-    if reference is not None:
-        report.snrs = []
+    report = SolverReport(solver="cg", params={"max_iters": max_iters, "eps": eps},
+                          snrs=None if reference is None else [])
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = rhs.copy()
@@ -265,8 +255,7 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
         r = r - lam * op_p
         report.iterations += 1
         report.residuals.append(float(np.linalg.norm(r)))
-        if reference is not None:
-            report.snrs.append(snr_db(reference, x))
+        _record_snr(report, reference, x)
         lam_prime = np.vdot(op_p, r) / denom
         p = r - lam_prime * p
     else:
@@ -279,15 +268,7 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
 def cg_accelerate(observed, sample_mask, sparsity_mask, cfg=None, reference=None):
     """Conjugate-gradient solve of the masked reconstruction problem."""
     cfg = cfg or IterationConfig()
-    x_obs, smask, fmask = _check_masks(observed, sample_mask, sparsity_mask)
-    n = x_obs.size
-    comp = n / smask.sum()
-    project = _sparsity_projector(fmask)
-
-    def apply_ps(z):
-        return project(np.where(smask, z, 0.0) * comp)
-
-    b = apply_ps(x_obs)
+    _, _, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
     x, report = conjugate_gradient(
         apply_ps, b, max_iters=cfg.max_iters, eps=cfg.eps, reference=reference
     )
@@ -334,9 +315,8 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
         solver="imat",
         thresholds=[],
         params={"cfg": dataclasses.asdict(cfg), "transform": transform},
+        snrs=None if reference is None else [],
     )
-    if reference is not None:
-        report.snrs = []
 
     m = int(smask.sum())
     gain = cfg.relax * n / m  # density-compensated sample replacement
@@ -368,8 +348,7 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
         report.iterations += 1
         report.residuals.append(resid)
         report.thresholds.append(threshold)
-        if reference is not None:
-            report.snrs.append(snr_db(reference, x))
+        _record_snr(report, reference, x)
         grow_streak = grow_streak + 1 if resid > prev_resid else 0
         prev_resid = resid
         if resid < best[0]:
@@ -459,13 +438,20 @@ def fit_reproduction_coeffs(kernel_samples, grid, order):
     monomials = np.array([grid**r for r in range(order)])
     coeffs, *_ = np.linalg.lstsq(kernel_samples.T, monomials.T, rcond=None)
     coeffs = coeffs.T
-    residual = float(np.max(np.abs(coeffs @ kernel_samples - monomials)))
+    _check_reproduction(coeffs, kernel_samples, grid)
+    return coeffs
+
+
+def _check_reproduction(coeffs, kernel_samples, grid):
+    """Row r of coeffs must combine the kernel shifts into grid**r to 1e-8."""
+    grid = np.asarray(grid, dtype=np.float64)
+    monomials = np.array([grid**r for r in range(coeffs.shape[0])])
+    residual = float(np.max(np.abs(coeffs @ np.asarray(kernel_samples) - monomials)))
     if residual > 1e-8:
         raise ValueError(
-            f"kernel cannot reproduce monomials up to order {order}: "
+            f"kernel shifts do not reproduce monomials up to order {coeffs.shape[0]}: "
             f"max residual {residual:.3e}"
         )
-    return coeffs
 
 
 def fri_moments(samples, reproduction_coeffs, kernel_samples=None, grid=None):
@@ -481,13 +467,7 @@ def fri_moments(samples, reproduction_coeffs, kernel_samples=None, grid=None):
     if kernel_samples is not None:
         if grid is None:
             raise ValueError("grid required to verify the reproduction property")
-        grid = np.asarray(grid, dtype=np.float64)
-        monomials = np.array([grid**r for r in range(coeffs.shape[0])])
-        residual = float(np.max(np.abs(coeffs @ np.asarray(kernel_samples) - monomials)))
-        if residual > 1e-8:
-            raise ValueError(
-                f"reproduction property violated: max residual {residual:.3e}"
-            )
+        _check_reproduction(coeffs, kernel_samples, grid)
     return coeffs @ y
 
 

@@ -323,7 +323,10 @@ def ide(problem, schedule=None, iters=10, ridge=1e-10,
     one pass is run per starting threshold fraction of the largest scaled
     correlation, halving every iteration, and the sparsest feasible result
     wins (the first detection pass can lock onto a wrong active set, and
-    restarting at a different threshold is the cheap escape).
+    restarting at a different threshold is the cheap escape). Among equally
+    sparse feasible results the earliest start fraction wins: their final
+    residuals sit at rounding level, so ranking by them would let rounding
+    pick the estimate.
     """
     if schedule is not None:
         return _ide_pass(problem, schedule, ridge)
@@ -337,9 +340,9 @@ def ide(problem, schedule=None, iters=10, ridge=1e-10,
             problem, [max(frac * top, 1e-12) * 0.5**l for l in range(iters)], ridge
         )
         feasible = report.residuals[-1] <= 1e-7 * max(float(np.linalg.norm(x)), 1.0)
-        key = (detected_support(candidate).size, report.residuals[-1])
-        if best is None or (feasible and (not best[2] or key < best[0])):
-            best = (key, (candidate, report), feasible)
+        size = detected_support(candidate).size
+        if best is None or (feasible and (not best[2] or size < best[0])):
+            best = (size, (candidate, report), feasible)
     estimate, report = best[1]
     report.params["start_fractions"] = list(start_fractions)
     report.wall_time = time.perf_counter() - started

@@ -94,23 +94,26 @@ def sample_covariance(samples, dimension, lag_averaged=False):
 
 @dataclasses.dataclass(frozen=True)
 class CovarianceEstimate:
-    """Hermitian PSD covariance with the snapshot count that produced it."""
+    """Hermitian PSD covariance with the snapshot count that produced it.
+
+    The eigendecomposition is taken once, here: eigvals descending, eigvecs
+    holding the matching unit eigenvectors as columns. The subspace
+    estimators (Pisarenko, MUSIC, MDL) all read it from the covariance.
+    """
 
     matrix: np.ndarray
     snapshots: int
+    eigvals: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    eigvecs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.matrix, dtype=np.complex128)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError("covariance must be square")
-        scale = max(1.0, float(np.linalg.norm(r)))
-        if np.max(np.abs(r - r.conj().T)) > 1e-10 * scale:
-            raise ValueError("covariance must be Hermitian to 1e-10")
-        trace = float(np.trace(r).real)
-        min_eig = float(np.linalg.eigvalsh(r)[0])
-        if min_eig < -1e-8 * max(trace, 1.0):
+        eigvals, eigvecs = hermitian_eig(r)  # rejects non-square, non-Hermitian input
+        if eigvals[-1] < -1e-8 * max(float(np.trace(r).real), 1.0):
             raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "matrix", r)
+        object.__setattr__(self, "eigvals", eigvals)
+        object.__setattr__(self, "eigvecs", eigvecs)
 
     @property
     def dimension(self):
@@ -180,7 +183,7 @@ def pisarenko(samples_or_cov, k, lag_averaged=False):
     if cov.dimension != k + 1:
         raise ValueError(f"covariance dimension {cov.dimension} != k + 1 = {k + 1}")
 
-    eigvals, eigvecs = hermitian_eig(cov.matrix)
+    eigvals, eigvecs = cov.eigvals, cov.eigvecs
     sigma2 = float(eigvals[-1])
     ambiguous = bool(
         eigvals.size > 1 and abs(eigvals[-2] - eigvals[-1]) < 1e-10 * max(abs(eigvals[0]), 1.0)
@@ -209,8 +212,7 @@ def music(covariance, k, grid):
     if grid.size == 0:
         raise ValueError("frequency grid must be non-empty")
 
-    _, eigvecs = hermitian_eig(covariance.matrix)
-    noise_basis = eigvecs[:, k:]
+    noise_basis = covariance.eigvecs[:, k:]
     steering = np.exp(2j * np.pi * np.outer(np.arange(m), grid))
     projected = noise_basis.conj().T @ steering
     denom = np.sum(np.abs(projected) ** 2, axis=0)

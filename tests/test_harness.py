@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import sparsekit
 from sparsekit.cli import main as cli_main
 from sparsekit.experiments import (
     REGISTRY,
@@ -52,6 +53,13 @@ class TestRegistry:
             )
 
 
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == sparsekit.__version__
+
+
 class TestRunExperiment:
     def test_fig10_writes_csv_and_manifest(self, tmp_path):
         spec = ExperimentSpec(
@@ -65,6 +73,7 @@ class TestRunExperiment:
         with open(tmp_path / "fig10_manifest.json") as fh:
             data = json.load(fh)
         assert data["experiment_id"] == "fig10"
+        assert data["toolkit_version"] == sparsekit.__version__
         assert data["outputs"] == manifest.outputs
         assert data["config"]["params"]["scatter_max"] == 2
 

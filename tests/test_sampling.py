@@ -99,6 +99,18 @@ class TestIterativeReconstruct:
         with pytest.raises(ValueError, match="infeasible"):
             iterative_reconstruct(observed, bad, fmask)
 
+    @pytest.mark.parametrize(
+        "solver", [iterative_reconstruct, chebyshev_accelerate, cg_accelerate])
+    def test_mask_length_and_kind_checked(self, solver):
+        _, observed, smask, fmask = make_instance(32, 4, 16, RandomSource(24))
+        wrong_length = MaskSpec("frequency-support", SupportSet(fmask.support.indices, 33))
+        with pytest.raises(ValueError, match="ambient lengths"):
+            solver(observed, smask, wrong_length)
+        swapped = (MaskSpec("frequency-support", smask.support),
+                   MaskSpec("time-sample", fmask.support))
+        with pytest.raises(ValueError, match="time-sample mask"):
+            solver(observed, *swapped)
+
     def test_nonconvergence_flagged_on_violating_instance(self):
         # more coefficients than samples is rejected up front; build a
         # feasible-count but rank-deficient instance instead: duplicate the

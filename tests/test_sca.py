@@ -8,6 +8,7 @@ import pytest
 
 from sparsekit.core import RandomSource
 from sparsekit.sca import (
+    IDE_START_FRACTIONS,
     SparseProblem,
     basis_pursuit,
     bernoulli_gaussian_problem,
@@ -249,6 +250,23 @@ class TestIde:
         # the ridged P is near singular, yet the estimate stays feasible
         assert np.linalg.norm(a @ s - problem.observation) <= 1e-7 * np.linalg.norm(
             problem.observation)
+
+    def test_equally_sparse_passes_keep_the_earliest_start_fraction(self):
+        # noisy instances: several passes end equally dense, and all are
+        # feasible with final residuals at rounding level
+        ties = 0
+        for t in range(8):
+            problem = bernoulli_gaussian_problem(
+                32, 64, RandomSource(120, stream=t + 1), sigma_noise=0.01)
+            bound = 1e-7 * max(float(np.linalg.norm(problem.observation)), 1.0)
+            passes = [ide(problem, start_fractions=(f,)) for f in IDE_START_FRACTIONS]
+            sizes = [detected_support(s).size if report.residuals[-1] <= bound else math.inf
+                     for s, report in passes]
+            winners = [i for i, size in enumerate(sizes) if size == min(sizes)]
+            ties += len(winners) > 1
+            estimate, _ = ide(problem)
+            assert np.array_equal(estimate, passes[winners[0]][0]), f"instance {t}"
+        assert ties > 0
 
 
 class TestSl0:

@@ -26,6 +26,28 @@ def noisy_tones(model, m, snr_db_value, rng):
     return clean + rng.complex_normal(m, scale=sigma)
 
 
+class TestCovarianceEstimate:
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            CovarianceEstimate(np.array([[1.0, 0.5], [0.0, 1.0]]), snapshots=10)
+
+    def test_indefinite_rejected(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            CovarianceEstimate(np.diag([1.0, -0.5]), snapshots=10)
+
+    def test_music_on_raw_indefinite_array_raises(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            music(np.diag([2.0, 1.0, -1.0]), 1, default_grid(64))
+
+    def test_stored_eigendecomposition(self):
+        y = noisy_tones(SpectralModel([0.1, 0.3], [1.0, 0.5], [0.0, 1.0]), 200, 10.0,
+                        RandomSource(41))
+        cov = sample_covariance(y, 6)
+        assert np.all(np.diff(cov.eigvals) <= 0)
+        assert np.allclose(cov.matrix @ cov.eigvecs, cov.eigvecs * cov.eigvals,
+                           atol=1e-12 * np.linalg.norm(cov.matrix))
+
+
 class TestPeriodogram:
     def test_on_grid_tone_peak_value(self):
         m, ts, f0 = 64, 1.0, 0.25
