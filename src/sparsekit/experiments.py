@@ -431,49 +431,50 @@ def ser_sweep(cfg, profile, cnr_grid, blocks, seed, doppler_rho=None,
     """Common Monte-Carlo SER machinery for the OFDM experiments.
 
     All estimators see the same received blocks (common random numbers), so
-    SER ratios are far better conditioned than independent runs.
+    SER ratios are far better conditioned than independent runs. Returns the
+    symbol error count per (CNR, estimator); each CNR point decides
+    blocks * cfg.data_carriers.size symbols.
     """
     results = {(c, e): 0 for c in cnr_grid for e in estimators}
-    symbols = {c: 0 for c in cnr_grid}
+    dc = cfg.data_carriers
     for cnr in cnr_grid:
-        snr = 10 ** (cnr / 10.0)
-        channel = ofdm.TimeVaryingChannel(profile, doppler_rho) if doppler_rho else None
+        mcfg = ofdm.MimatConfig(snr_linear=10 ** (cnr / 10.0))
+        channel = None if doppler_rho is None else ofdm.TimeVaryingChannel(profile, doppler_rho)
         for b in range(blocks):
             rng = RandomSource(seed, stream=int(cnr * 10) * 100_000 + b)
             current = channel.step(rng) if channel else profile
-            data = rng.integers(0, cfg.symbols().size, cfg.data_carriers.size)
+            data = rng.integers(0, cfg.symbols().size, dc.size)
             tx = ofdm.map_symbols(data, cfg)
             rx = ofdm.ofdm_link(tx, current, cfg, cnr, rng)
-            truth = ofdm.channel_frequency_response(current, cfg)
-            dc = cfg.data_carriers
             for name in estimators:
                 if name == "ideal":
-                    estimate = truth
+                    estimate = ofdm.channel_frequency_response(current, cfg)
                 elif name == "linear":
                     estimate = ofdm.estimate_linear(rx, cfg)
                 else:
-                    _, estimate, _ = ofdm.estimate_mimat(
-                        rx, cfg, ofdm.MimatConfig(snr_linear=snr)
-                    )
+                    _, estimate, _ = ofdm.estimate_mimat(rx, cfg, mcfg)
                 eq, _ = ofdm.equalize(rx[dc], estimate[dc], "zf")
                 decisions = ofdm.nearest_symbols(eq, cfg)
                 results[(cnr, name)] += int(np.sum(decisions != data))
-            symbols[cnr] += dc.size
-    return results, symbols
+    return results
+
+
+def _ser_row(errors, symbols):
+    """Symbol error rate and its 95% (1.96 sigma) binomial half-width."""
+    ser = errors / symbols
+    return ser, 1.96 * math.sqrt(max(ser * (1 - ser), 1e-300) / symbols)
 
 
 def run_fig39(params, seed, trials):
     """SER vs CNR for ideal, linear-interpolation, and MIMAT channel estimates."""
     cfg = _ofdm_config(params)
     profile = ofdm.brazil_d_like_profile()
-    results, symbols = ser_sweep(cfg, profile, params["cnr_grid_db"], trials, seed)
-    rows = []
-    for cnr in params["cnr_grid_db"]:
-        for name in ("ideal", "linear", "mimat"):
-            count = symbols[cnr]
-            ser = results[(cnr, name)] / count
-            half = 1.96 * math.sqrt(max(ser * (1 - ser), 1e-300) / count)
-            rows.append((cnr, name, ser, half, trials))
+    results = ser_sweep(cfg, profile, params["cnr_grid_db"], trials, seed)
+    symbols = trials * cfg.data_carriers.size
+    rows = [
+        (cnr, name, *_ser_row(results[(cnr, name)], symbols), trials)
+        for cnr in params["cnr_grid_db"] for name in ("ideal", "linear", "mimat")
+    ]
     return {"fig39.csv": (["cnr_db", "estimator", "ser", "ci_halfwidth", "seed_count"], rows)}
 
 
@@ -481,18 +482,17 @@ def run_fig40(params, seed, trials):
     """MIMAT SER vs CNR under per-symbol tap-gain drift."""
     cfg = _ofdm_config(params)
     profile = ofdm.brazil_d_like_profile()
+    symbols = trials * cfg.data_carriers.size
     rows = []
     for rho in params["doppler_rho_grid"]:
-        results, symbols = ser_sweep(
+        results = ser_sweep(
             cfg, profile, params["cnr_grid_db"], trials, seed,
             doppler_rho=rho, estimators=("mimat",),
         )
-        for cnr in params["cnr_grid_db"]:
-            count = symbols[cnr]
-            errors = results[(cnr, "mimat")]
-            ser = errors / count
-            half = 1.96 * math.sqrt(max(ser * (1 - ser), 1e-300) / count)
-            rows.append((cnr, rho, ser, half, trials))
+        rows.extend(
+            (cnr, rho, *_ser_row(results[(cnr, "mimat")], symbols), trials)
+            for cnr in params["cnr_grid_db"]
+        )
     return {"fig40.csv": (["cnr_db", "doppler_rho", "ser", "ci_halfwidth", "seed_count"], rows)}
 
 

@@ -74,7 +74,11 @@ def brazil_d_like_profile():
 
 @dataclasses.dataclass(frozen=True)
 class OfdmConfig:
-    """Subcarrier geometry: guards, comb pilots, constellation, CP length."""
+    """Subcarrier geometry: guards, comb pilots, constellation, CP length.
+
+    The sorted carrier index sets ``active``, ``pilots`` (a SupportSet) and
+    ``data_carriers`` are derived once, at construction.
+    """
 
     n: int = 256
     pilot_spacing: int = 4
@@ -82,32 +86,20 @@ class OfdmConfig:
     guard_right: int = 9
     cp_length: int = 64
     constellation: str = "16qam"
-    subcarrier_spacing: float = 1.0  # Hz; sample interval is its reciprocal
-    symbol_time: float = None
+    active: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    pilots: SupportSet = dataclasses.field(init=False, repr=False, compare=False)
+    data_carriers: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.constellation not in CONSTELLATIONS:
             raise ValueError(f"unknown constellation {self.constellation!r}")
         if self.guard_left + self.guard_right >= self.n:
             raise ValueError("guards leave no active carriers")
-        if self.symbol_time is None:
-            object.__setattr__(self, "symbol_time", self.n / self.subcarrier_spacing)
-
-    @property
-    def sample_interval(self):
-        return 1.0 / self.subcarrier_spacing
-
-    @property
-    def active(self):
-        return np.arange(self.guard_left, self.n - self.guard_right)
-
-    @property
-    def pilots(self):
-        return SupportSet(self.active[:: self.pilot_spacing], self.n)
-
-    @property
-    def data_carriers(self):
-        return np.setdiff1d(self.active, self.pilots.indices)
+        active = np.arange(self.guard_left, self.n - self.guard_right)
+        pilots = SupportSet(active[:: self.pilot_spacing], self.n)
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "pilots", pilots)
+        object.__setattr__(self, "data_carriers", np.setdiff1d(active, pilots.indices))
 
     def pilot_values(self):
         # fixed unit-magnitude pilot pattern, known at the receiver
@@ -221,6 +213,8 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     n = cfg.n
     cp = cfg.cp_length
     pilots = cfg.pilots.indices
+    # pilot-to-delay dictionary: every support tried is a column subset
+    dictionary = np.exp(-2j * np.pi * np.outer(pilots, np.arange(cp)) / n)
     ls_values = pilot_least_squares(rx_block, cfg)
     h_time = np.fft.ifft(estimate_linear(rx_block, cfg))
     beta = mcfg.beta
@@ -244,7 +238,7 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
                 break
             candidates = np.array([int(np.argmax(magnitudes))])
             report.flags.append("empty initial support: kept largest tap")
-        fourier = np.exp(-2j * np.pi * np.outer(pilots, candidates) / n)
+        fourier = dictionary[:, candidates]
         snr_tap = snr / candidates.size
         gram = snr_tap * (fourier @ fourier.conj().T) + np.eye(pilots.size)
         tap_gains = snr_tap * (fourier.conj().T @ np.linalg.solve(gram, ls_values))
@@ -261,7 +255,7 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
             report.converged = True
             break
 
-    support, gains = _refine_support(ls_values, pilots, support, n, cp, report)
+    support, gains = _refine_support(ls_values, dictionary, support, report)
     profile = ChannelProfile(delays=support, gains=gains)
     response = channel_frequency_response(profile, cfg)
     report.wall_time = time.perf_counter() - started
@@ -269,21 +263,24 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     return profile, response, report
 
 
-def _refine_support(ls_values, pilots, support, n, cp, report,
+def _refine_support(ls_values, dictionary, support, report,
                     prune_sigma=2.4, add_sigma=3.0):
-    """Backward-prune / residual-augment the tap support, then LS re-solve.
+    """Backward-prune / residual-augment the tap support; return it with its
+    least-squares gains.
 
     Drops the weakest tap while any falls below prune_sigma standard
     errors; adds the best out-of-support tap while the pilot residual
     supports one at add_sigma standard errors. Noiseless inputs leave an
     exact support untouched (the residual variance estimate collapses).
+    The dictionary holds one pilot column per candidate delay in [0, cp).
     """
+    pilot_count, cp = dictionary.shape
     support = np.asarray(sorted(support), dtype=np.intp)
     for _ in range(4 * cp):
-        fourier = np.exp(-2j * np.pi * np.outer(pilots, support) / n)
+        fourier = dictionary[:, support]
         gains, *_ = np.linalg.lstsq(fourier, ls_values, rcond=None)
         residual = ls_values - fourier @ gains
-        dof = max(pilots.size - support.size, 1)
+        dof = max(pilot_count - support.size, 1)
         sigma2 = max(float(np.linalg.norm(residual) ** 2 / dof), 1e-300)
         covariance = np.real(np.diag(np.linalg.pinv(fourier.conj().T @ fourier)))
         stderr = np.sqrt(np.maximum(covariance * sigma2, 0.0))
@@ -292,19 +289,16 @@ def _refine_support(ls_values, pilots, support, n, cp, report,
             support = np.delete(support, int(np.argmin(margin)))
             continue
         outside = np.setdiff1d(np.arange(cp), support)
-        if outside.size == 0 or support.size >= pilots.size // 2:
-            break
-        probes = np.exp(-2j * np.pi * np.outer(pilots, outside) / n)
-        scores = np.abs(probes.conj().T @ residual) ** 2 / pilots.size
+        if outside.size == 0 or support.size >= pilot_count // 2:
+            return support, gains
+        scores = np.abs(dictionary[:, outside].conj().T @ residual) ** 2 / pilot_count
         best = int(np.argmax(scores))
         if scores[best] > add_sigma**2 * sigma2:
             support = np.sort(np.append(support, outside[best]))
         else:
-            break
-    else:
-        report.flags.append("support refinement budget exhausted")
-    fourier = np.exp(-2j * np.pi * np.outer(pilots, support) / n)
-    gains, *_ = np.linalg.lstsq(fourier, ls_values, rcond=None)
+            return support, gains
+    report.flags.append("support refinement budget exhausted")
+    gains, *_ = np.linalg.lstsq(dictionary[:, support], ls_values, rcond=None)
     return support, gains
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from sparsekit import ofdm
 from sparsekit.core import RandomSource
+from sparsekit.experiments import ser_sweep
 from sparsekit.ofdm import (
     ChannelProfile,
     MimatConfig,
@@ -146,6 +148,21 @@ class TestMimat:
         oracle, *_ = np.linalg.lstsq(fourier, ls, rcond=None)
         assert np.max(np.abs(est_profile.gains - oracle)) < 1e-6
         assert np.max(np.abs(est_profile.gains - profile.gains)) < 1e-6
+
+    @pytest.mark.parametrize("guard_left, guard_right", [(0, 0), (10, 9)])
+    def test_noisy_gains_are_least_squares_on_the_final_support(self, guard_left, guard_right):
+        cfg = OfdmConfig(guard_left=guard_left, guard_right=guard_right)
+        pilots = cfg.pilots.indices
+        for stream in range(1, 9):
+            rng = RandomSource(146, stream=stream)
+            tx, _ = random_block(cfg, rng)
+            rx = ofdm_link(tx, brazil_d_like_profile(), cfg, 20.0, rng)
+            est_profile, _, _ = estimate_mimat(rx, cfg, MimatConfig(snr_linear=100.0))
+            ls = rx[pilots] / cfg.pilot_values()
+            fourier = np.exp(-2j * np.pi * np.outer(pilots, est_profile.delays) / cfg.n)
+            oracle, *_ = np.linalg.lstsq(fourier, ls, rcond=None)
+            error = np.linalg.norm(est_profile.gains - oracle)
+            assert error <= 1e-10 * np.linalg.norm(oracle), f"stream {stream}"
 
     def test_support_size_non_increasing_noiseless(self):
         rng = RandomSource(137)
@@ -293,6 +310,24 @@ class TestTimeVaryingChannel:
         chan = TimeVaryingChannel(base, rho=1.0)
         profile = chan.step(rng)
         assert np.array_equal(profile.gains, base.gains)
+
+
+class TestSerSweep:
+    @pytest.mark.parametrize("rho, built", [(None, []), (0.0, [0.0]), (0.5, [0.5])])
+    def test_any_given_doppler_rho_drives_a_time_varying_channel(self, monkeypatch, rho, built):
+        # rho = 0 is a valid drift (a fresh draw of the gains every symbol),
+        # not "no drift": only None keeps the channel static
+        seen = []
+
+        class Spy(TimeVaryingChannel):
+            def __init__(self, profile, rho):
+                seen.append(rho)
+                super().__init__(profile, rho)
+
+        monkeypatch.setattr(ofdm, "TimeVaryingChannel", Spy)
+        ser_sweep(CFG, brazil_d_like_profile(), [15.0], 2, seed=3,
+                  doppler_rho=rho, estimators=("ideal",))
+        assert seen == built
 
 
 class TestProfileConfig:
