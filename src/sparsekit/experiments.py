@@ -437,6 +437,7 @@ def ser_sweep(cfg, profile, cnr_grid, blocks, seed, doppler_rho=None,
     """
     results = {(c, e): 0 for c in cnr_grid for e in estimators}
     dc = cfg.data_carriers
+    static_truth = ofdm.channel_frequency_response(profile, cfg) if doppler_rho is None else None
     for cnr in cnr_grid:
         mcfg = ofdm.MimatConfig(snr_linear=10 ** (cnr / 10.0))
         channel = None if doppler_rho is None else ofdm.TimeVaryingChannel(profile, doppler_rho)
@@ -448,7 +449,8 @@ def ser_sweep(cfg, profile, cnr_grid, blocks, seed, doppler_rho=None,
             rx = ofdm.ofdm_link(tx, current, cfg, cnr, rng)
             for name in estimators:
                 if name == "ideal":
-                    estimate = ofdm.channel_frequency_response(current, cfg)
+                    estimate = (static_truth if channel is None
+                                else ofdm.channel_frequency_response(current, cfg))
                 elif name == "linear":
                     estimate = ofdm.estimate_linear(rx, cfg)
                 else:
@@ -459,12 +461,6 @@ def ser_sweep(cfg, profile, cnr_grid, blocks, seed, doppler_rho=None,
     return results
 
 
-def _ser_row(errors, symbols):
-    """Symbol error rate and its 95% (1.96 sigma) binomial half-width."""
-    ser = errors / symbols
-    return ser, 1.96 * math.sqrt(max(ser * (1 - ser), 1e-300) / symbols)
-
-
 def run_fig39(params, seed, trials):
     """SER vs CNR for ideal, linear-interpolation, and MIMAT channel estimates."""
     cfg = _ofdm_config(params)
@@ -472,7 +468,7 @@ def run_fig39(params, seed, trials):
     results = ser_sweep(cfg, profile, params["cnr_grid_db"], trials, seed)
     symbols = trials * cfg.data_carriers.size
     rows = [
-        (cnr, name, *_ser_row(results[(cnr, name)], symbols), trials)
+        (cnr, name, *ofdm.ser_from_counts(results[(cnr, name)], symbols), trials)
         for cnr in params["cnr_grid_db"] for name in ("ideal", "linear", "mimat")
     ]
     return {"fig39.csv": (["cnr_db", "estimator", "ser", "ci_halfwidth", "seed_count"], rows)}
@@ -490,7 +486,7 @@ def run_fig40(params, seed, trials):
             doppler_rho=rho, estimators=("mimat",),
         )
         rows.extend(
-            (cnr, rho, *_ser_row(results[(cnr, "mimat")], symbols), trials)
+            (cnr, rho, *ofdm.ser_from_counts(results[(cnr, "mimat")], symbols), trials)
             for cnr in params["cnr_grid_db"]
         )
     return {"fig40.csv": (["cnr_db", "doppler_rho", "ser", "ci_halfwidth", "seed_count"], rows)}

@@ -8,6 +8,7 @@ threshold-and-MMSE tap estimator on top of it.
 """
 
 import dataclasses
+import functools
 import math
 import time
 
@@ -93,6 +94,13 @@ class OfdmConfig:
     def __post_init__(self):
         if self.constellation not in CONSTELLATIONS:
             raise ValueError(f"unknown constellation {self.constellation!r}")
+        for field in ("guard_left", "guard_right"):
+            if getattr(self, field) < 0:
+                raise ValueError(f"{field} must be non-negative")
+        if self.pilot_spacing < 1:
+            raise ValueError("pilot_spacing must be at least 1")
+        if not 1 <= self.cp_length <= self.n:
+            raise ValueError(f"cp_length must lie in [1, n={self.n}]")
         if self.guard_left + self.guard_right >= self.n:
             raise ValueError("guards leave no active carriers")
         active = np.arange(self.guard_left, self.n - self.guard_right)
@@ -155,10 +163,13 @@ def estimate_linear(rx_block, cfg):
 
     Edges extend the nearest pilot value; guard carriers return zero.
     """
+    return _interpolate_pilots(pilot_least_squares(rx_block, cfg), cfg)
+
+
+def _interpolate_pilots(ls, cfg):
     idx = cfg.pilots.indices
     if idx.size < 2:
         raise ValueError("need at least two pilots to interpolate")
-    ls = pilot_least_squares(rx_block, cfg)
     active = cfg.active
     estimate = np.zeros(cfg.n, dtype=np.complex128)
     estimate[active] = np.interp(active, idx, ls.real) + 1j * np.interp(
@@ -212,11 +223,11 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
 
     n = cfg.n
     cp = cfg.cp_length
-    pilots = cfg.pilots.indices
-    # pilot-to-delay dictionary: every support tried is a column subset
-    dictionary = np.exp(-2j * np.pi * np.outer(pilots, np.arange(cp)) / n)
+    pilot_count = cfg.pilots.indices.size
+    dictionary, gram = _pilot_dictionary(cfg)
     ls_values = pilot_least_squares(rx_block, cfg)
-    h_time = np.fft.ifft(estimate_linear(rx_block, cfg))
+    projections = dictionary.conj().T @ ls_values
+    h_time = np.fft.ifft(_interpolate_pilots(ls_values, cfg))
     beta = mcfg.beta
     if beta is None:
         floor = float(np.median(np.abs(h_time[:cp])))
@@ -229,23 +240,26 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
         threshold = beta * math.exp(mcfg.alpha * i)
         magnitudes = np.abs(h_time[:cp])
         candidates = np.flatnonzero(magnitudes > threshold)
-        if candidates.size > pilots.size:
+        if candidates.size > pilot_count:
             order = np.argsort(magnitudes[candidates])[::-1]
-            candidates = np.sort(candidates[order[: pilots.size]])
+            candidates = np.sort(candidates[order[:pilot_count]])
         if candidates.size == 0:
             if support is not None:
                 report.flags.append(f"threshold emptied the support at iteration {i}")
                 break
             candidates = np.array([int(np.argmax(magnitudes))])
             report.flags.append("empty initial support: kept largest tap")
-        fourier = dictionary[:, candidates]
+        # snr_tap F^H (snr_tap F F^H + I)^-1 ls, pushed through to the
+        # candidates-by-candidates system (F^H F + I / snr_tap) g = F^H ls
         snr_tap = snr / candidates.size
-        gram = snr_tap * (fourier @ fourier.conj().T) + np.eye(pilots.size)
-        tap_gains = snr_tap * (fourier.conj().T @ np.linalg.solve(gram, ls_values))
+        system = gram[candidates[:, None], candidates]
+        system.flat[:: candidates.size + 1] += 1.0 / snr_tap
+        tap_gains = np.linalg.solve(system, projections[candidates])
         h_time = np.zeros(n, dtype=np.complex128)
         h_time[candidates] = tap_gains
         report.iterations += 1
         report.thresholds.append(threshold)
+        fourier = dictionary[:, candidates]
         report.residuals.append(float(np.linalg.norm(fourier @ tap_gains - ls_values)))
         same = support is not None and np.array_equal(candidates, support) and (
             np.max(np.abs(tap_gains - gains)) < 1e-12 * max(np.max(np.abs(tap_gains)), 1e-30)
@@ -255,7 +269,7 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
             report.converged = True
             break
 
-    support, gains = _refine_support(ls_values, dictionary, support, report)
+    support, gains = _refine_support(ls_values, projections, dictionary, gram, support, report)
     profile = ChannelProfile(delays=support, gains=gains)
     response = channel_frequency_response(profile, cfg)
     report.wall_time = time.perf_counter() - started
@@ -263,7 +277,23 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     return profile, response, report
 
 
-def _refine_support(ls_values, dictionary, support, report,
+@functools.lru_cache(maxsize=8)
+def _pilot_dictionary(cfg):
+    """Pilot-to-delay dictionary D = exp(-2pi j pilots x [0, cp) / n) and its
+    Gram matrix D^H D, both read-only and built once per geometry.
+
+    Every support MIMAT tries is a column subset of D; its normal matrix is
+    the matching principal submatrix of the Gram matrix.
+    """
+    pilots = cfg.pilots.indices
+    dictionary = np.exp(-2j * np.pi * np.outer(pilots, np.arange(cfg.cp_length)) / cfg.n)
+    gram = dictionary.conj().T @ dictionary
+    dictionary.flags.writeable = False
+    gram.flags.writeable = False
+    return dictionary, gram
+
+
+def _refine_support(ls_values, projections, dictionary, gram, support, report,
                     prune_sigma=2.4, add_sigma=3.0):
     """Backward-prune / residual-augment the tap support; return it with its
     least-squares gains.
@@ -272,29 +302,40 @@ def _refine_support(ls_values, dictionary, support, report,
     errors; adds the best out-of-support tap while the pilot residual
     supports one at add_sigma standard errors. Noiseless inputs leave an
     exact support untouched (the residual variance estimate collapses).
-    The dictionary holds one pilot column per candidate delay in [0, cp).
+    The dictionary D holds one pilot column per candidate delay in [0, cp),
+    gram is D^H D and projections is D^H ls_values.
+
+    Each step does one eigendecomposition V diag(lam) V^H of gram[S, S]
+    and keeps the eigenvalues above |S| * eps * max(lam), the cutoff of
+    pinv(D_S^H D_S). The gains V lam^-1 V^H projections[S] are then the
+    minimum-norm least-squares solution (aliased delays, as when
+    cp > n / pilot_spacing, make D_S rank-deficient), and the diagonal
+    sum(|V|^2 / lam) of the pseudo-inverse scales the standard errors.
     """
     pilot_count, cp = dictionary.shape
     support = np.asarray(sorted(support), dtype=np.intp)
     for _ in range(4 * cp):
-        fourier = dictionary[:, support]
-        gains, *_ = np.linalg.lstsq(fourier, ls_values, rcond=None)
-        residual = ls_values - fourier @ gains
+        eigvals, eigvecs = np.linalg.eigh(gram[support[:, None], support])
+        keep = eigvals > support.size * np.finfo(float).eps * eigvals[-1]
+        eigvals, eigvecs = eigvals[keep], eigvecs[:, keep]
+        gains = eigvecs @ ((eigvecs.conj().T @ projections[support]) / eigvals)
+        residual = ls_values - dictionary[:, support] @ gains
         dof = max(pilot_count - support.size, 1)
-        sigma2 = max(float(np.linalg.norm(residual) ** 2 / dof), 1e-300)
-        covariance = np.real(np.diag(np.linalg.pinv(fourier.conj().T @ fourier)))
-        stderr = np.sqrt(np.maximum(covariance * sigma2, 0.0))
+        sigma2 = max(float(np.vdot(residual, residual).real / dof), 1e-300)
+        covariance = np.abs(eigvecs) ** 2 @ (1.0 / eigvals)
+        stderr = np.sqrt(covariance * sigma2)
         margin = np.abs(gains) - prune_sigma * stderr
         if support.size > 1 and (margin < 0).any():
             support = np.delete(support, int(np.argmin(margin)))
             continue
-        outside = np.setdiff1d(np.arange(cp), support)
-        if outside.size == 0 or support.size >= pilot_count // 2:
+        if support.size == cp or support.size >= pilot_count // 2:
             return support, gains
-        scores = np.abs(dictionary[:, outside].conj().T @ residual) ** 2 / pilot_count
+        # |D^H r| over all delays, as |r^H D| so that D is not conjugated
+        scores = np.abs(residual.conj() @ dictionary) ** 2 / pilot_count
+        scores[support] = -np.inf
         best = int(np.argmax(scores))
         if scores[best] > add_sigma**2 * sigma2:
-            support = np.sort(np.append(support, outside[best]))
+            support = np.insert(support, np.searchsorted(support, best), best)
         else:
             return support, gains
     report.flags.append("support refinement budget exhausted")
@@ -334,11 +375,14 @@ def ser_measure(tx_indices, rx_indices):
     rx = np.asarray(rx_indices)
     if tx.shape != rx.shape:
         raise ValueError("symbol streams must have equal length")
-    count = tx.size
-    errors = int(np.sum(tx != rx))
-    rate = errors / count
-    halfwidth = 1.96 * math.sqrt(max(rate * (1.0 - rate), 1e-300) / count)
-    return rate, halfwidth
+    return ser_from_counts(int(np.sum(tx != rx)), tx.size)
+
+
+def ser_from_counts(errors, symbols):
+    """Symbol error rate of errors in symbols decisions, with its 95%
+    (1.96 sigma) binomial half-width."""
+    rate = errors / symbols
+    return rate, 1.96 * math.sqrt(max(rate * (1.0 - rate), 1e-300) / symbols)
 
 
 def qam16_awgn_ser_theory(es_n0_db):

@@ -33,6 +33,19 @@ def random_block(cfg, rng):
     return map_symbols(data, cfg), data
 
 
+class TestOfdmConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("guard_left", -1),
+        ("guard_right", -1),
+        ("pilot_spacing", 0),
+        ("cp_length", 0),
+        ("cp_length", 257),
+    ])
+    def test_invalid_geometry_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OfdmConfig(**{field: value})
+
+
 class TestChannelResponse:
     def test_single_tap_delay_zero(self):
         profile = ChannelProfile(delays=[0], gains=[1.0])
@@ -163,6 +176,29 @@ class TestMimat:
             oracle, *_ = np.linalg.lstsq(fourier, ls, rcond=None)
             error = np.linalg.norm(est_profile.gains - oracle)
             assert error <= 1e-10 * np.linalg.norm(oracle), f"stream {stream}"
+
+    def test_aliased_geometry_gains_are_least_squares_on_the_final_support(self):
+        # 32 pilots for 64 delays: delays d and d + 32 share one pilot column
+        # up to rounding, so supports can be rank-deficient
+        cfg = OfdmConfig(n=256, pilot_spacing=8, guard_left=0, guard_right=0, cp_length=64)
+        pilots = cfg.pilots.indices
+        dictionary = np.exp(-2j * np.pi * np.outer(pilots, np.arange(cfg.cp_length)) / cfg.n)
+        for stream in range(1, 9):
+            rng = RandomSource(147, stream=stream)
+            tx, _ = random_block(cfg, rng)
+            rx = ofdm_link(tx, brazil_d_like_profile(), cfg, 20.0, rng)
+            est_profile, response, _ = estimate_mimat(rx, cfg, MimatConfig(snr_linear=100.0))
+            assert np.all(np.isfinite(response)), f"stream {stream}"
+            ls = rx[pilots] / cfg.pilot_values()
+            oracle, *_ = np.linalg.lstsq(dictionary[:, est_profile.delays], ls, rcond=None)
+            error = np.linalg.norm(est_profile.gains - oracle)
+            assert error <= 1e-10 * np.linalg.norm(oracle), f"stream {stream}"
+
+    def test_pilot_dictionary_is_built_once_per_geometry_and_read_only(self):
+        dictionary, gram = ofdm._pilot_dictionary(OfdmConfig(guard_left=0, guard_right=0))
+        again = ofdm._pilot_dictionary(OfdmConfig(guard_left=0, guard_right=0))
+        assert again[0] is dictionary and again[1] is gram
+        assert not dictionary.flags.writeable and not gram.flags.writeable
 
     def test_support_size_non_increasing_noiseless(self):
         rng = RandomSource(137)
