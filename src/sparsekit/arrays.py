@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import NumericError
+from .core import NumericError, write_csv
 from .spectral import CovarianceEstimate
 
 
@@ -87,10 +87,8 @@ class MdlReport:
     free_params: np.ndarray  # kappa(k) per candidate
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("k,criterion,kappa\n")
-            for k, (crit, kappa) in enumerate(zip(self.criteria, self.free_params)):
-                fh.write(f"{k},{crit!r},{kappa}\n")
+        write_csv(path, ["k", "criterion", "kappa"],
+                  zip(range(self.criteria.size), self.criteria, self.free_params))
 
 
 def free_parameter_count(n, k):
@@ -175,11 +173,8 @@ def aperture_pattern(layout, d_over_lambda, u_grid):
 def pattern_to_csv(path, u_grid, pattern):
     """Write u, |W(u)| in dB rows for plotting."""
     magnitude = np.maximum(np.abs(np.asarray(pattern)), 1e-300)
-    db = 20.0 * np.log10(magnitude)
-    with open(path, "w") as fh:
-        fh.write("u,pattern_db\n")
-        for u, val in zip(u_grid, db):
-            fh.write(f"{float(u)!r},{float(val)!r}\n")
+    u = np.asarray(u_grid, dtype=np.float64)
+    write_csv(path, ["u", "pattern_db"], zip(u, 20.0 * np.log10(magnitude)))
 
 
 def dirichlet_pattern(n, d_over_lambda, u_grid):

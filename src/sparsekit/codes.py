@@ -9,7 +9,6 @@ parity-check matrices with the iterative machinery of the sampling module.
 
 import dataclasses
 import math
-import time
 
 import numpy as np
 
@@ -212,7 +211,8 @@ def elp_impulsive_decode(received, code, location_threshold=0.1):
     if float(np.linalg.norm(syndrome)) <= 1e-12 * max(scale, 1e-300):
         report.flags.append("no-error fast path: syndrome energy negligible")
         report.params["confidence"] = 1.0
-        return values.copy(), empty, np.array([], dtype=complex), report
+        clean = values.copy()
+        return clean, empty, np.array([], dtype=complex), report.finish(clean)
 
     k = (n - code.l) // 2
     if k == 0:
@@ -233,7 +233,8 @@ def elp_impulsive_decode(received, code, location_threshold=0.1):
     if spectral_positions.size == 0:
         report.flags.append("no locator zeros found; returning input unchanged")
         report.params["confidence"] = 0.0
-        return values.copy(), empty, np.array([], dtype=complex), report
+        clean = values.copy()
+        return clean, empty, np.array([], dtype=complex), report.finish(clean)
 
     q_inv = pow(code.q, -1, n)
     time_positions = np.sort((spectral_positions * q_inv) % n)
@@ -249,7 +250,7 @@ def elp_impulsive_decode(received, code, location_threshold=0.1):
     error_spectrum = _fill_by_recursion(transformed, h_exact, code.theta.mask(), scale)
     impulses = sorted_dft(error_spectrum, code.q, inverse=True)
     clean = values - impulses
-    return clean, SupportSet(time_positions, n), impulses[time_positions], report
+    return clean, SupportSet(time_positions, n), impulses[time_positions], report.finish(clean)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,13 +277,19 @@ class ConvCode:
 
     def generator_matrix(self, input_length):
         """G with interleaved branch outputs: y = G x, zero tail padding."""
-        m = input_length + self.taps - 1
-        g = np.zeros((2 * m, input_length))
-        for col in range(input_length):
-            for tap in range(self.taps):
-                g[2 * (col + tap), col] = self.h1[tap]
-                g[2 * (col + tap) + 1, col] = self.h2[tap]
+        g = np.empty((2 * (input_length + self.taps - 1), input_length))
+        g[0::2] = _convolution_matrix(self.h1, input_length)
+        g[1::2] = _convolution_matrix(self.h2, input_length)
         return g
+
+
+def _convolution_matrix(taps, length):
+    """Banded (length + taps - 1) x length M with M[i + t, i] = taps[t], so
+    M @ x = np.convolve(x, taps)."""
+    out = np.zeros((length + taps.size - 1, length))
+    cols = np.arange(length)[:, None]
+    out[cols + np.arange(taps.size), cols] = taps
+    return out
 
 
 def conv_encode(signal, code):
@@ -303,17 +310,11 @@ def conv_parity_check(code, input_length):
     commutes, so it annihilates every codeword); columns are normalized by
     the leading h2 tap to match a -1 leading entry.
     """
-    taps = code.taps
-    m = input_length + taps - 1
-    cols = input_length + 2 * taps - 2
-    h = np.zeros((2 * m, cols))
+    m = input_length + code.taps - 1
     lead = code.h2[0] if code.h2[0] != 0 else 1.0
-    for c in range(cols):
-        for j in range(m):
-            tap = c - j
-            if 0 <= tap < taps:
-                h[2 * j, c] = -code.h2[tap] / lead
-                h[2 * j + 1, c] = code.h1[tap] / lead
+    h = np.empty((2 * m, m + code.taps - 1))
+    h[0::2] = _convolution_matrix(-code.h2 / lead, m).T
+    h[1::2] = _convolution_matrix(code.h1 / lead, m).T
     g = code.generator_matrix(input_length)
     defect = np.max(np.abs(h.T @ g))
     if defect > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
@@ -366,7 +367,6 @@ def conv_impulsive_decode(received, code, cfg=None):
         raise NumericError(f"parity projector rank-deficient: cond = {condition:.3e}")
     projector = h @ np.linalg.solve(gram, h.T)
 
-    started = time.perf_counter()
     report = SolverReport(
         solver="conv-impulsive-imat",
         thresholds=[],
@@ -386,6 +386,4 @@ def conv_impulsive_decode(received, code, cfg=None):
         report.residuals.append(float(np.linalg.norm(misfit)))
     g = code.generator_matrix(input_length)
     estimate, *_ = np.linalg.lstsq(g, y - nu, rcond=None)
-    report.wall_time = time.perf_counter() - started
-    report.estimate = estimate
-    return estimate, nu, report
+    return estimate, nu, report.finish(estimate)

@@ -8,6 +8,7 @@ scale-free.
 import csv
 import dataclasses
 import math
+import time
 
 import numpy as np
 
@@ -30,6 +31,25 @@ def as_values(signal):
     if values.ndim != 1:
         raise ValueError("signal must be one-dimensional")
     return values
+
+
+def _fmt(value):
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    """The one CSV format: a header line, then LF-terminated rows whose
+    floats are written by repr (round-trip exact) and ints/bools plainly."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _wrap_like(template, values):
@@ -63,11 +83,8 @@ class ComplexSignal:
 
     def to_csv(self, path):
         """Write as CSV with columns index,re,im."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "re", "im"])
-            for i, v in enumerate(self.values):
-                writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+        write_csv(path, ["index", "re", "im"],
+                  zip(range(len(self)), self.values.real, self.values.imag))
 
     @classmethod
     def from_csv(cls, path):
@@ -149,46 +166,27 @@ def snr_report(reference, estimate):
     return SnrReport(snr_db=value, exact=math.isinf(value))
 
 
-class RandomSource:
-    """Seeded PCG64 stream; identical seed gives identical draws everywhere.
+class RandomSource(np.random.Generator):
+    """Seeded PCG64 generator; identical seed gives identical draws everywhere.
 
-    The algorithm name and seed are recorded in experiment manifests so any
-    output can be regenerated. Sources are single-owner; use split() to hand
+    A numpy Generator on PCG64(SeedSequence([seed, stream])), so every draw
+    is numpy's own call. Sources are single-owner; use split() to hand
     independent child streams to parallel trials.
     """
-
-    algorithm = "numpy-pcg64"
 
     def __init__(self, seed, stream=0):
         self.seed = int(seed)
         self.stream = int(stream)
-        self.generator = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, self.stream]))
-        )
+        super().__init__(np.random.PCG64(np.random.SeedSequence([self.seed, self.stream])))
 
     def split(self, count):
         return [RandomSource(self.seed, self.stream + 1 + i) for i in range(count)]
 
-    def standard_normal(self, size=None):
-        return self.generator.standard_normal(size)
-
     def complex_normal(self, size=None, scale=1.0):
         """Circular complex Gaussian with E|z|^2 = scale^2."""
-        re = self.generator.standard_normal(size)
-        im = self.generator.standard_normal(size)
+        re = self.standard_normal(size)
+        im = self.standard_normal(size)
         return (scale / math.sqrt(2.0)) * (re + 1j * im)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.generator.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size)
-
-    def choice(self, a, size=None, replace=True):
-        return self.generator.choice(a, size=size, replace=replace)
-
-    def permutation(self, x):
-        return self.generator.permutation(x)
 
 
 @dataclasses.dataclass
@@ -197,7 +195,9 @@ class SolverReport:
 
     residuals has one entry per iteration; snrs is populated only when the
     caller supplied a reference signal. params records the full solver
-    configuration so a run can be reproduced from the report alone.
+    configuration so a run can be reproduced from the report alone. The
+    report is built when its solver starts; finish() stamps wall_time from
+    that moment.
     """
 
     solver: str
@@ -213,6 +213,14 @@ class SolverReport:
     estimate: np.ndarray = None
     wall_time: float = 0.0
     params: dict = dataclasses.field(default_factory=dict)
+    started: float = dataclasses.field(init=False, repr=False, compare=False,
+                                       default_factory=time.perf_counter)
+
+    def finish(self, estimate):
+        """Record the estimate and the wall time since construction."""
+        self.estimate = estimate
+        self.wall_time = time.perf_counter() - self.started
+        return self
 
 
 def dft(signal, inverse=False):

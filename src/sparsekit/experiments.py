@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import __version__, codes, ofdm, sampling, sca, spectral
-from .core import RandomSource, SupportSet, snr_db
+from .core import RandomSource, SupportSet, snr_db, write_csv
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,23 +36,6 @@ class RunManifest:
     started: str
     finished: str
     outputs: dict  # filename -> sha256 of contents
-
-
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _median_trace(traces, length):

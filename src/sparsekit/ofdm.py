@@ -10,7 +10,6 @@ threshold-and-MMSE tap estimator on top of it.
 import dataclasses
 import functools
 import math
-import time
 
 import numpy as np
 
@@ -217,7 +216,6 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     values). Returns (ChannelProfile, frequency response, report).
     """
     mcfg = mcfg or MimatConfig()
-    started = time.perf_counter()
     report = SolverReport(solver="mimat", thresholds=[], params={
         "cfg": dataclasses.asdict(mcfg)})
 
@@ -272,9 +270,8 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     support, gains = _refine_support(ls_values, projections, dictionary, gram, support, report)
     profile = ChannelProfile(delays=support, gains=gains)
     response = channel_frequency_response(profile, cfg)
-    report.wall_time = time.perf_counter() - started
     report.support = support
-    return profile, response, report
+    return profile, response, report.finish(response)
 
 
 @functools.lru_cache(maxsize=8)

@@ -8,10 +8,8 @@ polynomial moments.
 
 import dataclasses
 import math
-import time
 
 import numpy as np
-import scipy.fft
 
 from .core import (
     SolverReport,
@@ -152,7 +150,6 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, cfg=None, refere
     cfg = cfg or IterationConfig()
     x_obs, smask, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
 
-    started = time.perf_counter()
     report = SolverReport(solver="iterative", params={"cfg": dataclasses.asdict(cfg)},
                           snrs=None if reference is None else [])
     x = np.zeros(x_obs.size, dtype=np.complex128)
@@ -177,9 +174,7 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, cfg=None, refere
         if not math.isfinite(resid) or resid > 1e100:
             report.flags.append("iterate overflowed; stopping")
             break
-    report.wall_time = time.perf_counter() - started
-    report.estimate = x
-    return x, report
+    return x, report.finish(x)
 
 
 def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, reference=None):
@@ -199,7 +194,6 @@ def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, referen
     rho = (bound_b - bound_a) / (bound_b + bound_a)
     gain = 2.0 / (bound_a + bound_b)
 
-    started = time.perf_counter()
     report = SolverReport(
         solver="chebyshev",
         params={"cfg": dataclasses.asdict(cfg), "A": bound_a, "B": bound_b},
@@ -222,9 +216,7 @@ def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, referen
         if step < cfg.eps:
             report.converged = True
             break
-    report.wall_time = time.perf_counter() - started
-    report.estimate = x_cur
-    return x_cur, report
+    return x_cur, report.finish(x_cur)
 
 
 def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
@@ -233,13 +225,12 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
     Terminates on ||r|| < eps, iteration budget, or breakdown of the
     curvature inner product (flagged; best iterate returned).
     """
-    report = SolverReport(solver="cg", params={"max_iters": max_iters, "eps": eps},
-                          snrs=None if reference is None else [])
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = rhs.copy()
     rhs_scale = float(np.linalg.norm(rhs))
-    started = time.perf_counter()
+    report = SolverReport(solver="cg", params={"max_iters": max_iters, "eps": eps},
+                          snrs=None if reference is None else [])
     for _ in range(max_iters):
         if np.linalg.norm(r) < eps * max(rhs_scale, 1.0):
             report.converged = True
@@ -260,9 +251,7 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
         p = r - lam_prime * p
     else:
         report.converged = report.residuals[-1] < eps * max(rhs_scale, 1.0)
-    report.wall_time = time.perf_counter() - started
-    report.estimate = x
-    return x, report
+    return x, report.finish(x)
 
 
 def cg_accelerate(observed, sample_mask, sparsity_mask, cfg=None, reference=None):
@@ -282,14 +271,16 @@ def _to_sparse_domain(z, transform):
     if transform == "dft":
         return np.fft.fft(z) / math.sqrt(n)
     if transform == "dct":
+        import scipy.fft  # lazy: scipy brings a second BLAS, and only the DCT needs it
         return scipy.fft.dct(z, norm="ortho")
     raise ValueError(f"unknown transform {transform!r}")
 
 
 def _from_sparse_domain(coeffs, transform):
-    n = coeffs.size
+    """Inverse transform along the last axis."""
     if transform == "dft":
-        return np.fft.ifft(coeffs) * math.sqrt(n)
+        return np.fft.ifft(coeffs) * math.sqrt(coeffs.shape[-1])
+    import scipy.fft
     return scipy.fft.idct(coeffs, norm="ortho")
 
 
@@ -310,7 +301,6 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
     if transform == "dct":
         x_obs = x_obs.real.astype(np.float64)
 
-    started = time.perf_counter()
     report = SolverReport(
         solver="imat",
         thresholds=[],
@@ -379,19 +369,14 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
         x = _least_squares_on_support(x_obs, smask, support, transform)
         report.flags.append("least-squares polish on detected support")
 
-    report.wall_time = time.perf_counter() - started
-    report.estimate = x
     report.support = support.indices
-    return x, support, report
+    return x, support, report.finish(x)
 
 
 def _least_squares_on_support(x_obs, smask, support, transform):
-    n = x_obs.size
-    basis = np.zeros((n, len(support)), dtype=np.complex128)
-    for col, j in enumerate(support.indices):
-        unit = np.zeros(n, dtype=np.complex128)
-        unit[j] = 1.0
-        basis[:, col] = _from_sparse_domain(unit, transform)
+    units = np.zeros((len(support), x_obs.size), dtype=np.complex128)
+    units[np.arange(len(support)), support.indices] = 1.0
+    basis = np.ascontiguousarray(_from_sparse_domain(units, transform).T)
     coefficients, *_ = np.linalg.lstsq(basis[smask], x_obs[smask], rcond=None)
     rebuilt = basis @ coefficients
     return rebuilt if transform == "dft" else rebuilt.real

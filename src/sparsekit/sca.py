@@ -53,11 +53,9 @@ def detected_support(estimate, tol=ZERO_TOL):
     return np.flatnonzero(mags > tol * peak)
 
 
-def _finish(report, estimate, started):
-    report.estimate = estimate
+def _finish(report, estimate):
     report.support = detected_support(estimate)
-    report.wall_time = time.perf_counter() - started
-    return report
+    return report.finish(estimate)
 
 
 def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
@@ -74,7 +72,6 @@ def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
     norms = np.linalg.norm(a, axis=0)
     unit = a / norms
 
-    started = time.perf_counter()
     report = SolverReport(
         solver="omp" if orthogonal else "mp",
         params={"k_max": k_max, "residual_tol": residual_tol},
@@ -102,7 +99,7 @@ def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
         report.residuals.append(float(np.linalg.norm(residual)))
     else:
         report.converged = report.residuals[-1] <= residual_tol * x_scale
-    return s, _finish(report, s, started)
+    return s, _finish(report, s)
 
 
 class SimplexResult:
@@ -218,13 +215,13 @@ def simplex_solve(cost, eq_matrix, eq_rhs, max_pivots=100_000):
             if pivot_col is not None:
                 basis[row] = pivot_col
 
-    if any(v >= n for v in basis):
-        # redundant rows: fall back to any non-basic structural columns to
-        # complete a (possibly singular-safe) basis via least squares later
-        spare = [j for j in range(n) if j not in basis]
-        for row in range(m):
-            if basis[row] >= n and spare:
-                basis[row] = spare.pop()
+    # an artificial no structural column can replace has a zero row of
+    # B^-1 E: the constraint it stands for is a combination of the others
+    redundant = [v - n for v in basis if v >= n]
+    if redundant:
+        kept = np.setdiff1d(np.arange(m), redundant)
+        e, b = e[kept], b[kept]
+        basis = [v for v in basis if v < n]
 
     pivots += _simplex_phase(e, b, c, basis, max_pivots)
     solution = np.zeros(n)
@@ -255,7 +252,6 @@ def basis_pursuit(problem):
     """
     a, x = problem.mixing, problem.observation
     m, n = a.shape
-    started = time.perf_counter()
     report = SolverReport(solver="bp", params={"lp_variables": 2 * n})
 
     eq = np.hstack([a, -a])
@@ -270,13 +266,12 @@ def basis_pursuit(problem):
     report.iterations = result.iterations
     report.residuals = [feasibility]
     report.converged = not report.flags
-    return s, _finish(report, s, started)
+    return s, _finish(report, s)
 
 
 def focuss(problem, iters=20):
     """Reweighted minimum-norm iterations s <- W (A W)^+ x, W = diag(s)."""
     a, x = problem.mixing, problem.observation
-    started = time.perf_counter()
     report = SolverReport(solver="focuss", params={"iters": iters})
     s, *_ = np.linalg.lstsq(a, x, rcond=None)  # minimum-l2 start
     for _ in range(iters):
@@ -289,7 +284,7 @@ def focuss(problem, iters=20):
             report.flags.append("converged to zero")
             break
     report.converged = True
-    return s, _finish(report, s, started)
+    return s, _finish(report, s)
 
 
 IDE_START_FRACTIONS = (0.95, 0.8, 0.65, 0.5)
@@ -352,12 +347,11 @@ def ide(problem, schedule=None, iters=10, ridge=1e-10,
 def _ide_pass(problem, schedule, ridge):
     a, x = problem.mixing, problem.observation
     m, n = a.shape
-    started = time.perf_counter()
+    report = SolverReport(solver="ide", params={"schedule": list(schedule)})
     norms = np.linalg.norm(a, axis=0)
     gram = a.T @ a
     outer = a @ a.T
     correlations = a.T @ x
-    report = SolverReport(solver="ide", params={"schedule": list(schedule)})
 
     s = np.zeros(n)
     for eps in schedule:
@@ -397,7 +391,7 @@ def _ide_pass(problem, schedule, ridge):
         report.iterations += 1
         report.residuals.append(float(np.linalg.norm(a @ s - x)))
     report.converged = True
-    return s, _finish(report, s, started)
+    return s, _finish(report, s)
 
 
 def sl0(problem, sigma_seq=None, big_l=3, mu=2.0, sigma_ratio=0.5, sigma_steps=8):
@@ -409,7 +403,7 @@ def sl0(problem, sigma_seq=None, big_l=3, mu=2.0, sigma_ratio=0.5, sigma_steps=8
     eight rounds of big_l ascent steps each.
     """
     a, x = problem.mixing, problem.observation
-    started = time.perf_counter()
+    report = SolverReport(solver="sl0", params={"L": big_l, "mu": mu})
     gram = a @ a.T
     solve_gram = np.linalg.solve
     s = a.T @ solve_gram(gram, x)  # minimum-l2 start
@@ -421,9 +415,7 @@ def sl0(problem, sigma_seq=None, big_l=3, mu=2.0, sigma_ratio=0.5, sigma_steps=8
         v <= 0 for v in sigma_seq
     ):
         raise ValueError("sigma sequence must be positive and strictly decreasing")
-    report = SolverReport(
-        solver="sl0", params={"sigma_seq": sigma_seq, "L": big_l, "mu": mu}
-    )
+    report.params["sigma_seq"] = sigma_seq
     for sigma in sigma_seq:
         for _ in range(big_l):
             delta = s * np.exp(-(s**2) / (2.0 * sigma**2))
@@ -432,7 +424,7 @@ def sl0(problem, sigma_seq=None, big_l=3, mu=2.0, sigma_ratio=0.5, sigma_steps=8
             report.iterations += 1
             report.residuals.append(float(np.linalg.norm(a @ s - x)))
     report.converged = True
-    return s, _finish(report, s, started)
+    return s, _finish(report, s)
 
 
 @dataclasses.dataclass(frozen=True)

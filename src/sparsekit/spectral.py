@@ -67,28 +67,16 @@ def periodogram(samples, sample_interval, grid):
     return np.abs(amplitude) ** 2 / (m * sample_interval)
 
 
-def sample_covariance(samples, dimension, lag_averaged=False):
-    """Covariance estimate of a 1-D series from sliding snapshot windows.
-
-    Forward-only snapshot averaging by default; lag_averaged builds the
-    Toeplitz matrix of averaged autocorrelation lags instead.
-    """
+def sample_covariance(samples, dimension):
+    """Covariance estimate of a 1-D series from forward sliding snapshot windows."""
     x = as_values(samples)
     p = int(dimension)
     if p < 1 or p > x.size:
         raise ValueError("dimension must be in [1, len(samples)]")
     count = x.size - p + 1
-    if lag_averaged:
-        lags = np.array([np.mean(x[tau:] * np.conj(x[: x.size - tau])) for tau in range(p)])
-        cov = np.empty((p, p), dtype=np.complex128)
-        for a in range(p):
-            for b in range(p):
-                tau = a - b
-                cov[a, b] = lags[tau] if tau >= 0 else np.conj(lags[-tau])
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(x, p)
-        cov = (windows.T @ windows.conj()) / count
-        cov = 0.5 * (cov + cov.conj().T)
+    windows = np.lib.stride_tricks.sliding_window_view(x, p)
+    cov = (windows.T @ windows.conj()) / count
+    cov = 0.5 * (cov + cov.conj().T)
     return CovarianceEstimate(matrix=cov, snapshots=count)
 
 
@@ -167,7 +155,7 @@ def prony(samples, k, sample_interval=1.0):
     )
 
 
-def pisarenko(samples_or_cov, k, lag_averaged=False):
+def pisarenko(samples_or_cov, k):
     """Harmonic decomposition from the noise eigenvector of a (k+1) covariance.
 
     The eigenvector of the smallest eigenvalue supplies the locator
@@ -179,7 +167,7 @@ def pisarenko(samples_or_cov, k, lag_averaged=False):
     if isinstance(samples_or_cov, CovarianceEstimate):
         cov = samples_or_cov
     else:
-        cov = sample_covariance(samples_or_cov, k + 1, lag_averaged=lag_averaged)
+        cov = sample_covariance(samples_or_cov, k + 1)
     if cov.dimension != k + 1:
         raise ValueError(f"covariance dimension {cov.dimension} != k + 1 = {k + 1}")
 

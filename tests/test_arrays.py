@@ -219,6 +219,31 @@ class TestThinnedArrays:
             meds[binned] = np.median(levels)
         assert meds[True] < meds[False]
 
+    @pytest.mark.parametrize("positions", ["grid", "continuous"])
+    def test_binned_draws_one_position_per_bin(self, positions):
+        from sparsekit.arrays import _draw_thinning
+
+        n, k = 101, 25
+        edges = np.linspace(0.0, n - 1.0, k + 1)
+        rng = RandomSource(81)
+        for _ in range(20):
+            pos = np.sort(_draw_thinning(n, k, rng, positions, binned=True))
+            assert pos.size == k and np.unique(pos).size == k
+            bins = np.searchsorted(edges, pos, side="right") - 1
+            assert np.array_equal(bins, np.arange(k))
+        mean_ratio, peaks = thinned_array_stats(n, k, trials=5, rng=RandomSource(82),
+                                                binned=True, positions=positions)
+        assert math.isfinite(mean_ratio) and peaks.shape == (5,)
+        assert np.all(np.isfinite(peaks))
+
+    def test_binned_grid_draw_refills_edge_collisions(self):
+        from sparsekit.arrays import _draw_thinning
+
+        rng = RandomSource(83)
+        for _ in range(20):
+            pos = _draw_thinning(8, 8, rng, "grid", binned=True)
+            assert np.array_equal(np.sort(pos), np.arange(8.0))
+
 
 class TestLayoutSearch:
     def test_full_array_is_only_candidate(self):
@@ -253,6 +278,10 @@ class TestCsvWriters:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,criterion,kappa"
         assert len(lines) == 5
+        for k, line in enumerate(lines[1:]):
+            index, criterion, kappa = line.split(",")
+            assert int(index) == k and int(kappa) == report.free_params[k]
+            assert float(criterion) == report.criteria[k]
 
     def test_pattern_csv(self, tmp_path):
         from sparsekit.arrays import pattern_to_csv

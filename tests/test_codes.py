@@ -219,6 +219,30 @@ class TestConvCode:
         assert np.max(np.abs(proj - h)) < 1e-9
         assert np.linalg.matrix_rank(h) == g.shape[0] - g.shape[1]
 
+    @pytest.mark.parametrize("h1, h2", [
+        (EX_TAPS_1, EX_TAPS_2),
+        ([1.0, 0.0, -0.5], [0.0, 2.0, 0.0]),  # zero taps keep their sign
+        ([0.3, -0.7], [-1.5, 0.0]),  # negative leading h2 tap
+    ])
+    @pytest.mark.parametrize("length", [1, 5, 50])
+    def test_matrices_equal_the_loop_construction(self, h1, h2, length):
+        code = ConvCode(h1, h2)
+        m = length + code.taps - 1
+        g = np.zeros((2 * m, length))
+        for col in range(length):
+            for tap in range(code.taps):
+                g[2 * (col + tap), col] = code.h1[tap]
+                g[2 * (col + tap) + 1, col] = code.h2[tap]
+        lead = code.h2[0] if code.h2[0] != 0 else 1.0
+        h = np.zeros((2 * m, m + code.taps - 1))
+        for c in range(h.shape[1]):
+            for j in range(m):
+                if 0 <= c - j < code.taps:
+                    h[2 * j, c] = -code.h2[c - j] / lead
+                    h[2 * j + 1, c] = code.h1[c - j] / lead
+        assert code.generator_matrix(length).tobytes() == g.tobytes()
+        assert conv_parity_check(code, length).tobytes() == h.tobytes()
+
 
 class TestConvDecoding:
     def test_no_erasures_exact(self):

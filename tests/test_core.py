@@ -8,6 +8,7 @@ import pytest
 from sparsekit.core import (
     ComplexSignal,
     RandomSource,
+    SolverReport,
     SupportSet,
     dft,
     hermitian_eig,
@@ -242,6 +243,16 @@ class TestComplexSignal:
         back = ComplexSignal.from_csv(path)
         assert np.array_equal(back.values, sig.values)
 
+    def test_csv_uses_lf_lines_and_reads_crlf(self, tmp_path):
+        sig = ComplexSignal(RandomSource(17).complex_normal(5))
+        path = tmp_path / "sig.csv"
+        sig.to_csv(path)
+        raw = path.read_bytes()
+        assert b"\r" not in raw and raw.startswith(b"index,re,im\n")
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
+        assert np.array_equal(ComplexSignal.from_csv(crlf).values, sig.values)
+
     def test_binary_round_trip(self):
         rng = RandomSource(16)
         sig = ComplexSignal(rng.complex_normal(9))
@@ -277,6 +288,28 @@ class TestRandomSource:
         z = RandomSource(8).complex_normal(200_000, scale=2.0)
         assert abs(np.mean(np.abs(z) ** 2) - 4.0) < 0.05
 
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (11, 3), (7_000_123, 42)])
+    def test_draws_equal_a_plain_pcg64_generator(self, seed, stream):
+        source = RandomSource(seed, stream)
+        plain = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
+        draws = [
+            lambda g: g.standard_normal(),
+            lambda g: g.standard_normal((3, 4)),
+            lambda g: g.uniform(),
+            lambda g: g.uniform(0.0, 5.0, 6),
+            lambda g: g.uniform(size=5),
+            lambda g: g.integers(10),
+            lambda g: g.integers(3, 40, size=7),
+            lambda g: g.choice(50, size=6, replace=False),
+            lambda g: g.choice(np.arange(9.0), size=4),
+            lambda g: g.permutation(12),
+        ]
+        for draw in draws:
+            assert np.array_equal(draw(source), draw(plain))
+        re, im = plain.standard_normal(5), plain.standard_normal(5)
+        expected = (2.0 / math.sqrt(2.0)) * (re + 1j * im)
+        assert np.array_equal(source.complex_normal(5, scale=2.0), expected)
+
 
 class TestSnr:
     def test_formula(self):
@@ -288,3 +321,64 @@ class TestSnr:
         ref = np.ones(3, dtype=complex)
         rep = snr_report(ref, ref)
         assert rep.exact and math.isinf(rep.snr_db)
+
+
+def _solver_calls():
+    """One small call of every public solver; each returns its report."""
+    from sparsekit import codes, ofdm, sampling, sca
+
+    rng = RandomSource(18)
+    n = 32
+    band = np.r_[0:3, n - 2:n]
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[band] = rng.complex_normal(band.size)
+    signal = dft(spectrum, inverse=True)
+    smask = sampling.MaskSpec("time-sample", SupportSet(np.arange(0, n, 2), n))
+    fmask = sampling.MaskSpec("frequency-support", SupportSet(band, n))
+    observed = np.where(smask.bool_mask(), signal, 0.0)
+    a = rng.standard_normal((6, 12))
+    problem = sca.SparseProblem(mixing=a, observation=a @ np.r_[1.0, 0.0, -2.0, np.zeros(9)])
+    block_code = codes.DftBlockCode(l=8, p=8)
+    codeword = block_code.encode(rng.complex_normal(8))
+    codeword[3] += 4.0
+    conv = codes.ConvCode([1.0, 0.5], [0.5, -1.0])
+    stream = codes.conv_encode(rng.standard_normal(10), conv)
+    cfg = ofdm.OfdmConfig(n=64, pilot_spacing=4, cp_length=16, guard_left=0, guard_right=0)
+    tx = ofdm.map_symbols(rng.integers(0, cfg.symbols().size, cfg.data_carriers.size), cfg)
+    rx = ofdm.ofdm_link(tx, ofdm.ChannelProfile([0, 3], [1.0, 0.4j]), cfg, 30.0, rng)
+    return {
+        "iterative": lambda: sampling.iterative_reconstruct(observed, smask, fmask)[-1],
+        "chebyshev": lambda: sampling.chebyshev_accelerate(observed, smask, fmask)[-1],
+        "cg": lambda: sampling.cg_accelerate(observed, smask, fmask)[-1],
+        "conjugate_gradient": lambda: sampling.conjugate_gradient(
+            lambda v: 2.0 * v, np.ones(4))[-1],
+        "imat": lambda: sampling.imat(observed, smask)[-1],
+        "imat_dct": lambda: sampling.imat(observed.real, smask, transform="dct")[-1],
+        "elp_impulsive": lambda: codes.elp_impulsive_decode(codeword, block_code)[-1],
+        "conv_erasure": lambda: codes.conv_erasure_decode(
+            stream, SupportSet([1, 4], stream.size), conv)[-1],
+        "conv_impulsive": lambda: codes.conv_impulsive_decode(stream, conv)[-1],
+        "mp": lambda: sca.matching_pursuit(problem)[-1],
+        "omp": lambda: sca.matching_pursuit(problem, orthogonal=True)[-1],
+        "bp": lambda: sca.basis_pursuit(problem)[-1],
+        "focuss": lambda: sca.focuss(problem)[-1],
+        "ide": lambda: sca.ide(problem)[-1],
+        "ide_schedule": lambda: sca.ide(problem, schedule=[1.0, 0.5, 0.25])[-1],
+        "sl0": lambda: sca.sl0(problem)[-1],
+        "mimat": lambda: ofdm.estimate_mimat(rx, cfg)[-1],
+    }
+
+
+class TestSolverReport:
+    def test_every_public_solver_times_itself(self):
+        for name, call in _solver_calls().items():
+            report = call()
+            assert report.wall_time > 0.0, name
+            assert report.estimate is not None, name
+
+    def test_finish_stamps_time_since_construction(self):
+        report = SolverReport(solver="probe")
+        assert report.wall_time == 0.0
+        estimate = np.zeros(3)
+        assert report.finish(estimate) is report
+        assert report.estimate is estimate and report.wall_time > 0.0

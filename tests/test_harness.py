@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,3 +160,12 @@ class TestCli:
     def test_unknown_experiment_exit_code(self, tmp_path, capsys):
         assert cli_main(["run", "fig99", "--out", str(tmp_path)]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+
+def test_cli_and_harness_import_without_scipy_fft():
+    # scipy (with its own BLAS) is loaded only when imat runs a DCT
+    src = os.path.dirname(os.path.dirname(sparsekit.__file__))
+    probe = "import sys, sparsekit.cli, sparsekit.experiments; print('scipy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -16,6 +16,7 @@ from sparsekit.sampling import (
     annihilating_recover,
     cg_accelerate,
     chebyshev_accelerate,
+    conjugate_gradient,
     estimate_frame_bounds,
     fit_reproduction_coeffs,
     fri_moments,
@@ -194,6 +195,13 @@ class TestAccelerations:
             snrs = np.array(cg_report.snrs[:-1])  # last step may hit exactness
             assert np.all(np.diff(snrs) >= -1e-6)
 
+    def test_cg_flags_breakdown_on_a_zero_operator(self):
+        rhs = np.ones(4, dtype=complex)
+        x, report = conjugate_gradient(lambda v: np.zeros_like(v), rhs)
+        assert report.breakdown and not report.converged
+        assert report.flags == ["curvature inner product vanished"]
+        assert report.iterations == 0 and np.array_equal(x, np.zeros(4))
+
 
 class TestImat:
     def test_sparse_fully_sampled_unchanged(self):
@@ -253,6 +261,31 @@ class TestImat:
         smask = MaskSpec("time-sample", SupportSet(times, n))
         est, support, _ = imat(observed, smask, transform="dct", cfg=ImatConfig(max_iters=300))
         assert snr_db(x, est) > 60
+
+    @pytest.mark.parametrize("transform", ["dft", "dct"])
+    def test_support_polish_equals_the_per_column_basis(self, transform):
+        import scipy.fft
+
+        from sparsekit.sampling import _least_squares_on_support
+
+        rng = RandomSource(34)
+        n = 64
+        for _ in range(10):
+            smask = np.zeros(n, dtype=bool)
+            smask[rng.choice(n, size=24, replace=False)] = True
+            support = SupportSet(rng.choice(n, size=5, replace=False), n)
+            x_obs = rng.standard_normal(n)
+            basis = np.zeros((n, len(support)), dtype=np.complex128)
+            for col, j in enumerate(support.indices):
+                unit = np.zeros(n, dtype=np.complex128)
+                unit[j] = 1.0
+                basis[:, col] = (np.fft.ifft(unit) * math.sqrt(n) if transform == "dft"
+                                 else scipy.fft.idct(unit, norm="ortho"))
+            coefficients, *_ = np.linalg.lstsq(basis[smask], x_obs[smask], rcond=None)
+            expected = basis @ coefficients
+            expected = expected if transform == "dft" else expected.real
+            polished = _least_squares_on_support(x_obs, smask, support, transform)
+            assert polished.tobytes() == expected.tobytes()
 
 
 def bspline_kernel(degree):

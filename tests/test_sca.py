@@ -125,6 +125,28 @@ class TestBasisPursuit:
         with pytest.raises(ValueError, match="infeasible"):
             basis_pursuit(problem)
 
+    @pytest.mark.parametrize("shape", ["ones", "rank3"])
+    def test_rank_deficient_consistent_system_reaches_the_l1_optimum(self, shape):
+        # Phase 1 leaves artificials that no column can replace: each stands
+        # for a redundant constraint, which must be dropped, not patched with
+        # an arbitrary column into a singular basis.
+        from scipy.optimize import linprog
+
+        if shape == "ones":
+            a = np.ones((8, 16))
+            x = a[:, 0].copy()
+        else:
+            rng = RandomSource(120)
+            a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 12))
+            x = a @ np.r_[1.5, 0.0, 0.0, -0.7, np.zeros(8)]
+        s, report = basis_pursuit(SparseProblem(mixing=a, observation=x))
+        assert report.converged
+        assert np.linalg.norm(a @ s - x) < 1e-9 * max(1.0, np.linalg.norm(x))
+        n = a.shape[1]
+        reference = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=x,
+                            bounds=(0, None), method="highs")
+        assert abs(np.abs(s).sum() - reference.fun) < 1e-12 * max(1.0, reference.fun)
+
     def test_simplex_standalone(self):
         # min -x1 - 2 x2 s.t. x1 + x2 + u1 = 4, x1 + 3 x2 + u2 = 6
         cost = np.array([-1.0, -2.0, 0.0, 0.0])
@@ -408,6 +430,16 @@ class TestKSubspace:
             np.mean(partition == labels), np.mean(partition == 1 - labels)
         )
         assert agreement == 1.0
+
+    def test_empty_class_is_reseeded_and_flagged(self):
+        # on exactly collinear data both classes fit the x axis with equal
+        # distances, so argmin hands every point to class 0 and empties class 1
+        data = np.array([[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0], [4.0, 0.0], [0.5, 0.0]])
+        for partition in (np.zeros(5, dtype=int), np.array([0, 0, 0, 0, 1])):
+            bases, labels, info = ksubspace_fit(data, l=2, k=1, initial_partition=partition)
+            assert set(info["flags"]) == {"re-seeded empty class 1"}
+            assert len(bases) == 2 and np.array_equal(labels, np.zeros(5, dtype=int))
+            assert info["objective_trace"][-1] == 0.0
 
     def test_noisy_objective_monotone(self):
         rng = RandomSource(119)
