@@ -188,8 +188,16 @@ def dirichlet_pattern(n, d_over_lambda, u_grid):
     return out
 
 
-def _sidelobe_metrics(layout, d_over_lambda, u_grid, mainlobe_halfwidth):
-    pattern = np.abs(aperture_pattern(layout, d_over_lambda, u_grid)) ** 2
+THINNING_SPACING = 0.5  # d / lambda of the grid that thinnings are drawn from
+
+
+def _mainlobe_halfwidth(n):
+    """First-null heuristic lambda / L, L the full aperture, capped at 0.5."""
+    return min(1.0 / ((n - 1) * THINNING_SPACING), 0.5)
+
+
+def _sidelobe_metrics(layout, u_grid, mainlobe_halfwidth):
+    pattern = np.abs(aperture_pattern(layout, THINNING_SPACING, u_grid)) ** 2
     peak = float(layout.weights.sum()) ** 2
     side = np.abs(u_grid) > mainlobe_halfwidth
     if not np.any(side):
@@ -222,9 +230,10 @@ def _draw_thinning(n, k, rng, positions, binned):
     return np.sort(rng.choice(n, size=k, replace=False)).astype(float)
 
 
-def thinned_array_stats(n, k, trials, rng, d_over_lambda=0.5, grid_points=1024,
-                        binned=False, positions="grid"):
-    """Monte-Carlo sidelobe statistics of random k-element thinnings.
+def thinned_array_stats(n, k, trials, rng, grid_points=1024, binned=False,
+                        positions="grid"):
+    """Monte-Carlo sidelobe statistics of random k-element thinnings of an
+    n-slot half-wavelength grid.
 
     positions="grid" keeps k of the n grid slots (the mean ratio then
     carries the finite-population factor 1 - (k-1)/(n-1)); "continuous"
@@ -239,22 +248,22 @@ def thinned_array_stats(n, k, trials, rng, d_over_lambda=0.5, grid_points=1024,
     if positions not in ("grid", "continuous"):
         raise ValueError("positions must be 'grid' or 'continuous'")
     u_grid = np.linspace(-1.0, 1.0, grid_points)
-    aperture = (n - 1) * d_over_lambda
-    halfwidth = min(1.0 / aperture, 0.5)
+    halfwidth = _mainlobe_halfwidth(n)
     mean_ratios = np.empty(trials)
     peak_amplitudes = np.empty(trials)
     for t in range(trials):
         pos = _draw_thinning(n, k, rng, positions, binned)
         layout = ArrayLayout(positions=pos) if pos.size > 1 else ArrayLayout([0.0])
-        metrics = _sidelobe_metrics(layout, d_over_lambda, u_grid, halfwidth)
+        metrics = _sidelobe_metrics(layout, u_grid, halfwidth)
         mean_ratios[t] = metrics["mean_ratio"]
         peak_amplitudes[t] = math.sqrt(metrics["peak_ratio"]) * k
     return float(np.mean(mean_ratios)), peak_amplitudes
 
 
-def layout_search_exhaustive(n, k, objective="peak-sidelobe", mainlobe_halfwidth=None,
-                             d_over_lambda=0.5, grid_points=512, budget=10**6):
-    """Enumerate every k-of-n thinning and return the best layout.
+def layout_search_exhaustive(n, k, objective="peak-sidelobe", grid_points=512,
+                             budget=10**6):
+    """Enumerate every k-of-n thinning of a half-wavelength grid and return
+    the best layout.
 
     objective is the peak sidelobe ratio or total sidelobe energy outside
     the mainlobe cap. Deterministic (first optimum wins), so it can serve
@@ -267,10 +276,9 @@ def layout_search_exhaustive(n, k, objective="peak-sidelobe", mainlobe_halfwidth
     if count > budget:
         raise ValueError(f"C({n},{k}) = {count} exceeds the enumeration budget {budget}")
     u_grid = np.linspace(-1.0, 1.0, grid_points)
-    aperture = (n - 1) * d_over_lambda
-    halfwidth = mainlobe_halfwidth if mainlobe_halfwidth is not None else min(1.0 / aperture, 0.5)
+    halfwidth = _mainlobe_halfwidth(n)
     side = np.abs(u_grid) > halfwidth
-    basis = np.exp(-2j * np.pi * d_over_lambda * np.outer(np.arange(n), u_grid))
+    basis = np.exp(-2j * np.pi * THINNING_SPACING * np.outer(np.arange(n), u_grid))
 
     key = "peak_ratio" if objective == "peak-sidelobe" else "energy"
     best_value = math.inf
@@ -287,7 +295,7 @@ def layout_search_exhaustive(n, k, objective="peak-sidelobe", mainlobe_halfwidth
             chunk, basis, side, k, key, best_value, best_positions)
 
     layout = ArrayLayout(positions=np.array(best_positions, dtype=float))
-    metrics = _sidelobe_metrics(layout, d_over_lambda, u_grid, halfwidth)
+    metrics = _sidelobe_metrics(layout, u_grid, halfwidth)
     return layout, metrics
 
 

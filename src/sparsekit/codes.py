@@ -19,10 +19,11 @@ from .core import (
     SolverReport,
     SupportSet,
     as_values,
+    polynomial_roots,
     pseudo_inverse_solve,
     sorted_dft,
 )
-from .sampling import ImatConfig, IterationConfig, conjugate_gradient
+from .sampling import conjugate_gradient
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,14 +78,6 @@ class DftBlockCode:
         return np.fft.ifft(spectrum) * math.sqrt(self.l)
 
 
-def dft_block_encode(message, code):
-    return code.encode(message)
-
-
-def dft_block_decode(codeword, code):
-    return code.decode(codeword)
-
-
 @dataclasses.dataclass(frozen=True)
 class ElpPolynomial:
     """Locator polynomial sum_t h_t z^(k-t) with h_0 = 1.
@@ -105,8 +98,6 @@ class ElpPolynomial:
         return cls(coefficients=_elp_coefficients(positions, n), n=n)
 
     def roots(self):
-        from .core import polynomial_roots
-
         return polynomial_roots(self.coefficients)
 
     def root_positions(self):
@@ -188,20 +179,20 @@ def elp_erasure_decode(received, erasures, code):
     return sorted_dft(repaired_spectrum, code.q, inverse=True)
 
 
-def elp_impulsive_decode(received, code, location_threshold=0.1):
+def elp_impulsive_decode(received, code):
     """Locate and remove impulsive noise from a block codeword.
 
     Assumes up to floor(p/2) impulses. The locator coefficients are solved
     from the syndrome bins by pseudo-inverse, the error positions read off
-    the near-zeros of the locator's spectrum (relative threshold on |H_i|),
-    and the impulse values recovered by the erasure recursion on the
-    detected positions. Returns (clean, positions, values, report).
+    the near-zeros of the locator's spectrum (|H_i| at most a tenth of its
+    median), and the impulse values recovered by the erasure recursion on
+    the detected positions. Returns (clean, positions, values, report).
     """
     values = as_values(received)
     n = code.n
     if values.size != n:
         raise ValueError(f"received length {values.size} != n = {n}")
-    report = SolverReport(solver="elp-impulsive", params={"threshold": location_threshold})
+    report = SolverReport(solver="elp-impulsive")
     empty = SupportSet(np.array([], dtype=int), n)
 
     transformed = sorted_dft(values, code.q)
@@ -228,7 +219,7 @@ def elp_impulsive_decode(received, code, location_threshold=0.1):
     h = np.concatenate(([1.0 + 0j], h_tail))
 
     locator = np.abs(np.fft.fft(np.concatenate([h, np.zeros(n - 1 - k, dtype=complex)])))
-    cut = location_threshold * float(np.median(locator))
+    cut = 0.1 * float(np.median(locator))
     spectral_positions = np.flatnonzero(locator <= cut)
     if spectral_positions.size == 0:
         report.flags.append("no locator zeros found; returning input unchanged")
@@ -322,14 +313,13 @@ def conv_parity_check(code, input_length):
     return h
 
 
-def conv_erasure_decode(received, erasures, code, cfg=None):
+def conv_erasure_decode(received, erasures, code, max_iters=200):
     """Recover the encoder input from an erased output stream.
 
     Solves the normal equations of the masked generator system with
-    conjugate gradients; above-capacity erasure rates show up as a
-    non-converged report, not an exception.
+    conjugate gradients (residual 1e-10); above-capacity erasure rates show
+    up as a non-converged report, not an exception.
     """
-    cfg = cfg or IterationConfig(max_iters=200)
     y = np.asarray(received, dtype=np.float64).reshape(-1)
     if y.size % 2:
         raise ValueError("received stream must have even length (rate 1/2)")
@@ -341,7 +331,7 @@ def conv_erasure_decode(received, erasures, code, cfg=None):
         return g.T @ (keep * (g @ v))
 
     rhs = g.T @ (keep * y)
-    estimate, report = conjugate_gradient(normal_op, rhs, max_iters=cfg.max_iters, eps=cfg.eps)
+    estimate, report = conjugate_gradient(normal_op, rhs, max_iters=max_iters, eps=1e-10)
     report.solver = "conv-erasure-cg"
     report.params["erasure_rate"] = len(erasures) / y.size
     if len(erasures) > y.size // 2:
@@ -349,15 +339,17 @@ def conv_erasure_decode(received, erasures, code, cfg=None):
     return estimate.real, report
 
 
-def conv_impulsive_decode(received, code, cfg=None):
+def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
     """Separate impulsive noise from a convolutional stream, then re-solve.
 
     Projects the received stream onto the parity space (which sees only the
-    noise), runs adaptive-threshold iterations with relaxation cfg.relax to
-    sparsify the noise estimate, and least-squares decodes the cleaned
+    noise), runs max_iters relaxed hard-thresholding iterations at the
+    decaying level beta*exp(-alpha*i), beta the peak of that noise image,
+    to sparsify the noise estimate, and least-squares decodes the cleaned
     stream. Returns (input estimate, impulse estimate, report).
     """
-    cfg = cfg or ImatConfig(alpha=0.02, max_iters=300, relax=1.9)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     y = np.asarray(received, dtype=np.float64).reshape(-1)
     input_length = y.size // 2 - code.taps + 1
     h = conv_parity_check(code, input_length)
@@ -370,15 +362,16 @@ def conv_impulsive_decode(received, code, cfg=None):
     report = SolverReport(
         solver="conv-impulsive-imat",
         thresholds=[],
-        params={"cfg": dataclasses.asdict(cfg), "projector_cond": float(condition)},
+        params={"alpha": alpha, "max_iters": max_iters, "relax": relax,
+                "projector_cond": float(condition)},
     )
     noise_image = projector @ y
-    beta = cfg.beta if cfg.beta is not None else max(float(np.max(np.abs(noise_image))), 1e-30)
+    beta = max(float(np.max(np.abs(noise_image))), 1e-30)
     nu = np.zeros_like(y)
     misfit = noise_image  # noise_image - projector @ nu, kept for the next blend
-    for i in range(1, cfg.max_iters + 1):
-        blended = nu + cfg.relax * misfit
-        threshold = beta * math.exp(-cfg.alpha * i)
+    for i in range(1, max_iters + 1):
+        blended = nu + relax * misfit
+        threshold = beta * math.exp(-alpha * i)
         nu = np.where(np.abs(blended) > threshold, blended, 0.0)
         misfit = noise_image - projector @ nu
         report.iterations += 1

@@ -137,14 +137,6 @@ class SupportSet:
         return SupportSet(np.setdiff1d(np.arange(self.n), self.indices), self.n)
 
 
-@dataclasses.dataclass(frozen=True)
-class SnrReport:
-    """SNR of an estimate against a reference, in dB; exact means zero error."""
-
-    snr_db: float
-    exact: bool = False
-
-
 def snr_db(reference, estimate):
     """10*log10(||ref||^2 / ||ref - est||^2); +inf when the error is zero,
     -inf when the estimate has overflowed to non-finite values."""
@@ -161,9 +153,16 @@ def snr_db(reference, estimate):
     return 10.0 * math.log10(float(np.sum(np.abs(ref) ** 2)) / err)
 
 
-def snr_report(reference, estimate):
-    value = snr_db(reference, estimate)
-    return SnrReport(snr_db=value, exact=math.isinf(value))
+ZERO_TOL = 1e-6  # support = |s_i| > ZERO_TOL * max|s|, uniform across solvers
+
+
+def detected_support(estimate, tol=ZERO_TOL):
+    """Indices whose magnitude exceeds tol times the peak magnitude."""
+    mags = np.abs(estimate)
+    peak = mags.max() if mags.size else 0.0
+    if peak == 0.0:
+        return np.array([], dtype=int)
+    return np.flatnonzero(mags > tol * peak)
 
 
 class RandomSource(np.random.Generator):

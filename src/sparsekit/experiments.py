@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import __version__, codes, ofdm, sampling, sca, spectral
-from .core import RandomSource, SupportSet, snr_db, write_csv
+from .core import RandomSource, SupportSet, detected_support, snr_db, write_csv
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,17 +48,21 @@ def _median_trace(traces, length):
     return np.median(padded, axis=0)
 
 
-def _bandpass_instance(n, band, m, rng):
-    coeffs = rng.complex_normal(band.size)
+def _sampled_instance(n, bins, m, rng):
+    """Complex Gaussian DFT coefficients on bins, then m distinct random
+    sample times: (x, observed, time-sample mask)."""
     spectrum = np.zeros(n, dtype=complex)
-    spectrum[band] = coeffs
+    spectrum[bins] = rng.complex_normal(len(bins))
     x = np.fft.ifft(spectrum) * math.sqrt(n)
     times = np.sort(rng.choice(n, size=m, replace=False))
     observed = np.zeros(n, dtype=complex)
     observed[times] = x[times]
-    smask = sampling.MaskSpec("time-sample", SupportSet(times, n))
-    fmask = sampling.MaskSpec("frequency-support", SupportSet(band, n))
-    return x, observed, smask, fmask
+    return x, observed, sampling.MaskSpec("time-sample", SupportSet(times, n))
+
+
+def _sparse_time_instance(n, k, m, rng):
+    """_sampled_instance on k distinct random bins, drawn first."""
+    return _sampled_instance(n, np.sort(rng.choice(n, size=k, replace=False)), m, rng)
 
 
 def run_fig4(params, seed, trials):
@@ -67,10 +71,11 @@ def run_fig4(params, seed, trials):
     iters = params["iterations"]
     band = np.arange(params["band_start"], params["band_stop"])
     m = int(round(params["osr"] * band.size))
+    fmask = sampling.MaskSpec("frequency-support", SupportSet(band, n))
     traces = {"plain": [], "chebyshev": [], "cg": []}
     for t in range(trials):
         rng = RandomSource(seed, stream=t + 1)
-        x, observed, smask, fmask = _bandpass_instance(n, band, m, rng)
+        x, observed, smask = _sampled_instance(n, band, m, rng)
         cfg = sampling.IterationConfig(max_iters=iters, eps=1e-300)
         _, rep = sampling.iterative_reconstruct(observed, smask, fmask, cfg, reference=x)
         traces["plain"].append(rep.snrs)
@@ -97,7 +102,7 @@ def run_fig6(params, seed, trials):
         traces = []
         for t in range(trials):
             rng = RandomSource(seed, stream=1000 * factor + t)
-            x, observed, smask, _ = _sparse_time_instance(n, k, m, rng)
+            x, observed, smask = _sparse_time_instance(n, k, m, rng)
             cfg = sampling.ImatConfig(max_iters=iters, alpha=params["alpha"], eps=1e-300)
             _, _, rep = sampling.imat(observed, smask, cfg=cfg, reference=x)
             traces.append(rep.snrs)
@@ -109,22 +114,10 @@ def run_fig6(params, seed, trials):
     return {"fig6.csv": (header, rows)}
 
 
-def _sparse_time_instance(n, k, m, rng):
-    freq_idx = np.sort(rng.choice(n, size=k, replace=False))
-    spectrum = np.zeros(n, dtype=complex)
-    spectrum[freq_idx] = rng.complex_normal(k)
-    x = np.fft.ifft(spectrum) * math.sqrt(n)
-    times = np.sort(rng.choice(n, size=m, replace=False))
-    observed = np.zeros(n, dtype=complex)
-    observed[times] = x[times]
-    smask = sampling.MaskSpec("time-sample", SupportSet(times, n))
-    return x, observed, smask, freq_idx
-
-
-def fig7_recovered(n, k, m, rng, imat_cfg=None):
+def fig7_recovered(n, k, m, rng):
     """One trial of the sparse-recovery success experiment (100 dB criterion)."""
-    x, observed, smask, _ = _sparse_time_instance(n, k, m, rng)
-    cfg = imat_cfg or sampling.ImatConfig(alpha=0.1, max_iters=300, refine_support=True)
+    x, observed, smask = _sparse_time_instance(n, k, m, rng)
+    cfg = sampling.ImatConfig(alpha=0.1, max_iters=300, refine_support=True)
     est, _, _ = sampling.imat(observed, smask, cfg=cfg)
     return snr_db(x, est) >= 100.0
 
@@ -204,7 +197,7 @@ def run_fig15(params, seed, trials):
             received[positions] = 0.0
             est, _ = codes.conv_erasure_decode(
                 received, SupportSet(positions, y.size), code,
-                sampling.IterationConfig(max_iters=params["cg_iterations"]),
+                max_iters=params["cg_iterations"],
             )
             values.append(min(snr_db(x, est), 300.0))
         rows.append((rate, float(np.mean(values))))
@@ -215,9 +208,6 @@ def run_fig17(params, seed, trials):
     """Impulsive-noise convolutional decoding vs impulse variance ratio."""
     code = codes.ConvCode(params["taps1"], params["taps2"])
     length = params["input_length"]
-    cfg = sampling.ImatConfig(
-        alpha=params["alpha"], max_iters=params["iterations"], relax=params["relax"]
-    )
     rows = []
     for ratio in params["variance_ratios"]:
         hits = 0
@@ -230,9 +220,11 @@ def run_fig17(params, seed, trials):
             positions = np.sort(rng.choice(y.size, size=params["impulses"], replace=False))
             noisy = y + params["awgn_floor"] * sigma_y * rng.standard_normal(y.size)
             noisy[positions] += math.sqrt(ratio) * sigma_y * rng.standard_normal(len(positions))
-            est, nu, _ = codes.conv_impulsive_decode(noisy, code, cfg)
-            detected = np.flatnonzero(np.abs(nu) > 1e-3 * max(np.max(np.abs(nu)), 1e-300))
-            hits += set(positions) <= set(detected)
+            est, nu, _ = codes.conv_impulsive_decode(
+                noisy, code, alpha=params["alpha"], max_iters=params["iterations"],
+                relax=params["relax"],
+            )
+            hits += set(positions) <= set(detected_support(nu, tol=1e-3))
             snrs.append(snr_db(x, est))
         rows.append((ratio, hits / trials, float(np.median(snrs))))
     return {"fig17.csv": (["variance_ratio", "detection_rate", "snr_db"], rows)}
@@ -363,7 +355,7 @@ def _bench_rows(n_grid, m_of_n, sigma_grid, trials, seed, p, sigma_on, sigma_off
                     nmse = float(
                         np.sum(np.abs(estimate - truth) ** 2) / max(np.sum(truth**2), 1e-300)
                     )
-                    ok = true_support <= set(sca.detected_support(estimate, tol=1e-3))
+                    ok = true_support <= set(detected_support(estimate, tol=1e-3))
                     stats[name][0] += nmse
                     stats[name][1] += ok
                     stats[name][2] += report.wall_time

@@ -152,9 +152,12 @@ def ofdm_link(tx_block, profile, cfg, cnr_db, rng):
 
 
 def pilot_least_squares(rx_block, cfg):
-    """LS channel values at the pilot carriers: rx / known pilot."""
-    idx = cfg.pilots.indices
-    return rx_block[idx] / cfg.pilot_values()
+    """LS channel values at the pilot carriers: rx / known pilot; a
+    non-finite received pilot raises ValueError."""
+    rx_pilots = rx_block[cfg.pilots.indices]
+    if not np.all(np.isfinite(rx_pilots)):
+        raise ValueError("received pilots must be finite")
+    return rx_pilots / cfg.pilot_values()
 
 
 def estimate_linear(rx_block, cfg):
@@ -177,28 +180,24 @@ def _interpolate_pilots(ls, cfg):
     return estimate
 
 
+MIMAT_ALPHA = 0.6  # growth rate of the MIMAT threshold beta*exp(MIMAT_ALPHA*i)
+
+
 @dataclasses.dataclass(frozen=True)
 class MimatConfig:
-    """Growing threshold beta*exp(alpha*i) plus the MMSE-step SNR.
+    """Iteration budget and MMSE-step SNR of the growing threshold
+    beta*exp(MIMAT_ALPHA*i).
 
-    beta defaults to a quarter of the median magnitude of the initial
-    time-domain estimate over the cyclic-prefix bins, floored at 1e-12 of
-    its peak magnitude and at 1e-30: the first pass must admit even heavily
+    beta is a quarter of the median magnitude of the initial time-domain
+    estimate over the cyclic-prefix bins, floored at 1e-12 of its peak
+    magnitude and at 1e-30: the first pass must admit even heavily
     interpolation-attenuated taps (candidates are capped at the pilot count
     to keep the solve determined), and the growing threshold then prunes
     the false ones.
     """
 
-    beta: float = None  # default: max(0.25 median|h[:cp]|, 1e-12 max|h|, 1e-30)
-    alpha: float = 0.6
     max_iters: int = 10
     snr_linear: float = 1e12
-
-    def __post_init__(self):
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive (threshold grows)")
 
 
 def estimate_mimat(rx_block, cfg, mcfg=None):
@@ -226,16 +225,14 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     ls_values = pilot_least_squares(rx_block, cfg)
     projections = dictionary.conj().T @ ls_values
     h_time = np.fft.ifft(_interpolate_pilots(ls_values, cfg))
-    beta = mcfg.beta
-    if beta is None:
-        floor = float(np.median(np.abs(h_time[:cp])))
-        beta = max(0.25 * floor, 1e-12 * float(np.max(np.abs(h_time))), 1e-30)
+    floor = float(np.median(np.abs(h_time[:cp])))
+    beta = max(0.25 * floor, 1e-12 * float(np.max(np.abs(h_time))), 1e-30)
 
     snr = mcfg.snr_linear
     support = None
     gains = None
     for i in range(1, mcfg.max_iters + 1):
-        threshold = beta * math.exp(mcfg.alpha * i)
+        threshold = beta * math.exp(MIMAT_ALPHA * i)
         magnitudes = np.abs(h_time[:cp])
         candidates = np.flatnonzero(magnitudes > threshold)
         if candidates.size > pilot_count:

@@ -15,6 +15,7 @@ from .core import (
     SolverReport,
     SupportSet,
     as_values,
+    detected_support,
     dft,
     polynomial_roots,
     snr_db,
@@ -64,23 +65,20 @@ class IterationConfig:
 class ImatConfig:
     """Exponentially decaying threshold beta*exp(-alpha*i), i = 1, 2, ...
 
-    support_cap bounds how many transform coefficients may survive a
-    thresholding pass; None applies the full-capacity bound of half the
-    sample count, which keeps the density-compensated update stable once
-    the threshold has decayed below the interference floor.
+    beta is the peak magnitude of the first density-compensated transform
+    (floored at 1e-30). At most half the sample count of transform
+    coefficients survive a thresholding pass: that full-capacity bound
+    keeps the density-compensated update stable once the threshold has
+    decayed below the interference floor.
     """
 
-    beta: float = None  # default: max |initial compensated transform|
     alpha: float = 0.3
     max_iters: int = 100
     relax: float = 1.0
     eps: float = 1e-12
-    support_cap: int = None
     refine_support: bool = False  # least-squares polish on the detected support
 
     def __post_init__(self):
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be positive")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
@@ -290,7 +288,8 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
     Alternates replacement of the known time samples with hard thresholding
     of the transform at the decaying level beta*exp(-alpha*i). Returns the
     reconstructed signal, the detected transform support, and the iteration
-    report. Non-convergence is reported via flags, never raised.
+    report. Non-convergence is reported via flags, never raised; a
+    non-finite retained sample raises ValueError.
     """
     cfg = cfg or ImatConfig()
     x_obs = as_values(observed)
@@ -298,6 +297,8 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
     if sample_mask.n != n:
         raise ValueError("mask ambient length must match the signal")
     smask = sample_mask.bool_mask()
+    if not np.all(np.isfinite(x_obs[smask])):
+        raise ValueError("retained samples must be finite")
     if transform == "dct":
         x_obs = x_obs.real.astype(np.float64)
 
@@ -310,12 +311,9 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
 
     m = int(smask.sum())
     gain = cfg.relax * n / m  # density-compensated sample replacement
-    cap = cfg.support_cap if cfg.support_cap is not None else max(1, m // 2)
-
-    beta = cfg.beta
-    if beta is None:
-        first = _to_sparse_domain(np.where(smask, x_obs, 0.0) * (n / m), transform)
-        beta = max(float(np.max(np.abs(first))), 1e-30)
+    cap = max(1, m // 2)
+    first = _to_sparse_domain(np.where(smask, x_obs, 0.0) * (n / m), transform)
+    beta = max(float(np.max(np.abs(first))), 1e-30)
 
     x = np.zeros_like(x_obs)
     coeffs = np.zeros_like(_to_sparse_domain(x, transform))
@@ -361,9 +359,7 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
     if not report.converged and not report.diverged:
         report.flags.append("max iterations reached without sample consistency")
 
-    magnitudes = np.abs(coeffs)
-    tol = 1e-6 * magnitudes.max() if magnitudes.max() > 0 else 0.0
-    support = SupportSet(np.flatnonzero(magnitudes > tol), n)
+    support = SupportSet(detected_support(coeffs), n)
 
     if cfg.refine_support and len(support) > 0 and len(support) <= smask.sum():
         x = _least_squares_on_support(x_obs, smask, support, transform)

@@ -8,15 +8,14 @@ subspaces modeling.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import time
 
 import numpy as np
 
-from .core import SolverReport
-
-ZERO_TOL = 1e-6  # support = |s_i| > ZERO_TOL * max|s|, uniform across solvers
+from .core import SolverReport, detected_support
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,14 +42,6 @@ class SparseProblem:
     @property
     def shape(self):
         return self.mixing.shape
-
-
-def detected_support(estimate, tol=ZERO_TOL):
-    mags = np.abs(estimate)
-    peak = mags.max() if mags.size else 0.0
-    if peak == 0.0:
-        return np.array([], dtype=int)
-    return np.flatnonzero(mags > tol * peak)
 
 
 def _finish(report, estimate):
@@ -119,12 +110,15 @@ def _refactor(e, b, c, basis):
     return tableau, np.maximum(rhs, 0.0), cost_row
 
 
-def _simplex_phase(e, b, c, basis, max_pivots, tol=1e-9):
+PIVOT_BUDGET = 100_000  # per simplex phase
+
+
+def _simplex_phase(e, b, c, basis, tol=1e-9):
     """Tableau pivots, Dantzig rule with a Bland fallback after stalls.
 
     The tableau is refactorized from the original data periodically and
     before declaring optimality, which keeps the fast updates from
-    drifting or cycling.
+    drifting or cycling. More than PIVOT_BUDGET pivots raise.
     """
     m, n = e.shape
     tableau, rhs, cost_row = _refactor(e, b, c, basis)
@@ -132,7 +126,7 @@ def _simplex_phase(e, b, c, basis, max_pivots, tol=1e-9):
     stall = 0
     bland = False
     since_refactor = 0
-    while pivots <= max_pivots:
+    while pivots <= PIVOT_BUDGET:
         if bland:
             negatives = np.flatnonzero(cost_row < -tol)
             entering = int(negatives[0]) if negatives.size else -1
@@ -180,7 +174,7 @@ def _simplex_phase(e, b, c, basis, max_pivots, tol=1e-9):
     raise RuntimeError("pivot budget exceeded")
 
 
-def simplex_solve(cost, eq_matrix, eq_rhs, max_pivots=100_000):
+def simplex_solve(cost, eq_matrix, eq_rhs):
     """Two-phase simplex for min c'u s.t. Eu = b, u >= 0.
 
     Raises ValueError on infeasible systems and RuntimeError on unbounded
@@ -198,7 +192,7 @@ def simplex_solve(cost, eq_matrix, eq_rhs, max_pivots=100_000):
     e1 = np.hstack([e, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    pivots = _simplex_phase(e1, b, c1, basis, max_pivots)
+    pivots = _simplex_phase(e1, b, c1, basis)
     x_basic = np.linalg.solve(e1[:, basis], b)
     infeasibility = float(np.sum(x_basic[[i for i, v in enumerate(basis) if v >= n]]))
     if infeasibility > 1e-7 * max(1.0, float(np.abs(b).sum())):
@@ -223,7 +217,7 @@ def simplex_solve(cost, eq_matrix, eq_rhs, max_pivots=100_000):
         e, b = e[kept], b[kept]
         basis = [v for v in basis if v < n]
 
-    pivots += _simplex_phase(e, b, c, basis, max_pivots)
+    pivots += _simplex_phase(e, b, c, basis)
     solution = np.zeros(n)
     x_basic = np.linalg.solve(e[:, basis], b)
     for row, var in enumerate(basis):
@@ -288,10 +282,10 @@ def focuss(problem, iters=20):
 
 
 IDE_START_FRACTIONS = (0.95, 0.8, 0.65, 0.5)
+IDE_RIDGE = 1e-10  # relative to trace(P); lifts a singular inactive Gram
 
 
-def ide(problem, schedule=None, iters=10, ridge=1e-10,
-        start_fractions=IDE_START_FRACTIONS):
+def ide(problem, schedule=None, start_fractions=IDE_START_FRACTIONS):
     """Alternating detection of inactive sources and KKT re-estimation.
 
     Detection marks source i inactive when the residual correlation
@@ -305,7 +299,7 @@ def ide(problem, schedule=None, iters=10, ridge=1e-10,
     P is the Gram A A', formed once per pass and downdated by the active
     block. One solve of P against [A_a | x] per iteration gives P^-1 A_a and
     P^-1 x, hence P^-1 (x - A_a s_a) without solving again. P is ridged by
-    ridge * trace when fewer than m sources are inactive or its Cholesky
+    IDE_RIDGE * trace when fewer than m sources are inactive or its Cholesky
     fails; a ridged P is near singular, so there P^-1 (x - A_a s_a) is
     solved for rather than recovered by a cancelling difference. The active
     block is solved by least squares and flagged as rank deficient when its
@@ -314,17 +308,17 @@ def ide(problem, schedule=None, iters=10, ridge=1e-10,
     multi-threaded BLAS thread pools stalls each call for milliseconds on a
     few cores, far longer than the m x m work itself.
 
-    Each pass runs a fixed number of iterations; with no explicit schedule,
-    one pass is run per starting threshold fraction of the largest scaled
-    correlation, halving every iteration, and the sparsest feasible result
-    wins (the first detection pass can lock onto a wrong active set, and
-    restarting at a different threshold is the cheap escape). Among equally
-    sparse feasible results the earliest start fraction wins: their final
-    residuals sit at rounding level, so ranking by them would let rounding
-    pick the estimate.
+    Each pass runs one iteration per schedule value; with no explicit
+    schedule, one ten-step pass is run per starting threshold fraction of
+    the largest scaled correlation, halving every step, and the sparsest
+    feasible result wins (the first detection pass can lock onto a wrong
+    active set, and restarting at a different threshold is the cheap
+    escape). Among equally sparse feasible results the earliest start
+    fraction wins: their final residuals sit at rounding level, so ranking
+    by them would let rounding pick the estimate.
     """
     if schedule is not None:
-        return _ide_pass(problem, schedule, ridge)
+        return _ide_pass(problem, schedule)
     a, x = problem.mixing, problem.observation
     norms = np.linalg.norm(a, axis=0)
     top = float(np.max(np.abs((a.T @ x) / norms)))
@@ -332,7 +326,7 @@ def ide(problem, schedule=None, iters=10, ridge=1e-10,
     best = None
     for frac in start_fractions:
         candidate, report = _ide_pass(
-            problem, [max(frac * top, 1e-12) * 0.5**l for l in range(iters)], ridge
+            problem, [max(frac * top, 1e-12) * 0.5**l for l in range(10)]
         )
         feasible = report.residuals[-1] <= 1e-7 * max(float(np.linalg.norm(x)), 1.0)
         size = detected_support(candidate).size
@@ -344,7 +338,7 @@ def ide(problem, schedule=None, iters=10, ridge=1e-10,
     return estimate, report
 
 
-def _ide_pass(problem, schedule, ridge):
+def _ide_pass(problem, schedule):
     a, x = problem.mixing, problem.observation
     m, n = a.shape
     report = SolverReport(solver="ide", params={"schedule": list(schedule)})
@@ -362,12 +356,12 @@ def _ide_pass(problem, schedule, ridge):
         p_mat = outer - a_a @ a_a.T
         ridged = inactive.sum() < m
         if ridged:
-            p_mat = p_mat + ridge * max(np.trace(p_mat), 1.0) * np.eye(m)
+            p_mat = p_mat + IDE_RIDGE * max(np.trace(p_mat), 1.0) * np.eye(m)
             report.flags.append("ridge-regularized inactive Gram")
         try:
             np.linalg.cholesky(p_mat)  # positive-definiteness check
         except np.linalg.LinAlgError:
-            p_mat = p_mat + ridge * max(np.trace(p_mat), 1.0) * np.eye(m)
+            p_mat = p_mat + IDE_RIDGE * max(np.trace(p_mat), 1.0) * np.eye(m)
             np.linalg.cholesky(p_mat)
             ridged = True
             report.flags.append("ridge-regularized inactive Gram")
@@ -394,19 +388,26 @@ def _ide_pass(problem, schedule, ridge):
     return s, _finish(report, s)
 
 
-def sl0(problem, sigma_seq=None, big_l=3, mu=2.0, sigma_ratio=0.5, sigma_steps=8):
+def sl0(problem, sigma_seq=None, mu=2.0, sigma_ratio=0.5, sigma_steps=8):
     """Smoothed-l0: steepest ascent on the Gaussian surrogate with
     projection back onto A s = x after every step.
 
-    The sigma sequence must be strictly decreasing; by default it starts at
-    twice the largest magnitude of the minimum-l2 solution and halves for
-    eight rounds of big_l ascent steps each.
+    Each sigma gets three ascent steps. The sigma sequence must be strictly
+    decreasing; by default it starts at twice the largest magnitude of the
+    minimum-l2 solution and shrinks by sigma_ratio for sigma_steps rounds.
+    A singular Gram A A' switches every projection to its pseudo-inverse
+    (the minimum-norm projection) and is flagged.
     """
     a, x = problem.mixing, problem.observation
-    report = SolverReport(solver="sl0", params={"L": big_l, "mu": mu})
+    report = SolverReport(solver="sl0", params={"mu": mu})
     gram = a @ a.T
-    solve_gram = np.linalg.solve
-    s = a.T @ solve_gram(gram, x)  # minimum-l2 start
+    try:
+        s = a.T @ np.linalg.solve(gram, x)  # minimum-l2 start
+        solve_gram = functools.partial(np.linalg.solve, gram)
+    except np.linalg.LinAlgError:
+        solve_gram = functools.partial(np.matmul, np.linalg.pinv(gram, hermitian=True))
+        report.flags.append("singular Gram: minimum-norm projection")
+        s = a.T @ solve_gram(x)
     if sigma_seq is None:
         top = max(float(np.max(np.abs(s))), 1e-12)
         sigma_seq = [2.0 * top * sigma_ratio**i for i in range(sigma_steps)]
@@ -417,10 +418,10 @@ def sl0(problem, sigma_seq=None, big_l=3, mu=2.0, sigma_ratio=0.5, sigma_steps=8
         raise ValueError("sigma sequence must be positive and strictly decreasing")
     report.params["sigma_seq"] = sigma_seq
     for sigma in sigma_seq:
-        for _ in range(big_l):
+        for _ in range(3):
             delta = s * np.exp(-(s**2) / (2.0 * sigma**2))
             s = s - mu * delta
-            s = s - a.T @ solve_gram(gram, a @ s - x)
+            s = s - a.T @ solve_gram(a @ s - x)
             report.iterations += 1
             report.residuals.append(float(np.linalg.norm(a @ s - x)))
     report.converged = True
@@ -431,7 +432,6 @@ def sl0(problem, sigma_seq=None, big_l=3, mu=2.0, sigma_ratio=0.5, sigma_steps=8
 class RipEstimate:
     order: int
     delta: float
-    method: str = "exhaustive"
 
 
 def rip_constant(mixing, k, budget=10**6):

@@ -119,8 +119,8 @@ def exact_tone_covariance(model, dimension, noise_variance=0.0):
     return CovarianceEstimate(matrix=cov, snapshots=dimension)
 
 
-def prony(samples, k, sample_interval=1.0):
-    """Fit k complex exponentials to the first 2k samples.
+def prony(samples, k):
+    """Fit k complex exponentials (f in cycles/sample) to the first 2k samples.
 
     Solves the order-k linear recursion for the locator coefficients, roots
     the locator for z_i, then solves the Vandermonde system for the complex
@@ -142,9 +142,9 @@ def prony(samples, k, sample_interval=1.0):
     h = np.linalg.solve(rows, rhs)
 
     roots = polynomial_roots(np.concatenate(([1.0 + 0j], h)))
-    # z = exp(2pi j f Ts); damping shows up as a negative imaginary part of f
-    freqs = np.log(roots) / (2j * np.pi * sample_interval)
-    freqs = np.where(np.abs(freqs.imag) < 1e-12, freqs.real % (1.0 / sample_interval), freqs)
+    # z = exp(2pi j f); damping shows up as a negative imaginary part of f
+    freqs = np.log(roots) / (2j * np.pi)
+    freqs = np.where(np.abs(freqs.imag) < 1e-12, freqs.real % 1.0, freqs)
 
     vand = roots[None, :] ** np.arange(2 * k)[:, None]
     weights, *_ = np.linalg.lstsq(vand, x, rcond=None)

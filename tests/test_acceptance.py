@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from sparsekit import arrays, codes, ofdm, sampling, sca, spectral
-from sparsekit.core import RandomSource, SupportSet, snr_db
+from sparsekit.core import RandomSource, SupportSet, detected_support, snr_db
 from sparsekit.experiments import (
     _sparse_time_instance,
     fig7_recovered,
@@ -89,7 +89,7 @@ class TestCriterion3Imat:
         traces = []
         for s in range(20):
             rng = RandomSource(777, stream=s + 1)
-            x, observed, smask, _ = _sparse_time_instance(256, 8, 32, rng)
+            x, observed, smask = _sparse_time_instance(256, 8, 32, rng)
             _, _, rep = sampling.imat(
                 observed, smask,
                 cfg=sampling.ImatConfig(alpha=0.2, max_iters=60), reference=x,
@@ -111,7 +111,7 @@ class TestCriterion3Imat:
         hits = 0
         for seed in range(100):
             rng = RandomSource(9300, stream=seed + 1)
-            x, observed, smask, _ = _sparse_time_instance(n, k, m, rng)
+            x, observed, smask = _sparse_time_instance(n, k, m, rng)
             times = np.flatnonzero(smask.bool_mask())
             residuals = {}
             for combo in itertools.combinations(range(n), k):
@@ -383,7 +383,7 @@ class TestCriterion8ScaSolvers:
                     best = (resid, set(combo))
             for name, solver in self.SOLVERS.items():
                 estimate, _ = solver(problem)
-                rates[name] += set(sca.detected_support(estimate)) == best[1]
+                rates[name] += set(detected_support(estimate)) == best[1]
         for name, rate in rates.items():
             assert rate >= 90, f"{name} agreed on only {rate}/100"
         elapsed = time.perf_counter() - started
@@ -550,15 +550,13 @@ class TestCriterion11ConvolutionalCodes:
                 received = y.copy()
                 received[pos] = 0.0
                 est, _ = codes.conv_erasure_decode(
-                    received, SupportSet(pos, y.size), code,
-                    sampling.IterationConfig(max_iters=30),
+                    received, SupportSet(pos, y.size), code, max_iters=30,
                 )
                 values.append(min(snr_db(x, est), 300.0))
             snrs.append(np.median(values))
         assert all(a >= b for a, b in zip(snrs, snrs[1:]))
 
         rates = {}
-        cfg = sampling.ImatConfig(alpha=0.02, max_iters=300, relax=1.9)
         for ratio in (1.0, 2.0, 5.0, 10.0):
             hits = 0
             for t in range(150):
@@ -569,7 +567,8 @@ class TestCriterion11ConvolutionalCodes:
                 pos = np.sort(rng.choice(y.size, size=5, replace=False))
                 noisy = y + 0.02 * sigma_y * rng.standard_normal(y.size)
                 noisy[pos] += math.sqrt(ratio) * sigma_y * rng.standard_normal(5)
-                _, nu, _ = codes.conv_impulsive_decode(noisy, code, cfg)
+                _, nu, _ = codes.conv_impulsive_decode(
+                    noisy, code, alpha=0.02, max_iters=300, relax=1.9)
                 detected = np.flatnonzero(
                     np.abs(nu) > 1e-3 * max(np.max(np.abs(nu)), 1e-300))
                 hits += set(pos) <= set(detected)

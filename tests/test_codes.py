@@ -13,12 +13,9 @@ from sparsekit.codes import (
     conv_erasure_decode,
     conv_impulsive_decode,
     conv_parity_check,
-    dft_block_decode,
-    dft_block_encode,
     elp_erasure_decode,
     elp_impulsive_decode,
 )
-from sparsekit.sampling import ImatConfig, IterationConfig
 
 EX_TAPS_1 = [1.0, 2.0, 3.0, 4.0, 5.0, 16.0]
 EX_TAPS_2 = [16.0, 5.0, 4.0, 3.0, 2.0, 1.0]
@@ -28,7 +25,7 @@ class TestDftBlockCode:
     def test_spectrum_vanishes_on_syndrome(self):
         rng = RandomSource(40)
         code = DftBlockCode(l=16, p=16)
-        codeword = dft_block_encode(rng.complex_normal(16), code)
+        codeword = code.encode(rng.complex_normal(16))
         spectrum = np.fft.fft(codeword) / math.sqrt(32)
         assert np.max(np.abs(spectrum[code.theta.indices])) < 1e-12
 
@@ -36,12 +33,12 @@ class TestDftBlockCode:
         rng = RandomSource(41)
         msg = rng.complex_normal(10)
         code = DftBlockCode(l=10, p=0)
-        assert np.max(np.abs(dft_block_encode(msg, code) - msg)) < 1e-12
+        assert np.max(np.abs(code.encode(msg) - msg)) < 1e-12
 
     def test_real_message_real_codeword_odd_l(self):
         rng = RandomSource(42)
         code = DftBlockCode(l=15, p=16)
-        codeword = dft_block_encode(rng.standard_normal(15), code)
+        codeword = code.encode(rng.standard_normal(15))
         assert np.max(np.abs(codeword.imag)) < 1e-10
 
     def test_encode_decode_round_trip(self):
@@ -49,19 +46,19 @@ class TestDftBlockCode:
         for l, p, q in ((16, 16, 1), (15, 16, 1), (16, 16, 15), (20, 12, 7)):
             code = DftBlockCode(l=l, p=p, q=q)
             msg = rng.complex_normal(l)
-            back = dft_block_decode(dft_block_encode(msg, code), code)
+            back = code.decode(code.encode(msg))
             assert np.max(np.abs(back - msg)) < 1e-10
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            dft_block_encode(np.ones(5, dtype=complex), DftBlockCode(l=6, p=2))
+            DftBlockCode(l=6, p=2).encode(np.ones(5, dtype=complex))
 
 
 class TestElpErasure:
     def test_burst_recovery_fig10_setup(self):
         rng = RandomSource(44)
         code = DftBlockCode(l=16, p=16)
-        codeword = dft_block_encode(rng.standard_normal(16), code)
+        codeword = code.encode(rng.standard_normal(16))
         erasures = SupportSet(np.arange(1, 17), 32)
         received = codeword.copy()
         received[erasures.indices] = 0.0
@@ -71,7 +68,7 @@ class TestElpErasure:
     def test_zero_erasures_identity(self):
         rng = RandomSource(45)
         code = DftBlockCode(l=16, p=16)
-        codeword = dft_block_encode(rng.complex_normal(16), code)
+        codeword = code.encode(rng.complex_normal(16))
         out = elp_erasure_decode(codeword, SupportSet([], 32), code)
         assert np.array_equal(out, codeword)
 
@@ -79,7 +76,7 @@ class TestElpErasure:
         rng = RandomSource(46)
         code = DftBlockCode(l=8, p=8)
         n = 16
-        codeword = dft_block_encode(rng.complex_normal(8), code)
+        codeword = code.encode(rng.complex_normal(8))
         positions = np.array([2, 7, 11])
         received = codeword.copy()
         received[positions] = 0.0
@@ -115,7 +112,7 @@ class TestElpErasure:
             rng = RandomSource(47, stream=seed + 1)
             msg = rng.standard_normal(l)
             for code in (dft_code, sdft_code):
-                codeword = dft_block_encode(msg, code)
+                codeword = code.encode(msg)
                 received = codeword.copy()
                 received[erasures.indices] = 0.0
                 repaired = elp_erasure_decode(received, erasures, code)
@@ -128,7 +125,7 @@ class TestElpImpulsive:
     def test_no_impulses_fast_path(self):
         rng = RandomSource(48)
         code = DftBlockCode(l=16, p=16)
-        codeword = dft_block_encode(rng.complex_normal(16), code)
+        codeword = code.encode(rng.complex_normal(16))
         clean, positions, values, report = elp_impulsive_decode(codeword, code)
         assert np.array_equal(clean, codeword)
         assert len(positions) == 0
@@ -137,7 +134,7 @@ class TestElpImpulsive:
     def test_four_impulses_forward_inject(self):
         rng = RandomSource(49)
         code = DftBlockCode(l=16, p=16)
-        codeword = dft_block_encode(rng.standard_normal(16), code)
+        codeword = code.encode(rng.standard_normal(16))
         positions = np.array([3, 9, 17, 28])
         amplitudes = rng.standard_normal(4) * np.std(codeword.real) * 5
         received = codeword.copy()
@@ -157,7 +154,7 @@ class TestElpImpulsive:
             hits = 0
             for seed in range(200):
                 rng = RandomSource(50, stream=seed + 1)
-                codeword = dft_block_encode(rng.standard_normal(16), code)
+                codeword = code.encode(rng.standard_normal(16))
                 sigma = float(np.std(codeword.real))
                 positions = np.sort(rng.choice(32, size=5, replace=False))
                 received = codeword + 0.01 * sigma * rng.standard_normal(32)
@@ -283,9 +280,7 @@ class TestConvDecoding:
                 )
                 received = y.copy()
                 received[erased.indices] = 0.0
-                est, _ = conv_erasure_decode(
-                    received, erased, code, IterationConfig(max_iters=30)
-                )
+                est, _ = conv_erasure_decode(received, erased, code, max_iters=30)
                 vals.append(snr_db(x, est))
             snrs.append(np.median(vals))
         assert all(a >= b for a, b in zip(snrs, snrs[1:]))
@@ -307,9 +302,7 @@ class TestConvDecoding:
         positions = np.array([21, 64])
         noisy = y.copy()
         noisy[positions] += np.array([9.0, -11.0]) * np.std(y)
-        est, nu, _ = conv_impulsive_decode(
-            noisy, code, ImatConfig(alpha=0.02, max_iters=300, relax=1.9)
-        )
+        est, nu, _ = conv_impulsive_decode(noisy, code, alpha=0.02, max_iters=300, relax=1.9)
         detected = np.flatnonzero(np.abs(nu) > 1e-3 * np.max(np.abs(nu)))
         assert set(positions).issubset(set(detected))
         assert snr_db(x, est) > 40
@@ -336,12 +329,12 @@ class TestElpPolynomial:
             for t in range(250):
                 rng = RandomSource(59, stream=l * 1000 + t)
                 msg = rng.complex_normal(l)
-                codeword = dft_block_encode(msg, code)
+                codeword = code.encode(msg)
                 k = int(rng.integers(1, p // 2 + 1))
                 positions = np.sort(rng.choice(n, size=k, replace=False))
                 received = codeword.copy()
                 received[positions] = 0.0
                 repaired = elp_erasure_decode(received, SupportSet(positions, n), code)
-                back = dft_block_decode(repaired, code)
+                back = code.decode(repaired)
                 rel = np.linalg.norm(back - msg) / np.linalg.norm(msg)
                 assert rel < 1e-6

@@ -169,3 +169,24 @@ def test_cli_and_harness_import_without_scipy_fft():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+class _ReadRecorder(dict):
+    """Parameter dict that records every key a runner reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
+def test_every_registry_parameter_is_read(experiment_id):
+    # a parameter its runner never reads would be a dead --set option
+    definition = REGISTRY[experiment_id]
+    params = _ReadRecorder(definition.defaults)
+    definition.runner(params, 3, 1)
+    assert params.read == set(definition.defaults)

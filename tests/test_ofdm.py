@@ -9,6 +9,7 @@ from sparsekit import ofdm
 from sparsekit.core import RandomSource
 from sparsekit.experiments import ser_sweep
 from sparsekit.ofdm import (
+    MIMAT_ALPHA,
     ChannelProfile,
     MimatConfig,
     OfdmConfig,
@@ -134,6 +135,26 @@ class TestLinearEstimator:
             estimate_linear(np.ones(16, dtype=complex), cfg)
 
 
+class TestNonFinitePilots:
+    CFG64 = OfdmConfig(n=64, pilot_spacing=4, guard_left=0, guard_right=0, cp_length=16)
+
+    @pytest.mark.parametrize("estimator", [estimate_linear, estimate_mimat])
+    @pytest.mark.parametrize("carriers, value", [(slice(None), np.nan), (12, np.inf)])
+    def test_non_finite_pilot_rejected(self, estimator, carriers, value):
+        rx = np.ones(64, dtype=complex)
+        rx[carriers] = value  # the whole block, or the pilot at carrier 12
+        with pytest.raises(ValueError, match="pilots must be finite"):
+            estimator(rx, self.CFG64)
+
+    def test_non_finite_data_carrier_leaves_the_estimate_alone(self):
+        rng = RandomSource(139)
+        tx, _ = random_block(self.CFG64, rng)
+        rx = ofdm_link(tx, ChannelProfile([0, 3], [1.0, 0.4j]), self.CFG64, 30.0, rng)
+        marked = rx.copy()
+        marked[self.CFG64.data_carriers] = np.nan
+        assert np.array_equal(estimate_linear(marked, self.CFG64), estimate_linear(rx, self.CFG64))
+
+
 class TestMimat:
     def test_noiseless_single_tap_one_iteration(self):
         rng = RandomSource(135)
@@ -214,7 +235,7 @@ class TestMimat:
         pilots = CFG.pilots.indices
         ls = rx[pilots] / CFG.pilot_values()
         for i in range(1, 7):
-            thr = beta * math.exp(mcfg.alpha * i)
+            thr = beta * math.exp(MIMAT_ALPHA * i)
             cand = np.flatnonzero(np.abs(h_time) > thr)
             cand = cand[cand < CFG.cp_length]
             if cand.size == 0:

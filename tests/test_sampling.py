@@ -246,6 +246,22 @@ class TestImat:
         est2, _, _ = imat(resampled, smask, cfg=ImatConfig(max_iters=300))
         assert np.max(np.abs(est2 - est1)) < 1e-8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_retained_sample_rejected(self, bad):
+        rng = RandomSource(34)
+        _, observed, smask, _ = make_instance(64, 4, 32, rng)
+        observed[smask.support.indices[5]] = bad
+        with pytest.raises(ValueError, match="finite"):
+            imat(observed, smask)
+
+    def test_non_finite_unobserved_sample_ignored(self):
+        rng = RandomSource(34)
+        x, observed, smask, _ = make_instance(64, 4, 32, rng)
+        marked = observed.copy()
+        marked[~smask.bool_mask()] = np.nan
+        est, _, _ = imat(marked, smask)
+        assert np.array_equal(est, imat(observed, smask)[0])
+
     def test_dct_transform_variant(self):
         rng = RandomSource(33)
         n, k, m = 128, 5, 50

@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from sparsekit.core import RandomSource
+from sparsekit.core import RandomSource, detected_support
 from sparsekit.sca import (
     IDE_START_FRACTIONS,
     SparseProblem,
     basis_pursuit,
     bernoulli_gaussian_problem,
-    detected_support,
     focuss,
     ide,
     ksubspace_fit,
@@ -320,6 +319,17 @@ class TestSl0:
         problem, _ = sparse_instance(6, 12, 2, rng)
         with pytest.raises(ValueError):
             sl0(problem, sigma_seq=[0.1, 0.5])
+
+    def test_singular_gram_projects_by_minimum_norm(self):
+        # rank-1 mixing: A A' is singular, and every s with sum(s) = 1 is
+        # feasible for x = A e_0; the minimum-norm point 1/16 stays put
+        a = np.ones((8, 16))
+        x = a[:, 0].copy()
+        s, report = sl0(SparseProblem(a, x))
+        assert np.all(np.isfinite(s))
+        assert np.linalg.norm(a @ s - x) <= 1e-8 * np.linalg.norm(x)
+        assert abs(np.sum(np.abs(s)) - 1.0) < 1e-12
+        assert report.flags == ["singular Gram: minimum-norm projection"]
 
 
 class TestRip:
