@@ -192,7 +192,10 @@ THINNING_SPACING = 0.5  # d / lambda of the grid that thinnings are drawn from
 
 
 def _mainlobe_halfwidth(n):
-    """First-null heuristic lambda / L, L the full aperture, capped at 0.5."""
+    """First-null heuristic lambda / L, L the full aperture, capped at 0.5;
+    a grid of fewer than two slots has no aperture and raises ValueError."""
+    if n < 2:
+        raise ValueError(f"need at least 2 grid slots, got n = {n}")
     return min(1.0 / ((n - 1) * THINNING_SPACING), 0.5)
 
 

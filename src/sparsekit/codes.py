@@ -149,18 +149,30 @@ def _fill_by_recursion(syndrome, h, theta_mask, norm_scale):
     return spectrum
 
 
+def _read_samples(values, erased=None):
+    """The samples a decoder reads: entries under the boolean mask erased
+    read as zero, and a non-finite retained sample raises ValueError."""
+    if erased is not None:
+        values = np.where(erased, 0.0, values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("retained samples must be finite")
+    return values
+
+
 def elp_erasure_decode(received, erasures, code):
     """Repair erased samples of a block codeword via the locator recursion.
 
-    Erased entries of `received` must be zeroed. Works in the code's
-    transform domain (DFT or sorted DFT), where the known syndrome bins pin
-    the erasure spectrum and the recursion extends it to all bins. Returns
-    the repaired codeword.
+    Erased entries of `received` are ignored (read as zero); a non-finite
+    retained one raises ValueError. Works in the code's transform domain
+    (DFT or sorted DFT), where the known syndrome bins pin the erasure
+    spectrum and the recursion extends it to all bins. Returns the repaired
+    codeword.
     """
     values = as_values(received)
     n = code.n
     if values.size != n:
         raise ValueError(f"received length {values.size} != n = {n}")
+    values = _read_samples(values, erasures.mask())
     k = len(erasures)
     if k > code.p:
         raise CapacityError(f"{k} erasures exceed the capacity p = {code.p}")
@@ -186,9 +198,10 @@ def elp_impulsive_decode(received, code):
     from the syndrome bins by pseudo-inverse, the error positions read off
     the near-zeros of the locator's spectrum (|H_i| at most a tenth of its
     median), and the impulse values recovered by the erasure recursion on
-    the detected positions. Returns (clean, positions, values, report).
+    the detected positions. A non-finite sample raises ValueError. Returns
+    (clean, positions, values, report).
     """
-    values = as_values(received)
+    values = _read_samples(as_values(received))
     n = code.n
     if values.size != n:
         raise ValueError(f"received length {values.size} != n = {n}")
@@ -318,7 +331,8 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
 
     Solves the normal equations of the masked generator system with
     conjugate gradients (residual 1e-10); above-capacity erasure rates show
-    up as a non-converged report, not an exception.
+    up as a non-converged report, not an exception. Erased samples are
+    ignored; a non-finite retained one raises ValueError.
     """
     y = np.asarray(received, dtype=np.float64).reshape(-1)
     if y.size % 2:
@@ -326,6 +340,7 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     input_length = y.size // 2 - code.taps + 1
     g = code.generator_matrix(input_length)
     keep = ~erasures.mask() if len(erasures) else np.ones(y.size, dtype=bool)
+    y = _read_samples(y, ~keep)
 
     def normal_op(v):
         return g.T @ (keep * (g @ v))
@@ -346,11 +361,12 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
     noise), runs max_iters relaxed hard-thresholding iterations at the
     decaying level beta*exp(-alpha*i), beta the peak of that noise image,
     to sparsify the noise estimate, and least-squares decodes the cleaned
-    stream. Returns (input estimate, impulse estimate, report).
+    stream. A non-finite sample raises ValueError. Returns (input estimate,
+    impulse estimate, report).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    y = np.asarray(received, dtype=np.float64).reshape(-1)
+    y = _read_samples(np.asarray(received, dtype=np.float64).reshape(-1))
     input_length = y.size // 2 - code.taps + 1
     h = conv_parity_check(code, input_length)
     gram = h.T @ h

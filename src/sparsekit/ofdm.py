@@ -299,28 +299,47 @@ def _refine_support(ls_values, projections, dictionary, gram, support, report,
     The dictionary D holds one pilot column per candidate delay in [0, cp),
     gram is D^H D and projections is D^H ls_values.
 
-    Each step does one eigendecomposition V diag(lam) V^H of gram[S, S]
-    and keeps the eigenvalues above |S| * eps * max(lam), the cutoff of
-    pinv(D_S^H D_S). The gains V lam^-1 V^H projections[S] are then the
-    minimum-norm least-squares solution (aliased delays, as when
-    cp > n / pilot_spacing, make D_S rank-deficient), and the diagonal
-    sum(|V|^2 / lam) of the pseudo-inverse scales the standard errors.
+    A step after an added tap, or the first, does one eigendecomposition
+    V diag(lam) V^H of gram[S, S] and keeps the eigenvalues above
+    |S| * eps * max(lam), the cutoff of pinv(D_S^H D_S). The gains
+    V lam^-1 V^H projections[S] are then the minimum-norm least-squares
+    solution (aliased delays, as when cp > n / pilot_spacing, make D_S
+    rank-deficient), and the diagonal sum(|V|^2 / lam) of the
+    pseudo-inverse scales the standard errors. When every eigenvalue is
+    kept, the inverse Gram M = V lam^-1 V^H is formed once and each pruned
+    tap i downdates it, M <- M[-i, -i] - M[-i, i] M[i, -i] / M[i, i] (a
+    principal submatrix of a full-rank Gram is full rank, so no cutoff is
+    needed), with gains M projections[S] and standard errors from diag(M):
+    a run of prunes costs one factorization.
     """
     pilot_count, cp = dictionary.shape
     support = np.asarray(sorted(support), dtype=np.intp)
+    inverse = None
     for _ in range(4 * cp):
-        eigvals, eigvecs = np.linalg.eigh(gram[support[:, None], support])
-        keep = eigvals > support.size * np.finfo(float).eps * eigvals[-1]
-        eigvals, eigvecs = eigvals[keep], eigvecs[:, keep]
-        gains = eigvecs @ ((eigvecs.conj().T @ projections[support]) / eigvals)
+        if inverse is None:
+            eigvals, eigvecs = np.linalg.eigh(gram[support[:, None], support])
+            keep = eigvals > support.size * np.finfo(float).eps * eigvals[-1]
+            if keep.all():
+                inverse = (eigvecs / eigvals) @ eigvecs.conj().T
+            else:
+                eigvals, eigvecs = eigvals[keep], eigvecs[:, keep]
+                gains = eigvecs @ ((eigvecs.conj().T @ projections[support]) / eigvals)
+                covariance = np.abs(eigvecs) ** 2 @ (1.0 / eigvals)
+        if inverse is not None:
+            gains = inverse @ projections[support]
+            covariance = inverse.diagonal().real
         residual = ls_values - dictionary[:, support] @ gains
         dof = max(pilot_count - support.size, 1)
         sigma2 = max(float(np.vdot(residual, residual).real / dof), 1e-300)
-        covariance = np.abs(eigvecs) ** 2 @ (1.0 / eigvals)
         stderr = np.sqrt(covariance * sigma2)
         margin = np.abs(gains) - prune_sigma * stderr
         if support.size > 1 and (margin < 0).any():
-            support = np.delete(support, int(np.argmin(margin)))
+            weakest = int(np.argmin(margin))
+            if inverse is not None:
+                rest = np.flatnonzero(np.arange(support.size) != weakest)
+                inverse = inverse[np.ix_(rest, rest)] - np.outer(
+                    inverse[rest, weakest], inverse[weakest, rest]) / inverse[weakest, weakest]
+            support = np.delete(support, weakest)
             continue
         if support.size == cp or support.size >= pilot_count // 2:
             return support, gains
@@ -330,6 +349,7 @@ def _refine_support(ls_values, projections, dictionary, gram, support, report,
         best = int(np.argmax(scores))
         if scores[best] > add_sigma**2 * sigma2:
             support = np.insert(support, np.searchsorted(support, best), best)
+            inverse = None
         else:
             return support, gains
     report.flags.append("support refinement budget exhausted")

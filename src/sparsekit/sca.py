@@ -101,11 +101,30 @@ class SimplexResult:
         self.iterations = iterations
 
 
-def _refactor(e, b, c, basis):
-    b_mat = e[:, basis]
+def _columns(e, mirrored, index):
+    """Columns `index` of the full matrix [E, -E, R] that e = [E, R] stands
+    for, E being its first `mirrored` columns."""
+    twin = (index >= mirrored) & (index < 2 * mirrored)
+    columns = e[:, np.where(index >= mirrored, index - mirrored, index)]
+    columns[:, twin] *= -1.0
+    return columns
+
+
+def _subtract_row(cost_row, row, mirrored):
+    """cost_row -= the full-width row [R1, -R1, R2] that row = [R1, R2]
+    stands for, R1 being its first `mirrored` entries."""
+    k = mirrored
+    cost_row[:k] -= row[:k]
+    cost_row[k : 2 * k] += row[:k]
+    cost_row[2 * k :] -= row[k:]
+
+
+def _refactor(e, b, c, basis, mirrored):
+    b_mat = _columns(e, mirrored, basis)
     tableau = np.linalg.solve(b_mat, e)
     rhs = np.linalg.solve(b_mat, b)
-    cost_row = c - c[basis] @ tableau
+    cost_row = c.copy()
+    _subtract_row(cost_row, c[basis] @ tableau, mirrored)
     cost_row[basis] = 0.0
     return tableau, np.maximum(rhs, 0.0), cost_row
 
@@ -113,15 +132,28 @@ def _refactor(e, b, c, basis):
 PIVOT_BUDGET = 100_000  # per simplex phase
 
 
-def _simplex_phase(e, b, c, basis, tol=1e-9):
+def _simplex_phase(e, b, c, basis, mirrored, tol=1e-9):
     """Tableau pivots, Dantzig rule with a Bland fallback after stalls.
+
+    The LP's matrix is [E, -E, R] with the first `mirrored` columns of e
+    as E and the rest as R (a generic LP has mirrored=0, so e is the whole
+    matrix); c and the int array basis index that full column space. Only
+    B^-1 e is stored: column k + j of B^-1 [E, -E, R] is read as minus
+    column j, and since IEEE negation is exact every pivot, ratio and
+    update equals the full tableau's bit for bit. The cost row spans the
+    full index space, so the pivot rule is the same as on the full
+    tableau: Dantzig's most negative reduced cost (lowest index on ties),
+    ratio ties broken by the smallest basic variable index, and after 3m
+    pivots without decrease Bland's rule, the lowest-index variable with a
+    negative reduced cost over E, then -E, then R.
 
     The tableau is refactorized from the original data periodically and
     before declaring optimality, which keeps the fast updates from
     drifting or cycling. More than PIVOT_BUDGET pivots raise.
     """
-    m, n = e.shape
-    tableau, rhs, cost_row = _refactor(e, b, c, basis)
+    m = e.shape[0]
+    k = mirrored
+    tableau, rhs, cost_row = _refactor(e, b, c, basis, k)
     pivots = 0
     stall = 0
     bland = False
@@ -131,35 +163,34 @@ def _simplex_phase(e, b, c, basis, tol=1e-9):
             negatives = np.flatnonzero(cost_row < -tol)
             entering = int(negatives[0]) if negatives.size else -1
         else:
-            entering = int(np.argmin(cost_row))
+            entering = int(cost_row.argmin())
             if cost_row[entering] >= -tol:
                 entering = -1
         if entering < 0:
             # verify on a freshly refactorized tableau before accepting
-            tableau, rhs, cost_row = _refactor(e, b, c, basis)
+            tableau, rhs, cost_row = _refactor(e, b, c, basis, k)
             since_refactor = 0
             if np.min(cost_row) >= -tol:
                 return pivots
             continue
-        column = tableau[:, entering]
-        positive = column > 1e-10
-        if not np.any(positive):
+        sign = -1.0 if k <= entering < 2 * k else 1.0
+        column = sign * tableau[:, entering - k if entering >= k else entering]
+        positive = (column > 1e-10).nonzero()[0]
+        if not positive.size:
             raise RuntimeError("LP is unbounded")
-        ratios = np.where(positive, rhs / np.where(positive, column, 1.0), np.inf)
-        best = float(np.min(ratios))
-        candidates = np.flatnonzero(ratios <= best + 1e-12)
-        row = int(candidates[np.argmin([basis[i] for i in candidates])])
+        ratios = rhs[positive] / column[positive]
+        candidates = positive[ratios <= ratios.min() + 1e-12]
+        row = int(candidates[basis[candidates].argmin()])
 
-        pivot = tableau[row, entering]
+        pivot = column[row]
         tableau[row] /= pivot
         rhs[row] /= pivot
-        col_vals = tableau[:, entering].copy()
-        col_vals[row] = 0.0
-        tableau -= np.outer(col_vals, tableau[row])
-        rhs -= col_vals * rhs[row]
-        rhs = np.maximum(rhs, 0.0)
+        column[row] = 0.0
+        tableau -= column[:, None] * tableau[row]
+        rhs -= column * rhs[row]
+        np.maximum(rhs, 0.0, out=rhs)
         decrease = -cost_row[entering] * rhs[row]
-        cost_row = cost_row - cost_row[entering] * tableau[row]
+        _subtract_row(cost_row, cost_row[entering] * tableau[row], k)
         cost_row[entering] = 0.0
         basis[row] = entering
 
@@ -169,7 +200,7 @@ def _simplex_phase(e, b, c, basis, tol=1e-9):
         pivots += 1
         since_refactor += 1
         if since_refactor >= 500:
-            tableau, rhs, cost_row = _refactor(e, b, c, basis)
+            tableau, rhs, cost_row = _refactor(e, b, c, basis, k)
             since_refactor = 0
     raise RuntimeError("pivot budget exceeded")
 
@@ -177,33 +208,41 @@ def _simplex_phase(e, b, c, basis, tol=1e-9):
 def simplex_solve(cost, eq_matrix, eq_rhs):
     """Two-phase simplex for min c'u s.t. Eu = b, u >= 0.
 
-    Raises ValueError on infeasible systems and RuntimeError on unbounded
-    ones.
+    An E of the form [F, -F] with equal cost halves (basis pursuit's split
+    into positive and negative parts) is pivoted on F alone; see
+    _simplex_phase. Raises ValueError on infeasible systems and
+    RuntimeError on unbounded ones.
     """
     e = np.asarray(eq_matrix, dtype=np.float64)
     b = np.asarray(eq_rhs, dtype=np.float64).copy()
     c = np.asarray(cost, dtype=np.float64)
     m, n = e.shape
+    half = n // 2
+    mirrored = half if (
+        n % 2 == 0 and np.array_equal(e[:, half:], -e[:, :half])
+        and np.array_equal(c[half:], c[:half])
+    ) else 0
     flip = b < 0
-    e = np.where(flip[:, None], -e, e)
+    e = np.where(flip[:, None], -e[:, : n - mirrored], e[:, : n - mirrored])
     b = np.where(flip, -b, b)
 
     # phase 1: minimize the artificial total
     e1 = np.hstack([e, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    pivots = _simplex_phase(e1, b, c1, basis)
-    x_basic = np.linalg.solve(e1[:, basis], b)
-    infeasibility = float(np.sum(x_basic[[i for i, v in enumerate(basis) if v >= n]]))
+    basis = np.arange(n, n + m)
+    pivots = _simplex_phase(e1, b, c1, basis, mirrored)
+    x_basic = np.linalg.solve(_columns(e1, mirrored, basis), b)
+    infeasibility = float(np.sum(x_basic[basis >= n]))
     if infeasibility > 1e-7 * max(1.0, float(np.abs(b).sum())):
         raise ValueError("infeasible system: observation not in the range of the matrix")
 
     # drive leftover (degenerate, zero-valued) artificials out of the basis
     for row in range(m):
         if basis[row] >= n:
-            b_inv_e = np.linalg.solve(e1[:, basis], e)
+            b_inv_e = np.linalg.solve(_columns(e1, mirrored, basis), e)
             pivot_col = next(
-                (j for j in range(n) if j not in basis and abs(b_inv_e[row, j]) > 1e-9),
+                (j for j in range(n) if j not in basis
+                 and abs(b_inv_e[row, j - mirrored if j >= mirrored else j]) > 1e-9),
                 None,
             )
             if pivot_col is not None:
@@ -211,18 +250,16 @@ def simplex_solve(cost, eq_matrix, eq_rhs):
 
     # an artificial no structural column can replace has a zero row of
     # B^-1 E: the constraint it stands for is a combination of the others
-    redundant = [v - n for v in basis if v >= n]
-    if redundant:
-        kept = np.setdiff1d(np.arange(m), redundant)
+    redundant = basis >= n
+    if redundant.any():
+        kept = np.setdiff1d(np.arange(m), basis[redundant] - n)
         e, b = e[kept], b[kept]
-        basis = [v for v in basis if v < n]
+        basis = basis[~redundant]
 
-    pivots += _simplex_phase(e, b, c, basis)
+    pivots += _simplex_phase(e, b, c, basis, mirrored)
     solution = np.zeros(n)
-    x_basic = np.linalg.solve(e[:, basis], b)
-    for row, var in enumerate(basis):
-        solution[var] = x_basic[row]
-    return SimplexResult(solution, float(c @ solution), list(basis), pivots)
+    solution[basis] = np.linalg.solve(_columns(e, mirrored, basis), b)
+    return SimplexResult(solution, float(c @ solution), basis.tolist(), pivots)
 
 
 def verify_reduced_costs(cost, eq_matrix, basis, tol=1e-9):
@@ -264,14 +301,19 @@ def basis_pursuit(problem):
 
 
 def focuss(problem, iters=20):
-    """Reweighted minimum-norm iterations s <- W (A W)^+ x, W = diag(s)."""
+    """Reweighted minimum-norm iterations s <- W (A W)^+ x, W = diag(s).
+
+    Each step factors (A W)' = Q R and takes the minimum-norm solution
+    q = Q R^-T x. Unpivoted R does not reveal rank reliably, so whenever
+    min |r_ii| <= sqrt(eps) * max |r_ii| the step falls back to the SVD
+    least squares with its default cutoff; that covers weights that have
+    collapsed onto fewer than m sources (and a taller-than-wide A).
+    """
     a, x = problem.mixing, problem.observation
     report = SolverReport(solver="focuss", params={"iters": iters})
     s, *_ = np.linalg.lstsq(a, x, rcond=None)  # minimum-l2 start
     for _ in range(iters):
-        weighted = a * s[None, :]
-        q, *_ = np.linalg.lstsq(weighted, x, rcond=None)
-        s = s * q
+        s = s * _min_norm_step(a * s[None, :], x)
         report.iterations += 1
         report.residuals.append(float(np.linalg.norm(a @ s - x)))
         if not np.any(s):
@@ -279,6 +321,21 @@ def focuss(problem, iters=20):
             break
     report.converged = True
     return s, _finish(report, s)
+
+
+FOCUSS_QR_CUTOFF = math.sqrt(np.finfo(float).eps)
+
+
+def _min_norm_step(weighted, x):
+    """Minimum-norm solution of weighted q = x; see focuss."""
+    m, n = weighted.shape
+    if m <= n:
+        q_factor, r_factor = np.linalg.qr(weighted.T)
+        diagonal = np.abs(np.diagonal(r_factor))
+        if diagonal.min() > FOCUSS_QR_CUTOFF * diagonal.max():
+            return q_factor @ np.linalg.solve(r_factor.T, x)
+    q, *_ = np.linalg.lstsq(weighted, x, rcond=None)
+    return q
 
 
 IDE_START_FRACTIONS = (0.95, 0.8, 0.65, 0.5)

@@ -269,6 +269,16 @@ class TestLayoutSearch:
             layout_search_exhaustive(40, 20)
 
 
+class TestOneSlotGrid:
+    def test_thinned_array_stats_names_the_slot_count(self):
+        with pytest.raises(ValueError, match="2 grid slots"):
+            thinned_array_stats(1, 1, 1, RandomSource(82))
+
+    def test_layout_search_names_the_slot_count(self):
+        with pytest.raises(ValueError, match="2 grid slots"):
+            layout_search_exhaustive(1, 1)
+
+
 class TestCsvWriters:
     def test_mdl_report_csv(self, tmp_path):
         cov = CovarianceEstimate(np.diag([5.0, 1.0, 1.0, 1.0]).astype(complex), 400)

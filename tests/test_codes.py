@@ -338,3 +338,59 @@ class TestElpPolynomial:
                 back = code.decode(repaired)
                 rel = np.linalg.norm(back - msg) / np.linalg.norm(msg)
                 assert rel < 1e-6
+
+
+class TestNonFiniteInput:
+    """A non-finite retained sample raises; an erased one is ignored."""
+
+    @staticmethod
+    def _conv_stream():
+        code = ConvCode([1, 2, 3, 4, 5, 16], [16, 5, 4, 3, 2, 1])  # fig15's code
+        return code, conv_encode(RandomSource(60).uniform(-1.0, 1.0, 20), code)
+
+    @staticmethod
+    def _block_codeword():
+        code = DftBlockCode(l=8, p=8)
+        return code, code.encode(RandomSource(61).standard_normal(8))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_conv_erasure_decode(self, value):
+        code, y = self._conv_stream()
+        received = y.copy()
+        received[5] = value
+        with pytest.raises(ValueError, match="finite"):
+            conv_erasure_decode(received, SupportSet([], y.size), code)
+        erased = SupportSet([5], y.size)
+        est, _ = conv_erasure_decode(received, erased, code)
+        zeroed = received.copy()
+        zeroed[5] = 0.0
+        assert np.array_equal(est, conv_erasure_decode(zeroed, erased, code)[0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_conv_impulsive_decode(self, value):
+        code, y = self._conv_stream()
+        y[5] = value
+        with pytest.raises(ValueError, match="finite"):
+            conv_impulsive_decode(y, code)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_elp_erasure_decode(self, value):
+        code, codeword = self._block_codeword()
+        received = codeword.copy()
+        received[[2, 3]] = 0.0
+        received[9] = value
+        with pytest.raises(ValueError, match="finite"):
+            elp_erasure_decode(received, SupportSet([2, 3], code.n), code)
+        received[9] = codeword[9]
+        received[2] = value
+        zeroed = received.copy()
+        zeroed[2] = 0.0
+        assert np.array_equal(elp_erasure_decode(received, SupportSet([2, 3], code.n), code),
+                              elp_erasure_decode(zeroed, SupportSet([2, 3], code.n), code))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_elp_impulsive_decode(self, value):
+        code, codeword = self._block_codeword()
+        codeword[4] = value
+        with pytest.raises(ValueError, match="finite"):
+            elp_impulsive_decode(codeword, code)

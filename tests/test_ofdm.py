@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsekit import ofdm
-from sparsekit.core import RandomSource
+from sparsekit.core import RandomSource, SolverReport
 from sparsekit.experiments import ser_sweep
 from sparsekit.ofdm import (
     MIMAT_ALPHA,
@@ -214,6 +214,55 @@ class TestMimat:
             oracle, *_ = np.linalg.lstsq(dictionary[:, est_profile.delays], ls, rcond=None)
             error = np.linalg.norm(est_profile.gains - oracle)
             assert error <= 1e-10 * np.linalg.norm(oracle), f"stream {stream}"
+
+    def test_comb_geometry_gains_after_a_long_prune_are_least_squares(self, monkeypatch):
+        # on the comb geometry a noisy block can leave the threshold loop
+        # with about 40 candidates; refinement prunes them by downdating one
+        # inverse Gram, and the survivors' gains must still be least squares
+        # (this Gram is 64 I, so the next test checks the downdate itself)
+        cfg = OfdmConfig(guard_left=0, guard_right=0)
+        sizes = []
+        refine = ofdm._refine_support
+
+        def recording(ls_values, projections, dictionary, gram, support, report):
+            result = refine(ls_values, projections, dictionary, gram, support, report)
+            sizes.append((len(support), result[0].size))
+            return result
+
+        monkeypatch.setattr(ofdm, "_refine_support", recording)
+        rng = RandomSource(148, stream=1)
+        tx, _ = random_block(cfg, rng)
+        rx = ofdm_link(tx, brazil_d_like_profile(), cfg, 20.0, rng)
+        est_profile, _, _ = estimate_mimat(rx, cfg, MimatConfig(snr_linear=100.0))
+        (entered, kept), = sizes
+        assert entered - kept >= 20
+        pilots = cfg.pilots.indices
+        ls = rx[pilots] / cfg.pilot_values()
+        fourier = np.exp(-2j * np.pi * np.outer(pilots, est_profile.delays) / cfg.n)
+        oracle, *_ = np.linalg.lstsq(fourier, ls, rcond=None)
+        error = np.linalg.norm(est_profile.gains - oracle)
+        assert error <= 1e-10 * np.linalg.norm(oracle)
+
+    def test_pruning_downdates_one_inverse_gram(self, monkeypatch):
+        # the guarded geometry's pilot Gram is not diagonal, so every
+        # downdate carries a rank-one correction; a run of prunes on one
+        # eigh must still end at the least-squares gains of the survivors
+        cfg = OfdmConfig()
+        dictionary, gram = ofdm._pilot_dictionary(cfg)
+        profile = brazil_d_like_profile()
+        rng = RandomSource(149, stream=1)
+        ls = dictionary[:, profile.delays] @ profile.gains + 0.05 * rng.complex_normal(
+            dictionary.shape[0])
+        start = np.union1d(profile.delays, rng.choice(cfg.cp_length, 30, replace=False))
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape[0]) or eigh(a))
+        support, gains = ofdm._refine_support(
+            ls, dictionary.conj().T @ ls, dictionary, gram, start, SolverReport(solver="mimat"))
+        assert sizes == [start.size]
+        assert np.array_equal(support, profile.delays) and start.size - support.size >= 20
+        oracle, *_ = np.linalg.lstsq(dictionary[:, support], ls, rcond=None)
+        assert np.linalg.norm(gains - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     def test_pilot_dictionary_is_built_once_per_geometry_and_read_only(self):
         dictionary, gram = ofdm._pilot_dictionary(OfdmConfig(guard_left=0, guard_right=0))

@@ -19,6 +19,7 @@ from sparsekit.ofdm import (
     map_symbols,
     ofdm_link,
 )
+from sparsekit.sca import SparseProblem, basis_pursuit
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -117,3 +118,34 @@ class TestMimatProperties:
         fourier = np.exp(-2j * np.pi * np.outer(pilots, delays) / cfg.n)
         oracle, *_ = np.linalg.lstsq(fourier, ls, rcond=None)
         assert np.linalg.norm(estimate.gains - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Gaussian A (m x n, m in [4, 24], n in [m, 3m]) and x = A s with a
+    sparse s."""
+    m = draw(st.integers(4, 24))
+    n = draw(st.integers(m, 3 * m))
+    k = draw(st.integers(1, max(1, m // 3)))
+    rng = RandomSource(draw(st.integers(0, 2**31)))
+    a = rng.standard_normal((m, n))
+    s = np.zeros(n)
+    s[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+    return a, a @ s
+
+
+class TestBasisPursuitProperties:
+    @PROPERTY_SETTINGS
+    @given(sparse_systems())
+    def test_l1_norm_matches_an_independent_lp_solver(self, system):
+        from scipy.optimize import linprog
+
+        a, x = system
+        n = a.shape[1]
+        estimate, report = basis_pursuit(SparseProblem(mixing=a, observation=x))
+        reference = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=x,
+                            bounds=(0, None), method="highs")
+        assert reference.status == 0
+        assert abs(np.abs(estimate).sum() - reference.fun) <= 1e-9 * max(reference.fun, 1.0)
+        assert np.linalg.norm(a @ estimate - x) <= 1e-8 * max(np.linalg.norm(x), 1.0)
+        assert report.converged

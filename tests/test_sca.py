@@ -9,6 +9,7 @@ import pytest
 from sparsekit.core import RandomSource, detected_support
 from sparsekit.sca import (
     IDE_START_FRACTIONS,
+    _min_norm_step,
     SparseProblem,
     basis_pursuit,
     bernoulli_gaussian_problem,
@@ -146,6 +147,56 @@ class TestBasisPursuit:
                             bounds=(0, None), method="highs")
         assert abs(np.abs(s).sum() - reference.fun) < 1e-12 * max(1.0, reference.fun)
 
+    def test_half_tableau_pivots_as_the_full_one(self, monkeypatch):
+        # reading the -A columns as negated A columns is exact, so the pivots,
+        # their count and the solution equal those of the full [A, -A] tableau
+        import sparsekit.sca as sca_module
+
+        phase = sca_module._simplex_phase
+
+        def full_tableau(e, b, c, basis, mirrored):
+            e = np.hstack([e[:, :mirrored], -e[:, :mirrored], e[:, mirrored:]])
+            return phase(e, b, c, basis, 0)
+
+        for stream, (m, n) in enumerate([(32, 64)] * 3 + [(64, 128)]):
+            problem = bernoulli_gaussian_problem(m, n, RandomSource(122, stream=stream),
+                                                 sigma_noise=0.01)
+            eq = np.hstack([problem.mixing, -problem.mixing])
+            half = simplex_solve(np.ones(2 * n), eq, problem.observation)
+            with monkeypatch.context() as patch:
+                patch.setattr(sca_module, "_simplex_phase", full_tableau)
+                full = simplex_solve(np.ones(2 * n), eq, problem.observation)
+            assert half.iterations == full.iterations > 0
+            assert half.basis == full.basis
+            assert half.solution.tobytes() == full.solution.tobytes()
+
+    def test_nearly_mirrored_lp_takes_the_generic_path(self, monkeypatch):
+        # [E, -E + 1e-3 P] is not basis pursuit's split: it must be pivoted
+        # column by column, and still reach the optimum
+        from scipy.optimize import linprog
+
+        import sparsekit.sca as sca_module
+
+        rng = RandomSource(121)
+        e = rng.standard_normal((8, 20))
+        x = e @ np.r_[1.2, 0.0, -0.8, np.zeros(17)]
+        mirrored = []
+        phase = sca_module._simplex_phase
+        monkeypatch.setattr(sca_module, "_simplex_phase",
+                            lambda *args: mirrored.append(args[4]) or phase(*args))
+
+        basis_pursuit(SparseProblem(mixing=e, observation=x))
+        assert mirrored == [20, 20]
+
+        mirrored.clear()
+        eq = np.hstack([e, -e + 1e-3 * rng.standard_normal((8, 20))])
+        result = simplex_solve(np.ones(40), eq, x)
+        assert mirrored == [0, 0]
+        reference = linprog(np.ones(40), A_eq=eq, b_eq=x, bounds=(0, None), method="highs")
+        assert abs(result.objective - reference.fun) <= 1e-9 * max(reference.fun, 1.0)
+        assert np.linalg.norm(eq @ result.solution - x) <= 1e-9 * np.linalg.norm(x)
+        assert np.all(result.solution >= 0.0)
+
     def test_simplex_standalone(self):
         # min -x1 - 2 x2 s.t. x1 + x2 + u1 = 4, x1 + 3 x2 + u2 = 6
         cost = np.array([-1.0, -2.0, 0.0, 0.0])
@@ -197,6 +248,39 @@ class TestFocuss:
             coef, *_ = np.linalg.lstsq(problem.mixing[:, support], problem.observation,
                                        rcond=None)
             assert np.max(np.abs(s[support] - coef)) < 1e-6
+
+
+class TestFocussStep:
+    """The QR minimum-norm step against the SVD least squares it replaces."""
+
+    @staticmethod
+    def _counting_lstsq(monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+        return calls, lstsq
+
+    def test_full_rank_step_is_the_lstsq_step(self, monkeypatch):
+        rng = RandomSource(103)
+        problem = bernoulli_gaussian_problem(32, 64, rng, sigma_noise=0.01)
+        a, x = problem.mixing, problem.observation
+        s, *_ = np.linalg.lstsq(a, x, rcond=None)
+        calls, lstsq = self._counting_lstsq(monkeypatch)
+        weighted = a * s[None, :]
+        step = _min_norm_step(weighted, x)
+        assert calls == []  # the QR branch
+        reference, *_ = lstsq(weighted, x, rcond=None)
+        assert np.max(np.abs(step - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_collapsed_weights_fall_back_to_lstsq(self, monkeypatch):
+        x = np.array([0.3, 0.0, -1.2, 0.0])
+        calls, lstsq = self._counting_lstsq(monkeypatch)
+        weighted = np.eye(4) * x[None, :]
+        step = _min_norm_step(weighted, x)
+        assert calls == [1]
+        reference, *_ = lstsq(weighted, x, rcond=None)
+        assert np.max(np.abs(step - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 class TestIde:
