@@ -21,6 +21,7 @@ from .core import (
     as_values,
     polynomial_roots,
     pseudo_inverse_solve,
+    read_samples,
     sorted_dft,
 )
 from .sampling import conjugate_gradient
@@ -149,16 +150,6 @@ def _fill_by_recursion(syndrome, h, theta_mask, norm_scale):
     return spectrum
 
 
-def _read_samples(values, erased=None):
-    """The samples a decoder reads: entries under the boolean mask erased
-    read as zero, and a non-finite retained sample raises ValueError."""
-    if erased is not None:
-        values = np.where(erased, 0.0, values)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("retained samples must be finite")
-    return values
-
-
 def elp_erasure_decode(received, erasures, code):
     """Repair erased samples of a block codeword via the locator recursion.
 
@@ -172,7 +163,7 @@ def elp_erasure_decode(received, erasures, code):
     n = code.n
     if values.size != n:
         raise ValueError(f"received length {values.size} != n = {n}")
-    values = _read_samples(values, erasures.mask())
+    values = read_samples(values, erasures.mask())
     k = len(erasures)
     if k > code.p:
         raise CapacityError(f"{k} erasures exceed the capacity p = {code.p}")
@@ -201,7 +192,7 @@ def elp_impulsive_decode(received, code):
     the detected positions. A non-finite sample raises ValueError. Returns
     (clean, positions, values, report).
     """
-    values = _read_samples(as_values(received))
+    values = read_samples(as_values(received))
     n = code.n
     if values.size != n:
         raise ValueError(f"received length {values.size} != n = {n}")
@@ -214,9 +205,7 @@ def elp_impulsive_decode(received, code):
     scale = float(np.linalg.norm(transformed))
     if float(np.linalg.norm(syndrome)) <= 1e-12 * max(scale, 1e-300):
         report.flags.append("no-error fast path: syndrome energy negligible")
-        report.params["confidence"] = 1.0
-        clean = values.copy()
-        return clean, empty, np.array([], dtype=complex), report.finish(clean)
+        return values.copy(), empty, np.array([], dtype=complex), report.finish()
 
     k = (n - code.l) // 2
     if k == 0:
@@ -236,25 +225,20 @@ def elp_impulsive_decode(received, code):
     spectral_positions = np.flatnonzero(locator <= cut)
     if spectral_positions.size == 0:
         report.flags.append("no locator zeros found; returning input unchanged")
-        report.params["confidence"] = 0.0
-        clean = values.copy()
-        return clean, empty, np.array([], dtype=complex), report.finish(clean)
+        return values.copy(), empty, np.array([], dtype=complex), report.finish()
 
     q_inv = pow(code.q, -1, n)
     time_positions = np.sort((spectral_positions * q_inv) % n)
-    confidence = 1.0
     if time_positions.size > k:
-        confidence = 0.0
         report.flags.append(
             f"detected {time_positions.size} impulses > capacity {k}: likely overrun"
         )
-    report.params["confidence"] = confidence
 
     h_exact = _elp_coefficients((time_positions * code.q) % n, n)
     error_spectrum = _fill_by_recursion(transformed, h_exact, code.theta.mask(), scale)
     impulses = sorted_dft(error_spectrum, code.q, inverse=True)
     clean = values - impulses
-    return clean, SupportSet(time_positions, n), impulses[time_positions], report.finish(clean)
+    return clean, SupportSet(time_positions, n), impulses[time_positions], report.finish()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -340,7 +324,7 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     input_length = y.size // 2 - code.taps + 1
     g = code.generator_matrix(input_length)
     keep = ~erasures.mask() if len(erasures) else np.ones(y.size, dtype=bool)
-    y = _read_samples(y, ~keep)
+    y = read_samples(y, ~keep)
 
     def normal_op(v):
         return g.T @ (keep * (g @ v))
@@ -348,7 +332,6 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     rhs = g.T @ (keep * y)
     estimate, report = conjugate_gradient(normal_op, rhs, max_iters=max_iters, eps=1e-10)
     report.solver = "conv-erasure-cg"
-    report.params["erasure_rate"] = len(erasures) / y.size
     if len(erasures) > y.size // 2:
         report.flags.append("erasure rate above capacity 1/2")
     return estimate.real, report
@@ -366,7 +349,7 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    y = _read_samples(np.asarray(received, dtype=np.float64).reshape(-1))
+    y = read_samples(np.asarray(received, dtype=np.float64).reshape(-1))
     input_length = y.size // 2 - code.taps + 1
     h = conv_parity_check(code, input_length)
     gram = h.T @ h
@@ -375,12 +358,7 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
         raise NumericError(f"parity projector rank-deficient: cond = {condition:.3e}")
     projector = h @ np.linalg.solve(gram, h.T)
 
-    report = SolverReport(
-        solver="conv-impulsive-imat",
-        thresholds=[],
-        params={"alpha": alpha, "max_iters": max_iters, "relax": relax,
-                "projector_cond": float(condition)},
-    )
+    report = SolverReport(solver="conv-impulsive-imat")
     noise_image = projector @ y
     beta = max(float(np.max(np.abs(noise_image))), 1e-30)
     nu = np.zeros_like(y)
@@ -391,8 +369,7 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
         nu = np.where(np.abs(blended) > threshold, blended, 0.0)
         misfit = noise_image - projector @ nu
         report.iterations += 1
-        report.thresholds.append(threshold)
         report.residuals.append(float(np.linalg.norm(misfit)))
     g = code.generator_matrix(input_length)
     estimate, *_ = np.linalg.lstsq(g, y - nu, rcond=None)
-    return estimate, nu, report.finish(estimate)
+    return estimate, nu, report.finish()

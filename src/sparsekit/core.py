@@ -33,6 +33,17 @@ def as_values(signal):
     return values
 
 
+def read_samples(values, erased=None, what="retained samples"):
+    """The samples a solver reads: entries under the boolean mask erased
+    read as zero, and a non-finite retained sample raises ValueError. Not
+    part of as_values, so snr_db still scores an overflowed iterate -inf."""
+    if erased is not None:
+        values = np.where(erased, 0.0, values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
 def _fmt(value):
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
@@ -95,7 +106,7 @@ class ComplexSignal:
                 raise ValueError(f"unexpected CSV header: {header}")
             rows = [(int(r[0]), float(r[1]), float(r[2])) for r in reader]
         rows.sort()
-        return cls(np.array([re + 1j * im for _, re, im in rows]))
+        return cls(np.array([complex(re, im) for _, re, im in rows]))
 
     def to_bytes(self):
         """Little-endian complex128 binary form."""
@@ -192,32 +203,25 @@ class RandomSource(np.random.Generator):
 class SolverReport:
     """Per-run diagnostics shared by every iterative solver.
 
-    residuals has one entry per iteration; snrs is populated only when the
-    caller supplied a reference signal. params records the full solver
-    configuration so a run can be reproduced from the report alone. The
-    report is built when its solver starts; finish() stamps wall_time from
-    that moment.
+    residuals has one entry per iteration, and so has snrs when the caller
+    supplied a reference signal (else it stays empty). flags name every
+    abnormal event, such as divergence or breakdown. The estimate is the
+    solver's return value, not part of the report. The report is built when
+    its solver starts; finish() stamps wall_time from that moment.
     """
 
     solver: str
     iterations: int = 0
     converged: bool = False
-    diverged: bool = False
-    breakdown: bool = False
     flags: list = dataclasses.field(default_factory=list)
     residuals: list = dataclasses.field(default_factory=list)
-    snrs: list = None
-    thresholds: list = None
-    support: np.ndarray = None
-    estimate: np.ndarray = None
+    snrs: list = dataclasses.field(default_factory=list)
     wall_time: float = 0.0
-    params: dict = dataclasses.field(default_factory=dict)
     started: float = dataclasses.field(init=False, repr=False, compare=False,
                                        default_factory=time.perf_counter)
 
-    def finish(self, estimate):
-        """Record the estimate and the wall time since construction."""
-        self.estimate = estimate
+    def finish(self):
+        """Record the wall time since construction."""
         self.wall_time = time.perf_counter() - self.started
         return self
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import SolverReport, SupportSet
+from .core import SolverReport, SupportSet, read_samples
 
 QAM16 = np.array(
     [(re + 1j * im) for re in (-3, -1, 1, 3) for im in (-3, -1, 1, 3)],
@@ -154,10 +154,8 @@ def ofdm_link(tx_block, profile, cfg, cnr_db, rng):
 def pilot_least_squares(rx_block, cfg):
     """LS channel values at the pilot carriers: rx / known pilot; a
     non-finite received pilot raises ValueError."""
-    rx_pilots = rx_block[cfg.pilots.indices]
-    if not np.all(np.isfinite(rx_pilots)):
-        raise ValueError("received pilots must be finite")
-    return rx_pilots / cfg.pilot_values()
+    pilots = read_samples(rx_block[cfg.pilots.indices], what="received pilots")
+    return pilots / cfg.pilot_values()
 
 
 def estimate_linear(rx_block, cfg):
@@ -215,8 +213,7 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     values). Returns (ChannelProfile, frequency response, report).
     """
     mcfg = mcfg or MimatConfig()
-    report = SolverReport(solver="mimat", thresholds=[], params={
-        "cfg": dataclasses.asdict(mcfg)})
+    report = SolverReport(solver="mimat")
 
     n = cfg.n
     cp = cfg.cp_length
@@ -253,7 +250,6 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
         h_time = np.zeros(n, dtype=np.complex128)
         h_time[candidates] = tap_gains
         report.iterations += 1
-        report.thresholds.append(threshold)
         fourier = dictionary[:, candidates]
         report.residuals.append(float(np.linalg.norm(fourier @ tap_gains - ls_values)))
         same = support is not None and np.array_equal(candidates, support) and (
@@ -267,8 +263,7 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     support, gains = _refine_support(ls_values, projections, dictionary, gram, support, report)
     profile = ChannelProfile(delays=support, gains=gains)
     response = channel_frequency_response(profile, cfg)
-    report.support = support
-    return profile, response, report.finish(response)
+    return profile, response, report.finish()
 
 
 @functools.lru_cache(maxsize=8)

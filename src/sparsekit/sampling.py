@@ -18,6 +18,7 @@ from .core import (
     detected_support,
     dft,
     polynomial_roots,
+    read_samples,
     snr_db,
 )
 
@@ -84,11 +85,12 @@ class ImatConfig:
 
 
 def _masked_system(observed, sample_mask, sparsity_mask):
-    """Checked masks and the density-compensated masked operator.
+    """Checked samples and masks, and the density-compensated masked operator.
 
     apply_ps(z) keeps the retained time samples of z, scales them by n/m so
     a uniform Nyquist sampling is recovered in one projection, and projects
-    onto the frequency support. Returns (x_obs, smask, apply_ps,
+    onto the frequency support. Erased samples read as zero; a non-finite
+    retained one raises ValueError. Returns (x_obs, smask, apply_ps,
     apply_ps(x_obs)).
     """
     x_obs = as_values(observed)
@@ -104,6 +106,7 @@ def _masked_system(observed, sample_mask, sparsity_mask):
             f"infeasible masks: {t} sparse coefficients but only {m} samples"
         )
     smask = sample_mask.bool_mask()
+    x_obs = read_samples(x_obs, ~smask)
     outside = ~sparsity_mask.bool_mask()
     comp = n / smask.sum()
 
@@ -148,9 +151,9 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, cfg=None, refere
     cfg = cfg or IterationConfig()
     x_obs, smask, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
 
-    report = SolverReport(solver="iterative", params={"cfg": dataclasses.asdict(cfg)},
-                          snrs=None if reference is None else [])
+    report = SolverReport(solver="iterative")
     x = np.zeros(x_obs.size, dtype=np.complex128)
+    diverged = False
     grow_streak = 0
     prev_resid = math.inf
     for _ in range(cfg.max_iters):
@@ -160,8 +163,8 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, cfg=None, refere
         report.residuals.append(resid)
         _record_snr(report, reference, x_new)
         grow_streak = grow_streak + 1 if resid > prev_resid else 0
-        if grow_streak >= 3 and not report.diverged:
-            report.diverged = True
+        if grow_streak >= 3 and not diverged:
+            diverged = True
             report.flags.append("residual grew for 3 consecutive iterations")
         prev_resid = resid
         step = float(np.linalg.norm(x_new - x))
@@ -172,7 +175,7 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, cfg=None, refere
         if not math.isfinite(resid) or resid > 1e100:
             report.flags.append("iterate overflowed; stopping")
             break
-    return x, report.finish(x)
+    return x, report.finish()
 
 
 def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, reference=None):
@@ -192,11 +195,7 @@ def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, referen
     rho = (bound_b - bound_a) / (bound_b + bound_a)
     gain = 2.0 / (bound_a + bound_b)
 
-    report = SolverReport(
-        solver="chebyshev",
-        params={"cfg": dataclasses.asdict(cfg), "A": bound_a, "B": bound_b},
-        snrs=None if reference is None else [],
-    )
+    report = SolverReport(solver="chebyshev")
     lam = 2.0
     x_prev = np.zeros(x_obs.size, dtype=np.complex128)
     x_cur = gain * b
@@ -214,7 +213,7 @@ def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, referen
         if step < cfg.eps:
             report.converged = True
             break
-    return x_cur, report.finish(x_cur)
+    return x_cur, report.finish()
 
 
 def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
@@ -227,8 +226,7 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
     r = rhs.copy()
     p = rhs.copy()
     rhs_scale = float(np.linalg.norm(rhs))
-    report = SolverReport(solver="cg", params={"max_iters": max_iters, "eps": eps},
-                          snrs=None if reference is None else [])
+    report = SolverReport(solver="cg")
     for _ in range(max_iters):
         if np.linalg.norm(r) < eps * max(rhs_scale, 1.0):
             report.converged = True
@@ -236,7 +234,6 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
         op_p = apply_op(p)
         denom = np.vdot(p, op_p)
         if abs(denom) <= 1e-300:
-            report.breakdown = True
             report.flags.append("curvature inner product vanished")
             break
         lam = np.vdot(p, r) / denom
@@ -249,19 +246,16 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
         p = r - lam_prime * p
     else:
         report.converged = report.residuals[-1] < eps * max(rhs_scale, 1.0)
-    return x, report.finish(x)
+    return x, report.finish()
 
 
 def cg_accelerate(observed, sample_mask, sparsity_mask, cfg=None, reference=None):
     """Conjugate-gradient solve of the masked reconstruction problem."""
     cfg = cfg or IterationConfig()
     _, _, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
-    x, report = conjugate_gradient(
+    return conjugate_gradient(
         apply_ps, b, max_iters=cfg.max_iters, eps=cfg.eps, reference=reference
     )
-    report.solver = "cg"
-    report.params["cfg"] = dataclasses.asdict(cfg)
-    return x, report
 
 
 def _to_sparse_domain(z, transform):
@@ -297,17 +291,11 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
     if sample_mask.n != n:
         raise ValueError("mask ambient length must match the signal")
     smask = sample_mask.bool_mask()
-    if not np.all(np.isfinite(x_obs[smask])):
-        raise ValueError("retained samples must be finite")
+    x_obs = read_samples(x_obs, ~smask)
     if transform == "dct":
         x_obs = x_obs.real.astype(np.float64)
 
-    report = SolverReport(
-        solver="imat",
-        thresholds=[],
-        params={"cfg": dataclasses.asdict(cfg), "transform": transform},
-        snrs=None if reference is None else [],
-    )
+    report = SolverReport(solver="imat")
 
     m = int(smask.sum())
     gain = cfg.relax * n / m  # density-compensated sample replacement
@@ -335,7 +323,6 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
         resid = float(np.linalg.norm((x - x_obs)[smask]))
         report.iterations += 1
         report.residuals.append(resid)
-        report.thresholds.append(threshold)
         _record_snr(report, reference, x)
         grow_streak = grow_streak + 1 if resid > prev_resid else 0
         prev_resid = resid
@@ -347,16 +334,12 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
         if grow_streak >= 3:
             # divergence brake: the compensated gain can blow up once the
             # threshold admits a wrong support; return the best iterate
-            report.diverged = True
             report.flags.append("residual grew for 3 iterations: kept best iterate")
             _, x, coeffs, kept = best
-            report.residuals = report.residuals[:kept]
-            report.thresholds = report.thresholds[:kept]
-            if reference is not None:
-                report.snrs = report.snrs[:kept]
+            del report.residuals[kept:], report.snrs[kept:]
             report.iterations = kept
             break
-    if not report.converged and not report.diverged:
+    else:
         report.flags.append("max iterations reached without sample consistency")
 
     support = SupportSet(detected_support(coeffs), n)
@@ -365,8 +348,7 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
         x = _least_squares_on_support(x_obs, smask, support, transform)
         report.flags.append("least-squares polish on detected support")
 
-    report.support = support.indices
-    return x, support, report.finish(x)
+    return x, support, report.finish()
 
 
 def _least_squares_on_support(x_obs, smask, support, transform):

@@ -44,9 +44,11 @@ class SparseProblem:
         return self.mixing.shape
 
 
-def _finish(report, estimate):
-    report.support = detected_support(estimate)
-    return report.finish(estimate)
+def _set_converged(report, x):
+    """A fixed-budget solver (FOCUSS, IDE, SL0) has converged when its last
+    residual is feasible: ||A s - x|| <= 1e-7 * max(||x||, 1)."""
+    report.converged = bool(report.residuals) and (
+        report.residuals[-1] <= 1e-7 * max(float(np.linalg.norm(x)), 1.0))
 
 
 def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
@@ -63,10 +65,7 @@ def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
     norms = np.linalg.norm(a, axis=0)
     unit = a / norms
 
-    report = SolverReport(
-        solver="omp" if orthogonal else "mp",
-        params={"k_max": k_max, "residual_tol": residual_tol},
-    )
+    report = SolverReport(solver="omp" if orthogonal else "mp")
     s = np.zeros(n)
     residual = x.copy()
     chosen = []
@@ -90,7 +89,7 @@ def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
         report.residuals.append(float(np.linalg.norm(residual)))
     else:
         report.converged = report.residuals[-1] <= residual_tol * x_scale
-    return s, _finish(report, s)
+    return s, report.finish()
 
 
 class SimplexResult:
@@ -283,7 +282,7 @@ def basis_pursuit(problem):
     """
     a, x = problem.mixing, problem.observation
     m, n = a.shape
-    report = SolverReport(solver="bp", params={"lp_variables": 2 * n})
+    report = SolverReport(solver="bp")
 
     eq = np.hstack([a, -a])
     cost = np.ones(2 * n)
@@ -297,7 +296,7 @@ def basis_pursuit(problem):
     report.iterations = result.iterations
     report.residuals = [feasibility]
     report.converged = not report.flags
-    return s, _finish(report, s)
+    return s, report.finish()
 
 
 def focuss(problem, iters=20):
@@ -307,10 +306,11 @@ def focuss(problem, iters=20):
     q = Q R^-T x. Unpivoted R does not reveal rank reliably, so whenever
     min |r_ii| <= sqrt(eps) * max |r_ii| the step falls back to the SVD
     least squares with its default cutoff; that covers weights that have
-    collapsed onto fewer than m sources (and a taller-than-wide A).
+    collapsed onto fewer than m sources (and a taller-than-wide A). The
+    report is converged when the last iterate is feasible.
     """
     a, x = problem.mixing, problem.observation
-    report = SolverReport(solver="focuss", params={"iters": iters})
+    report = SolverReport(solver="focuss")
     s, *_ = np.linalg.lstsq(a, x, rcond=None)  # minimum-l2 start
     for _ in range(iters):
         s = s * _min_norm_step(a * s[None, :], x)
@@ -319,8 +319,8 @@ def focuss(problem, iters=20):
         if not np.any(s):
             report.flags.append("converged to zero")
             break
-    report.converged = True
-    return s, _finish(report, s)
+    _set_converged(report, x)
+    return s, report.finish()
 
 
 FOCUSS_QR_CUTOFF = math.sqrt(np.finfo(float).eps)
@@ -370,9 +370,10 @@ def ide(problem, schedule=None, start_fractions=IDE_START_FRACTIONS):
     the largest scaled correlation, halving every step, and the sparsest
     feasible result wins (the first detection pass can lock onto a wrong
     active set, and restarting at a different threshold is the cheap
-    escape). Among equally sparse feasible results the earliest start
-    fraction wins: their final residuals sit at rounding level, so ranking
-    by them would let rounding pick the estimate.
+    escape); a pass is feasible when its report has converged. Among
+    equally sparse feasible results the earliest start fraction wins: their
+    final residuals sit at rounding level, so ranking by them would let
+    rounding pick the estimate.
     """
     if schedule is not None:
         return _ide_pass(problem, schedule)
@@ -385,12 +386,10 @@ def ide(problem, schedule=None, start_fractions=IDE_START_FRACTIONS):
         candidate, report = _ide_pass(
             problem, [max(frac * top, 1e-12) * 0.5**l for l in range(10)]
         )
-        feasible = report.residuals[-1] <= 1e-7 * max(float(np.linalg.norm(x)), 1.0)
         size = detected_support(candidate).size
-        if best is None or (feasible and (not best[2] or size < best[0])):
-            best = (size, (candidate, report), feasible)
+        if best is None or (report.converged and (not best[2] or size < best[0])):
+            best = (size, (candidate, report), report.converged)
     estimate, report = best[1]
-    report.params["start_fractions"] = list(start_fractions)
     report.wall_time = time.perf_counter() - started
     return estimate, report
 
@@ -398,7 +397,7 @@ def ide(problem, schedule=None, start_fractions=IDE_START_FRACTIONS):
 def _ide_pass(problem, schedule):
     a, x = problem.mixing, problem.observation
     m, n = a.shape
-    report = SolverReport(solver="ide", params={"schedule": list(schedule)})
+    report = SolverReport(solver="ide")
     norms = np.linalg.norm(a, axis=0)
     gram = a.T @ a
     outer = a @ a.T
@@ -441,8 +440,8 @@ def _ide_pass(problem, schedule):
         s[inactive] = a[:, inactive].T @ p_inv_r
         report.iterations += 1
         report.residuals.append(float(np.linalg.norm(a @ s - x)))
-    report.converged = True
-    return s, _finish(report, s)
+    _set_converged(report, x)
+    return s, report.finish()
 
 
 def sl0(problem, sigma_seq=None, mu=2.0, sigma_ratio=0.5, sigma_steps=8):
@@ -453,10 +452,11 @@ def sl0(problem, sigma_seq=None, mu=2.0, sigma_ratio=0.5, sigma_steps=8):
     decreasing; by default it starts at twice the largest magnitude of the
     minimum-l2 solution and shrinks by sigma_ratio for sigma_steps rounds.
     A singular Gram A A' switches every projection to its pseudo-inverse
-    (the minimum-norm projection) and is flagged.
+    (the minimum-norm projection) and is flagged. The report is converged
+    when the last projection is feasible.
     """
     a, x = problem.mixing, problem.observation
-    report = SolverReport(solver="sl0", params={"mu": mu})
+    report = SolverReport(solver="sl0")
     gram = a @ a.T
     try:
         s = a.T @ np.linalg.solve(gram, x)  # minimum-l2 start
@@ -473,7 +473,6 @@ def sl0(problem, sigma_seq=None, mu=2.0, sigma_ratio=0.5, sigma_steps=8):
         v <= 0 for v in sigma_seq
     ):
         raise ValueError("sigma sequence must be positive and strictly decreasing")
-    report.params["sigma_seq"] = sigma_seq
     for sigma in sigma_seq:
         for _ in range(3):
             delta = s * np.exp(-(s**2) / (2.0 * sigma**2))
@@ -481,8 +480,8 @@ def sl0(problem, sigma_seq=None, mu=2.0, sigma_ratio=0.5, sigma_steps=8):
             s = s - a.T @ solve_gram(a @ s - x)
             report.iterations += 1
             report.residuals.append(float(np.linalg.norm(a @ s - x)))
-    report.converged = True
-    return s, _finish(report, s)
+    _set_converged(report, x)
+    return s, report.finish()
 
 
 @dataclasses.dataclass(frozen=True)

@@ -372,11 +372,9 @@ class TestSolverReport:
         for name, call in _solver_calls().items():
             report = call()
             assert report.wall_time > 0.0, name
-            assert report.estimate is not None, name
 
     def test_finish_stamps_time_since_construction(self):
         report = SolverReport(solver="probe")
         assert report.wall_time == 0.0
-        estimate = np.zeros(3)
-        assert report.finish(estimate) is report
-        assert report.estimate is estimate and report.wall_time > 0.0
+        assert report.finish() is report
+        assert report.wall_time > 0.0

@@ -5,12 +5,23 @@ per-example deadline, so a run depends neither on luck nor on host speed.
 """
 
 import dataclasses
+import math
+import os
+import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit.core import RandomSource
+from sparsekit.codes import DftBlockCode, elp_erasure_decode
+from sparsekit.core import (
+    ComplexSignal,
+    InstabilityError,
+    RandomSource,
+    SupportSet,
+    sorted_dft,
+)
 from sparsekit.ofdm import (
     ChannelProfile,
     MimatConfig,
@@ -149,3 +160,102 @@ class TestBasisPursuitProperties:
         assert abs(np.abs(estimate).sum() - reference.fun) <= 1e-9 * max(reference.fun, 1.0)
         assert np.linalg.norm(a @ estimate - x) <= 1e-8 * max(np.linalg.norm(x), 1.0)
         assert report.converged
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def complex_arrays(draw, size=None, magnitude=None):
+    """Complex vectors of the given size (else 1 to 64) with finite parts,
+    bounded by magnitude if given."""
+    parts = st.floats(-magnitude, magnitude) if magnitude is not None else finite_floats
+    size = size or draw(st.integers(1, 64))
+    re = draw(st.lists(parts, min_size=size, max_size=size))
+    im = draw(st.lists(parts, min_size=size, max_size=size))
+    values = np.empty(size, dtype=np.complex128)
+    values.real, values.imag = re, im
+    return values
+
+
+def coprime_to(n):
+    return st.sampled_from([q for q in range(1, max(n, 2)) if math.gcd(q, n) == 1])
+
+
+class TestComplexSignalRoundTrips:
+    @PROPERTY_SETTINGS
+    @given(complex_arrays())
+    def test_csv_round_trip_is_exact(self, values):
+        signal = ComplexSignal(values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "signal.csv")
+            signal.to_csv(path)
+            assert ComplexSignal.from_csv(path).to_bytes() == signal.to_bytes()
+
+    @PROPERTY_SETTINGS
+    @given(complex_arrays())
+    def test_bytes_round_trip_is_exact(self, values):
+        signal = ComplexSignal(values)
+        assert ComplexSignal.from_bytes(signal.to_bytes()).to_bytes() == signal.to_bytes()
+
+
+class TestSortedDftInverse:
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_inverse_undoes_the_transform_for_every_coprime_q(self, data):
+        x = data.draw(complex_arrays(magnitude=1e6))
+        q = data.draw(coprime_to(x.size))
+        tol = 1e-12 * max(float(np.linalg.norm(x)), 1.0)
+        assert np.max(np.abs(sorted_dft(sorted_dft(x, q), q, inverse=True) - x)) <= tol
+        assert np.max(np.abs(sorted_dft(sorted_dft(x, q, inverse=True), q) - x)) <= tol
+
+
+@st.composite
+def block_codes(draw, max_l=32, max_p=16):
+    l = draw(st.integers(1, max_l))
+    p = draw(st.integers(0, max_p))
+    return DftBlockCode(l=l, p=p, q=draw(coprime_to(l + p)))
+
+
+class TestDftBlockCode:
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_decode_inverts_encode(self, data):
+        code = data.draw(block_codes())
+        message = data.draw(complex_arrays(size=code.l, magnitude=1e6))
+        decoded = code.decode(code.encode(message))
+        assert np.max(np.abs(decoded - message)) <= 1e-12 * max(np.linalg.norm(message), 1.0)
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_erasures_within_capacity_are_repaired_or_flagged_unstable(self, data):
+        code = data.draw(block_codes(max_l=16, max_p=8))
+        message = data.draw(complex_arrays(size=code.l, magnitude=1e6))
+        codeword = code.encode(message)
+        erased = data.draw(st.lists(st.integers(0, code.n - 1), max_size=code.p, unique=True))
+        received = codeword.copy()
+        received[erased] = np.nan  # erased samples are never read
+        try:
+            repaired = elp_erasure_decode(received, SupportSet(erased, code.n), code)
+        except InstabilityError:
+            return
+        assert np.max(np.abs(repaired - codeword)) <= 1e-8 * max(np.linalg.norm(codeword), 1.0)
+
+
+class TestSupportSetInvariants:
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_sorted_unique_and_mask_partitions_the_range(self, data):
+        n = data.draw(st.integers(1, 200))
+        indices = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        if len(set(indices)) < len(indices):
+            with pytest.raises(ValueError, match="unique"):
+                SupportSet(indices, n)
+            return
+        support = SupportSet(indices, n)
+        assert support.indices.tolist() == sorted(indices)
+        complement = support.complement()
+        assert np.all(np.diff(complement.indices) > 0)
+        assert not np.any(support.mask() & complement.mask())
+        assert np.all(support.mask() | complement.mask())
+        assert len(support) + len(complement) == n

@@ -122,7 +122,8 @@ class TestIterativeReconstruct:
         _, report = iterative_reconstruct(
             observed, smask, fmask, IterationConfig(max_iters=300, relax=1.99)
         )
-        assert report.diverged or not report.converged
+        grew = "residual grew for 3 consecutive iterations" in report.flags
+        assert grew or not report.converged
 
 
 class TestAccelerations:
@@ -130,9 +131,8 @@ class TestAccelerations:
         rng = RandomSource(25)
         x, observed, smask, fmask = make_instance(32, 5, 32, rng)
         cfg = IterationConfig(max_iters=50, frame_bounds=(1.0, 1.0))
-        est, report = chebyshev_accelerate(observed, smask, fmask, cfg)
+        est, _ = chebyshev_accelerate(observed, smask, fmask, cfg)
         assert np.max(np.abs(est - x)) < 1e-10
-        assert np.max(np.abs(report.estimate - x)) < 1e-10
 
     def test_chebyshev_matches_long_plain_iteration(self):
         rng = RandomSource(26)
@@ -198,9 +198,34 @@ class TestAccelerations:
     def test_cg_flags_breakdown_on_a_zero_operator(self):
         rhs = np.ones(4, dtype=complex)
         x, report = conjugate_gradient(lambda v: np.zeros_like(v), rhs)
-        assert report.breakdown and not report.converged
         assert report.flags == ["curvature inner product vanished"]
+        assert not report.converged
         assert report.iterations == 0 and np.array_equal(x, np.zeros(4))
+
+
+MASKED_SOLVERS = [iterative_reconstruct, chebyshev_accelerate, cg_accelerate]
+
+
+class TestMaskedNonFiniteInput:
+    @pytest.mark.parametrize("solver", MASKED_SOLVERS, ids=lambda f: f.__name__)
+    def test_non_finite_retained_sample_rejected(self, solver):
+        rng = RandomSource(35)
+        _, observed, smask, fmask = make_instance(32, 4, 16, rng)
+        observed[smask.support.indices[3]] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solver(observed, smask, fmask, IterationConfig(max_iters=50))
+
+    @pytest.mark.parametrize("solver", MASKED_SOLVERS, ids=lambda f: f.__name__)
+    def test_non_finite_erased_sample_ignored(self, solver):
+        rng = RandomSource(35)
+        _, observed, smask, fmask = make_instance(32, 4, 16, rng)
+        marked = observed.copy()
+        marked[~smask.bool_mask()] = np.inf
+        cfg = IterationConfig(max_iters=50)
+        est, report = solver(marked, smask, fmask, cfg)
+        clean, clean_report = solver(observed, smask, fmask, cfg)
+        assert np.array_equal(est, clean)
+        assert report.residuals == clean_report.residuals
 
 
 class TestImat:
