@@ -205,7 +205,7 @@ def elp_impulsive_decode(received, code):
     scale = float(np.linalg.norm(transformed))
     if float(np.linalg.norm(syndrome)) <= 1e-12 * max(scale, 1e-300):
         report.flags.append("no-error fast path: syndrome energy negligible")
-        return values.copy(), empty, np.array([], dtype=complex), report.finish()
+        return values.copy(), empty, np.array([], dtype=complex), report._finish()
 
     k = (n - code.l) // 2
     if k == 0:
@@ -225,7 +225,7 @@ def elp_impulsive_decode(received, code):
     spectral_positions = np.flatnonzero(locator <= cut)
     if spectral_positions.size == 0:
         report.flags.append("no locator zeros found; returning input unchanged")
-        return values.copy(), empty, np.array([], dtype=complex), report.finish()
+        return values.copy(), empty, np.array([], dtype=complex), report._finish()
 
     q_inv = pow(code.q, -1, n)
     time_positions = np.sort((spectral_positions * q_inv) % n)
@@ -238,7 +238,7 @@ def elp_impulsive_decode(received, code):
     error_spectrum = _fill_by_recursion(transformed, h_exact, code.theta.mask(), scale)
     impulses = sorted_dft(error_spectrum, code.q, inverse=True)
     clean = values - impulses
-    return clean, SupportSet(time_positions, n), impulses[time_positions], report.finish()
+    return clean, SupportSet(time_positions, n), impulses[time_positions], report._finish()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -372,4 +372,4 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
         report.residuals.append(float(np.linalg.norm(misfit)))
     g = code.generator_matrix(input_length)
     estimate, *_ = np.linalg.lstsq(g, y - nu, rcond=None)
-    return estimate, nu, report.finish()
+    return estimate, nu, report._finish()

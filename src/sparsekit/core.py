@@ -207,7 +207,7 @@ class SolverReport:
     supplied a reference signal (else it stays empty). flags name every
     abnormal event, such as divergence or breakdown. The estimate is the
     solver's return value, not part of the report. The report is built when
-    its solver starts; finish() stamps wall_time from that moment.
+    its solver starts; _finish() stamps wall_time from that moment.
     """
 
     solver: str
@@ -220,7 +220,7 @@ class SolverReport:
     started: float = dataclasses.field(init=False, repr=False, compare=False,
                                        default_factory=time.perf_counter)
 
-    def finish(self):
+    def _finish(self):
         """Record the wall time since construction."""
         self.wall_time = time.perf_counter() - self.started
         return self

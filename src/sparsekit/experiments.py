@@ -76,13 +76,11 @@ def run_fig4(params, seed, trials):
     for t in range(trials):
         rng = RandomSource(seed, stream=t + 1)
         x, observed, smask = _sampled_instance(n, band, m, rng)
-        cfg = sampling.IterationConfig(max_iters=iters, eps=1e-300)
-        _, rep = sampling.iterative_reconstruct(observed, smask, fmask, cfg, reference=x)
-        traces["plain"].append(rep.snrs)
-        _, rep = sampling.chebyshev_accelerate(observed, smask, fmask, cfg, reference=x)
-        traces["chebyshev"].append(rep.snrs)
-        _, rep = sampling.cg_accelerate(observed, smask, fmask, cfg, reference=x)
-        traces["cg"].append(rep.snrs)
+        for name, solver in (("plain", sampling.iterative_reconstruct),
+                             ("chebyshev", sampling.chebyshev_accelerate),
+                             ("cg", sampling.cg_accelerate)):
+            _, rep = solver(observed, smask, fmask, max_iters=iters, eps=1e-300, reference=x)
+            traces[name].append(rep.snrs)
     med = {k: _median_trace(v, iters) for k, v in traces.items()}
     rows = [
         (i + 1, med["plain"][i], med["chebyshev"][i], med["cg"][i])
@@ -103,8 +101,8 @@ def run_fig6(params, seed, trials):
         for t in range(trials):
             rng = RandomSource(seed, stream=1000 * factor + t)
             x, observed, smask = _sparse_time_instance(n, k, m, rng)
-            cfg = sampling.ImatConfig(max_iters=iters, alpha=params["alpha"], eps=1e-300)
-            _, _, rep = sampling.imat(observed, smask, cfg=cfg, reference=x)
+            _, _, rep = sampling.imat(observed, smask, alpha=params["alpha"], max_iters=iters,
+                                      eps=1e-300, reference=x)
             traces.append(rep.snrs)
         columns[factor] = _median_trace(traces, iters)
     header = ["iteration"] + [f"snr_db_rate_{f}x" for f in factors]
@@ -117,8 +115,7 @@ def run_fig6(params, seed, trials):
 def fig7_recovered(n, k, m, rng):
     """One trial of the sparse-recovery success experiment (100 dB criterion)."""
     x, observed, smask = _sparse_time_instance(n, k, m, rng)
-    cfg = sampling.ImatConfig(alpha=0.1, max_iters=300, refine_support=True)
-    est, _, _ = sampling.imat(observed, smask, cfg=cfg)
+    est, _, _ = sampling.imat(observed, smask, alpha=0.1, max_iters=300, refine_support=True)
     return snr_db(x, est) >= 100.0
 
 
@@ -414,7 +411,7 @@ def ser_sweep(cfg, profile, cnr_grid, blocks, seed, doppler_rho=None,
     dc = cfg.data_carriers
     static_truth = ofdm.channel_frequency_response(profile, cfg) if doppler_rho is None else None
     for cnr in cnr_grid:
-        mcfg = ofdm.MimatConfig(snr_linear=10 ** (cnr / 10.0))
+        snr_linear = 10 ** (cnr / 10.0)
         channel = None if doppler_rho is None else ofdm.TimeVaryingChannel(profile, doppler_rho)
         for b in range(blocks):
             rng = RandomSource(seed, stream=int(cnr * 10) * 100_000 + b)
@@ -429,7 +426,7 @@ def ser_sweep(cfg, profile, cnr_grid, blocks, seed, doppler_rho=None,
                 elif name == "linear":
                     estimate = ofdm.estimate_linear(rx, cfg)
                 else:
-                    _, estimate, _ = ofdm.estimate_mimat(rx, cfg, mcfg)
+                    _, estimate, _ = ofdm.estimate_mimat(rx, cfg, snr_linear)
                 eq, _ = ofdm.equalize(rx[dc], estimate[dc], "zf")
                 decisions = ofdm.nearest_symbols(eq, cfg)
                 results[(cnr, name)] += int(np.sum(decisions != data))

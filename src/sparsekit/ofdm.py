@@ -179,40 +179,28 @@ def _interpolate_pilots(ls, cfg):
 
 
 MIMAT_ALPHA = 0.6  # growth rate of the MIMAT threshold beta*exp(MIMAT_ALPHA*i)
+MIMAT_ITERS = 10  # threshold-and-MMSE iterations before the support cleanup
 
 
-@dataclasses.dataclass(frozen=True)
-class MimatConfig:
-    """Iteration budget and MMSE-step SNR of the growing threshold
-    beta*exp(MIMAT_ALPHA*i).
-
-    beta is a quarter of the median magnitude of the initial time-domain
-    estimate over the cyclic-prefix bins, floored at 1e-12 of its peak
-    magnitude and at 1e-30: the first pass must admit even heavily
-    interpolation-attenuated taps (candidates are capped at the pilot count
-    to keep the solve determined), and the growing threshold then prunes
-    the false ones.
-    """
-
-    max_iters: int = 10
-    snr_linear: float = 1e12
-
-
-def estimate_mimat(rx_block, cfg, mcfg=None):
+def estimate_mimat(rx_block, cfg, snr_linear=1e12):
     """Sparse tap estimation: threshold the time-domain channel, re-solve
     the detected taps by MMSE on the pilot equations, repeat; finish with a
     significance-gated support cleanup and an unbiased value re-solve.
 
-    The growing threshold discards false taps across iterations. Inside the
-    loop the tap gains come from the per-tap-dimensioned MMSE system
-    (prior power split over the current candidates), which keeps the first
-    wide-support solves tame even on guard-banded geometries. The final
-    cleanup prunes taps below 2.4 standard errors, pulls in any tap the
-    pilot residual still supports at 3 standard errors, and re-solves the
-    survivors by plain least squares (shrinkage helps detection but biases
-    values). Returns (ChannelProfile, frequency response, report).
+    The growing threshold beta*exp(MIMAT_ALPHA*i), i = 1..MIMAT_ITERS,
+    discards false taps across iterations. beta is a quarter of the median
+    magnitude of the initial time-domain estimate over the cyclic-prefix
+    bins, floored at 1e-12 of its peak magnitude and at 1e-30: the first
+    pass must admit even heavily interpolation-attenuated taps (candidates
+    are capped at the pilot count to keep the solve determined). Inside the
+    loop the tap gains come from the per-tap-dimensioned MMSE system at
+    snr_linear (prior power split over the current candidates), which keeps
+    the first wide-support solves tame even on guard-banded geometries. The
+    final cleanup prunes taps below 2.4 standard errors, pulls in any tap
+    the pilot residual still supports at 3 standard errors, and re-solves
+    the survivors by plain least squares (shrinkage helps detection but
+    biases values). Returns (ChannelProfile, frequency response, report).
     """
-    mcfg = mcfg or MimatConfig()
     report = SolverReport(solver="mimat")
 
     n = cfg.n
@@ -225,10 +213,9 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     floor = float(np.median(np.abs(h_time[:cp])))
     beta = max(0.25 * floor, 1e-12 * float(np.max(np.abs(h_time))), 1e-30)
 
-    snr = mcfg.snr_linear
     support = None
     gains = None
-    for i in range(1, mcfg.max_iters + 1):
+    for i in range(1, MIMAT_ITERS + 1):
         threshold = beta * math.exp(MIMAT_ALPHA * i)
         magnitudes = np.abs(h_time[:cp])
         candidates = np.flatnonzero(magnitudes > threshold)
@@ -243,7 +230,7 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
             report.flags.append("empty initial support: kept largest tap")
         # snr_tap F^H (snr_tap F F^H + I)^-1 ls, pushed through to the
         # candidates-by-candidates system (F^H F + I / snr_tap) g = F^H ls
-        snr_tap = snr / candidates.size
+        snr_tap = snr_linear / candidates.size
         system = gram[candidates[:, None], candidates]
         system.flat[:: candidates.size + 1] += 1.0 / snr_tap
         tap_gains = np.linalg.solve(system, projections[candidates])
@@ -263,7 +250,7 @@ def estimate_mimat(rx_block, cfg, mcfg=None):
     support, gains = _refine_support(ls_values, projections, dictionary, gram, support, report)
     profile = ChannelProfile(delays=support, gains=gains)
     response = channel_frequency_response(profile, cfg)
-    return profile, response, report.finish()
+    return profile, response, report._finish()
 
 
 @functools.lru_cache(maxsize=8)

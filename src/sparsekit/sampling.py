@@ -44,46 +44,6 @@ class MaskSpec:
         return self.support.mask()
 
 
-@dataclasses.dataclass(frozen=True)
-class IterationConfig:
-    max_iters: int = 500
-    relax: float = 1.0
-    eps: float = 1e-10
-    frame_bounds: tuple = None  # (A, B), acceleration only
-
-    def __post_init__(self):
-        if not 0.0 < self.relax < 2.0:
-            raise ValueError("relaxation must lie in (0, 2)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if self.frame_bounds is not None:
-            a, b = self.frame_bounds
-            if a <= 0 or b < a:
-                raise ValueError("frame bounds must satisfy 0 < A <= B")
-
-
-@dataclasses.dataclass(frozen=True)
-class ImatConfig:
-    """Exponentially decaying threshold beta*exp(-alpha*i), i = 1, 2, ...
-
-    beta is the peak magnitude of the first density-compensated transform
-    (floored at 1e-30). At most half the sample count of transform
-    coefficients survive a thresholding pass: that full-capacity bound
-    keeps the density-compensated update stable once the threshold has
-    decayed below the interference floor.
-    """
-
-    alpha: float = 0.3
-    max_iters: int = 100
-    relax: float = 1.0
-    eps: float = 1e-12
-    refine_support: bool = False  # least-squares polish on the detected support
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-
 def _masked_system(observed, sample_mask, sparsity_mask):
     """Checked samples and masks, and the density-compensated masked operator.
 
@@ -139,16 +99,22 @@ def estimate_frame_bounds(sample_mask, sparsity_mask):
     return float(max(eigvals[0], 1e-15)), float(eigvals[-1])
 
 
-def iterative_reconstruct(observed, sample_mask, sparsity_mask, cfg=None, reference=None):
+def iterative_reconstruct(observed, sample_mask, sparsity_mask, max_iters=500, relax=1.0,
+                          eps=1e-10, reference=None):
     """Alternating projections between sample data and transform support.
 
     Runs x <- x + relax * P(S(observed) - S(x)) where S keeps the retained
     time samples (density-compensated by n/m so a uniform Nyquist sampling
     converges in one projection) and P projects onto the known frequency
-    support. Returns the estimate and a per-iteration report; divergence
-    (three consecutive residual increases) is flagged, not fatal.
+    support, until a step is shorter than eps or max_iters steps ran.
+    relax must lie in (0, 2) and eps be positive. Returns the estimate and
+    a per-iteration report; divergence (three consecutive residual
+    increases) is flagged, not fatal.
     """
-    cfg = cfg or IterationConfig()
+    if not 0.0 < relax < 2.0:
+        raise ValueError("relaxation must lie in (0, 2)")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
     x_obs, smask, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
 
     report = SolverReport(solver="iterative")
@@ -156,8 +122,8 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, cfg=None, refere
     diverged = False
     grow_streak = 0
     prev_resid = math.inf
-    for _ in range(cfg.max_iters):
-        x_new = x + cfg.relax * (b - apply_ps(x))
+    for _ in range(max_iters):
+        x_new = x + relax * (b - apply_ps(x))
         resid = float(np.linalg.norm((x_new - x_obs)[smask]))
         report.iterations += 1
         report.residuals.append(resid)
@@ -169,28 +135,32 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, cfg=None, refere
         prev_resid = resid
         step = float(np.linalg.norm(x_new - x))
         x = x_new
-        if step < cfg.eps:
+        if step < eps:
             report.converged = True
             break
         if not math.isfinite(resid) or resid > 1e100:
             report.flags.append("iterate overflowed; stopping")
             break
-    return x, report.finish()
+    return x, report._finish()
 
 
-def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, reference=None):
+def chebyshev_accelerate(observed, sample_mask, sparsity_mask, max_iters=500, eps=1e-10,
+                         frame_bounds=None, reference=None):
     """Two-term Chebyshev acceleration of the masked iteration.
 
     Uses the recursion lambda_n = (1 - rho^2 * lambda_{n-1} / 4)^-1 with
-    rho = (B - A)/(B + A). Frame bounds come from cfg.frame_bounds, or are
-    measured from the masked operator when absent. Same fixed point as
-    iterative_reconstruct.
+    rho = (B - A)/(B + A). The frame bounds (A, B) must satisfy
+    0 < A <= B; when absent they are measured from the masked operator.
+    Same fixed point and stopping rule as iterative_reconstruct.
     """
-    cfg = cfg or IterationConfig()
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if frame_bounds is not None:
+        bound_a, bound_b = frame_bounds
+        if bound_a <= 0 or bound_b < bound_a:
+            raise ValueError("frame bounds must satisfy 0 < A <= B")
     x_obs, smask, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
-    if cfg.frame_bounds is not None:
-        bound_a, bound_b = cfg.frame_bounds
-    else:
+    if frame_bounds is None:
         bound_a, bound_b = estimate_frame_bounds(sample_mask, sparsity_mask)
     rho = (bound_b - bound_a) / (bound_b + bound_a)
     gain = 2.0 / (bound_a + bound_b)
@@ -202,7 +172,7 @@ def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, referen
     report.iterations = 1
     report.residuals.append(float(np.linalg.norm((x_cur - x_obs)[smask])))
     _record_snr(report, reference, x_cur)
-    for _ in range(cfg.max_iters - 1):
+    for _ in range(max_iters - 1):
         lam = 1.0 / (1.0 - 0.25 * rho * rho * lam)
         x_next = x_prev + lam * (x_cur - x_prev + gain * (b - apply_ps(x_cur)))
         report.iterations += 1
@@ -210,10 +180,10 @@ def chebyshev_accelerate(observed, sample_mask, sparsity_mask, cfg=None, referen
         _record_snr(report, reference, x_next)
         step = float(np.linalg.norm(x_next - x_cur))
         x_prev, x_cur = x_cur, x_next
-        if step < cfg.eps:
+        if step < eps:
             report.converged = True
             break
-    return x_cur, report.finish()
+    return x_cur, report._finish()
 
 
 def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
@@ -246,16 +216,17 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
         p = r - lam_prime * p
     else:
         report.converged = report.residuals[-1] < eps * max(rhs_scale, 1.0)
-    return x, report.finish()
+    return x, report._finish()
 
 
-def cg_accelerate(observed, sample_mask, sparsity_mask, cfg=None, reference=None):
-    """Conjugate-gradient solve of the masked reconstruction problem."""
-    cfg = cfg or IterationConfig()
+def cg_accelerate(observed, sample_mask, sparsity_mask, max_iters=500, eps=1e-10,
+                  reference=None):
+    """Conjugate-gradient solve of the masked reconstruction problem; eps
+    must be positive."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
     _, _, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
-    return conjugate_gradient(
-        apply_ps, b, max_iters=cfg.max_iters, eps=cfg.eps, reference=reference
-    )
+    return conjugate_gradient(apply_ps, b, max_iters=max_iters, eps=eps, reference=reference)
 
 
 def _to_sparse_domain(z, transform):
@@ -276,16 +247,26 @@ def _from_sparse_domain(coeffs, transform):
     return scipy.fft.idct(coeffs, norm="ortho")
 
 
-def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
+def imat(observed, sample_mask, transform="dft", alpha=0.3, max_iters=100, relax=1.0,
+         eps=1e-12, refine_support=False, reference=None):
     """Iterative method with adaptive hard thresholding, support unknown.
 
-    Alternates replacement of the known time samples with hard thresholding
-    of the transform at the decaying level beta*exp(-alpha*i). Returns the
-    reconstructed signal, the detected transform support, and the iteration
-    report. Non-convergence is reported via flags, never raised; a
-    non-finite retained sample raises ValueError.
+    Alternates relax-weighted replacement of the known time samples with
+    hard thresholding of the transform at the decaying level
+    beta*exp(-alpha*i), i = 1, 2, ..., max_iters, with alpha positive.
+    beta is the peak magnitude of the first density-compensated transform
+    (floored at 1e-30). At most half the sample count of transform
+    coefficients survive a thresholding pass: that full-capacity bound
+    keeps the density-compensated update stable once the threshold has
+    decayed below the interference floor. The iteration stops once the
+    sample residual falls below eps * max(1, ||retained samples||);
+    refine_support then re-solves the detected support by least squares.
+    Returns the reconstructed signal, the detected transform support, and
+    the iteration report. Non-convergence is reported via flags, never
+    raised; a non-finite retained sample raises ValueError.
     """
-    cfg = cfg or ImatConfig()
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     x_obs = as_values(observed)
     n = x_obs.size
     if sample_mask.n != n:
@@ -298,7 +279,7 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
     report = SolverReport(solver="imat")
 
     m = int(smask.sum())
-    gain = cfg.relax * n / m  # density-compensated sample replacement
+    gain = relax * n / m  # density-compensated sample replacement
     cap = max(1, m // 2)
     first = _to_sparse_domain(np.where(smask, x_obs, 0.0) * (n / m), transform)
     beta = max(float(np.max(np.abs(first))), 1e-30)
@@ -308,10 +289,10 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
     best = (math.inf, x, coeffs, 0)
     grow_streak = 0
     prev_resid = math.inf
-    for i in range(1, cfg.max_iters + 1):
+    for i in range(1, max_iters + 1):
         filled = x + gain * np.where(smask, x_obs - x, 0.0)
         coeffs = _to_sparse_domain(filled, transform)
-        threshold = beta * math.exp(-cfg.alpha * i)
+        threshold = beta * math.exp(-alpha * i)
         magnitudes = np.abs(coeffs)
         keep = magnitudes > threshold
         if keep.sum() > cap:
@@ -328,7 +309,7 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
         prev_resid = resid
         if resid < best[0]:
             best = (resid, x, coeffs, report.iterations)
-        if resid < cfg.eps * max(1.0, float(np.linalg.norm(x_obs[smask]))):
+        if resid < eps * max(1.0, float(np.linalg.norm(x_obs[smask]))):
             report.converged = True
             break
         if grow_streak >= 3:
@@ -344,11 +325,11 @@ def imat(observed, sample_mask, transform="dft", cfg=None, reference=None):
 
     support = SupportSet(detected_support(coeffs), n)
 
-    if cfg.refine_support and len(support) > 0 and len(support) <= smask.sum():
+    if refine_support and len(support) > 0 and len(support) <= smask.sum():
         x = _least_squares_on_support(x_obs, smask, support, transform)
         report.flags.append("least-squares polish on detected support")
 
-    return x, support, report.finish()
+    return x, support, report._finish()
 
 
 def _least_squares_on_support(x_obs, smask, support, transform):

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .core import SolverReport, detected_support
+from .core import NumericError, SolverReport, detected_support
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,7 +89,7 @@ def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
         report.residuals.append(float(np.linalg.norm(residual)))
     else:
         report.converged = report.residuals[-1] <= residual_tol * x_scale
-    return s, report.finish()
+    return s, report._finish()
 
 
 class SimplexResult:
@@ -296,7 +296,7 @@ def basis_pursuit(problem):
     report.iterations = result.iterations
     report.residuals = [feasibility]
     report.converged = not report.flags
-    return s, report.finish()
+    return s, report._finish()
 
 
 def focuss(problem, iters=20):
@@ -320,7 +320,7 @@ def focuss(problem, iters=20):
             report.flags.append("converged to zero")
             break
     _set_converged(report, x)
-    return s, report.finish()
+    return s, report._finish()
 
 
 FOCUSS_QR_CUTOFF = math.sqrt(np.finfo(float).eps)
@@ -356,9 +356,11 @@ def ide(problem, schedule=None, start_fractions=IDE_START_FRACTIONS):
     P is the Gram A A', formed once per pass and downdated by the active
     block. One solve of P against [A_a | x] per iteration gives P^-1 A_a and
     P^-1 x, hence P^-1 (x - A_a s_a) without solving again. P is ridged by
-    IDE_RIDGE * trace when fewer than m sources are inactive or its Cholesky
-    fails; a ridged P is near singular, so there P^-1 (x - A_a s_a) is
-    solved for rather than recovered by a cancelling difference. The active
+    IDE_RIDGE * trace when fewer than m sources are inactive. When its
+    Cholesky fails (the downdate cancels when column scales differ widely),
+    P is rebuilt as A_i A_i' and ridged; a P that still fails raises
+    NumericError. A ridged P is near singular, so there P^-1 (x - A_a s_a)
+    is solved for rather than recovered by a cancelling difference. The active
     block is solved by least squares and flagged as rank deficient when its
     condition number exceeds 1e12. The loop calls numpy's LAPACK only:
     scipy bundles a second OpenBLAS, and alternating between two
@@ -412,14 +414,15 @@ def _ide_pass(problem, schedule):
         p_mat = outer - a_a @ a_a.T
         ridged = inactive.sum() < m
         if ridged:
-            p_mat = p_mat + IDE_RIDGE * max(np.trace(p_mat), 1.0) * np.eye(m)
-            report.flags.append("ridge-regularized inactive Gram")
-        try:
-            np.linalg.cholesky(p_mat)  # positive-definiteness check
-        except np.linalg.LinAlgError:
-            p_mat = p_mat + IDE_RIDGE * max(np.trace(p_mat), 1.0) * np.eye(m)
-            np.linalg.cholesky(p_mat)
+            p_mat = _ridged(p_mat)
+        if not _positive_definite(p_mat):
+            # the downdate cancels when column scales differ widely
+            a_i = a[:, inactive]
+            p_mat = _ridged(a_i @ a_i.T)
             ridged = True
+            if not _positive_definite(p_mat):
+                raise NumericError("inactive Gram not positive definite after ridging")
+        if ridged:
             report.flags.append("ridge-regularized inactive Gram")
         solved = np.linalg.solve(p_mat, np.column_stack([a_a, x]))
         p_inv_a, p_inv_r = solved[:, :-1], solved[:, -1]  # r = x until s_a is known
@@ -441,7 +444,19 @@ def _ide_pass(problem, schedule):
         report.iterations += 1
         report.residuals.append(float(np.linalg.norm(a @ s - x)))
     _set_converged(report, x)
-    return s, report.finish()
+    return s, report._finish()
+
+
+def _ridged(p_mat):
+    return p_mat + IDE_RIDGE * max(np.trace(p_mat), 1.0) * np.eye(p_mat.shape[0])
+
+
+def _positive_definite(p_mat):
+    try:
+        np.linalg.cholesky(p_mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def sl0(problem, sigma_seq=None, mu=2.0, sigma_ratio=0.5, sigma_steps=8):
@@ -481,7 +496,7 @@ def sl0(problem, sigma_seq=None, mu=2.0, sigma_ratio=0.5, sigma_steps=8):
             report.iterations += 1
             report.residuals.append(float(np.linalg.norm(a @ s - x)))
     _set_converged(report, x)
-    return s, report.finish()
+    return s, report._finish()
 
 
 @dataclasses.dataclass(frozen=True)

@@ -90,10 +90,7 @@ class TestCriterion3Imat:
         for s in range(20):
             rng = RandomSource(777, stream=s + 1)
             x, observed, smask = _sparse_time_instance(256, 8, 32, rng)
-            _, _, rep = sampling.imat(
-                observed, smask,
-                cfg=sampling.ImatConfig(alpha=0.2, max_iters=60), reference=x,
-            )
+            _, _, rep = sampling.imat(observed, smask, alpha=0.2, max_iters=60, reference=x)
             trace = list(rep.snrs)
             trace += [trace[-1]] * (60 - len(trace))
             traces.append(trace)
@@ -120,10 +117,7 @@ class TestCriterion3Imat:
                 residuals[combo] = float(np.linalg.norm(basis @ coef - observed[times]))
             best = min(residuals.values())
             optimal = {c for c, r in residuals.items() if r <= best + 1e-9}
-            _, support, _ = sampling.imat(
-                observed, smask,
-                cfg=sampling.ImatConfig(alpha=0.1, max_iters=300, relax=0.9),
-            )
+            _, support, _ = sampling.imat(observed, smask, alpha=0.1, max_iters=300, relax=0.9)
             hits += tuple(support.indices) in optimal
         assert hits == 100
         report_pass(3, f"IMAT support equals the exhaustive oracle on {hits}/100 seeds")
@@ -159,13 +153,11 @@ class TestCriterion4Acceleration:
             smask = sampling.MaskSpec("time-sample", SupportSet(times, n))
             fmask = sampling.MaskSpec("frequency-support", SupportSet(band, n))
 
-            cfg = sampling.IterationConfig(max_iters=4000, eps=1e-300)
-            _, plain = sampling.iterative_reconstruct(observed, smask, fmask, cfg,
-                                                      reference=x)
-            cfg_acc = sampling.IterationConfig(max_iters=1000, eps=1e-14)
-            _, cheb = sampling.chebyshev_accelerate(observed, smask, fmask, cfg_acc,
-                                                    reference=x)
-            _, cg = sampling.cg_accelerate(observed, smask, fmask, cfg_acc, reference=x)
+            _, plain = sampling.iterative_reconstruct(observed, smask, fmask, max_iters=4000,
+                                                      eps=1e-300, reference=x)
+            acc = dict(max_iters=1000, eps=1e-14, reference=x)
+            _, cheb = sampling.chebyshev_accelerate(observed, smask, fmask, **acc)
+            _, cg = sampling.cg_accelerate(observed, smask, fmask, **acc)
             plain_40 = self._iterations_to_40db(plain.snrs)
             cheb_40 = self._iterations_to_40db(cheb.snrs)
             cg_40 = self._iterations_to_40db(cg.snrs)
@@ -183,15 +175,12 @@ class TestCriterion4Acceleration:
             bounds = sampling.estimate_frame_bounds(smask, fmask)
             relax = min(1.0 / bounds[1], 1.99)
             plain, _ = sampling.iterative_reconstruct(
-                observed, smask, fmask,
-                sampling.IterationConfig(max_iters=60000, eps=1e-14, relax=relax),
+                observed, smask, fmask, max_iters=60000, eps=1e-14, relax=relax
             )
             cheb, _ = sampling.chebyshev_accelerate(
-                observed, smask, fmask, sampling.IterationConfig(max_iters=4000, eps=1e-14)
+                observed, smask, fmask, max_iters=4000, eps=1e-14
             )
-            cg, _ = sampling.cg_accelerate(
-                observed, smask, fmask, sampling.IterationConfig(max_iters=500, eps=1e-14)
-            )
+            cg, _ = sampling.cg_accelerate(observed, smask, fmask, max_iters=500, eps=1e-14)
             assert np.max(np.abs(plain - cheb)) < 1e-6
             assert np.max(np.abs(plain - cg)) < 1e-6
             assert np.max(np.abs(cheb - cg)) < 1e-6
@@ -480,8 +469,7 @@ class TestCriterion10Ofdm:
                 estimates = {
                     "ideal": truth,
                     "linear": ofdm.estimate_linear(rx, cfg),
-                    "mimat": ofdm.estimate_mimat(
-                        rx, cfg, ofdm.MimatConfig(snr_linear=snr))[1],
+                    "mimat": ofdm.estimate_mimat(rx, cfg, snr)[1],
                 }
                 for name, h in estimates.items():
                     eq, _ = ofdm.equalize(rx[dc], h[dc], "zf")
@@ -504,7 +492,7 @@ class TestCriterion10Ofdm:
             data = rng.integers(0, 16, dc.size)
             tx = ofdm.map_symbols(data, cfg)
             rx = ofdm.ofdm_link(tx, current, cfg, cnr, rng)
-            _, h_m, _ = ofdm.estimate_mimat(rx, cfg, ofdm.MimatConfig(snr_linear=snr))
+            _, h_m, _ = ofdm.estimate_mimat(rx, cfg, snr)
             eq, _ = ofdm.equalize(rx[dc], h_m[dc], "zf")
             drift_errors += int(np.sum(ofdm.nearest_symbols(eq, cfg) != data))
 
@@ -512,7 +500,7 @@ class TestCriterion10Ofdm:
             data2 = rng2.integers(0, 16, dc.size)
             tx2 = ofdm.map_symbols(data2, cfg)
             rx2 = ofdm.ofdm_link(tx2, profile, cfg, cnr, rng2)
-            _, h_s, _ = ofdm.estimate_mimat(rx2, cfg, ofdm.MimatConfig(snr_linear=snr))
+            _, h_s, _ = ofdm.estimate_mimat(rx2, cfg, snr)
             eq2, _ = ofdm.equalize(rx2[dc], h_s[dc], "zf")
             static_errors += int(np.sum(ofdm.nearest_symbols(eq2, cfg) != data2))
         assert drift_errors < 2.0 * max(static_errors, 1)

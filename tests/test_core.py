@@ -376,5 +376,5 @@ class TestSolverReport:
     def test_finish_stamps_time_since_construction(self):
         report = SolverReport(solver="probe")
         assert report.wall_time == 0.0
-        assert report.finish() is report
+        assert report._finish() is report
         assert report.wall_time > 0.0

@@ -1,8 +1,12 @@
 """Experiment registry, CLI, manifests, and reproducibility contracts."""
 
+import ast
 import csv
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -190,3 +194,38 @@ def test_every_registry_parameter_is_read(experiment_id):
     params = _ReadRecorder(definition.defaults)
     definition.runner(params, 3, 1)
     assert params.read == set(definition.defaults)
+
+
+def _unread_parameters(function):
+    """Parameters of an ast function node that no name load in its body
+    (nested functions and lambdas included) reads."""
+    args = function.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    loads = {node.id for node in ast.walk(function)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [p for p in params if p not in loads]
+
+
+def _public_functions(tree):
+    """Public top-level functions, and public methods (plus __init__) of
+    public classes, as (qualified name, ast node)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        not item.name.startswith("_") or item.name == "__init__"):
+                    yield f"{node.name}.{item.name}", item
+
+
+@pytest.mark.parametrize(
+    "module_name", sorted(m.name for m in pkgutil.iter_modules(sparsekit.__path__)))
+def test_every_public_parameter_is_read(module_name):
+    # a parameter its function never reads is an option that does nothing
+    module = importlib.import_module(f"sparsekit.{module_name}")
+    tree = ast.parse(inspect.getsource(module))
+    unread = [f"{name}({param})" for name, node in _public_functions(tree)
+              for param in _unread_parameters(node)]
+    assert unread == []

@@ -11,7 +11,6 @@ from sparsekit.experiments import ser_sweep
 from sparsekit.ofdm import (
     MIMAT_ALPHA,
     ChannelProfile,
-    MimatConfig,
     OfdmConfig,
     TimeVaryingChannel,
     brazil_d_like_profile,
@@ -191,7 +190,7 @@ class TestMimat:
             rng = RandomSource(146, stream=stream)
             tx, _ = random_block(cfg, rng)
             rx = ofdm_link(tx, brazil_d_like_profile(), cfg, 20.0, rng)
-            est_profile, _, _ = estimate_mimat(rx, cfg, MimatConfig(snr_linear=100.0))
+            est_profile, _, _ = estimate_mimat(rx, cfg, snr_linear=100.0)
             ls = rx[pilots] / cfg.pilot_values()
             fourier = np.exp(-2j * np.pi * np.outer(pilots, est_profile.delays) / cfg.n)
             oracle, *_ = np.linalg.lstsq(fourier, ls, rcond=None)
@@ -208,7 +207,7 @@ class TestMimat:
             rng = RandomSource(147, stream=stream)
             tx, _ = random_block(cfg, rng)
             rx = ofdm_link(tx, brazil_d_like_profile(), cfg, 20.0, rng)
-            est_profile, response, _ = estimate_mimat(rx, cfg, MimatConfig(snr_linear=100.0))
+            est_profile, response, _ = estimate_mimat(rx, cfg, snr_linear=100.0)
             assert np.all(np.isfinite(response)), f"stream {stream}"
             ls = rx[pilots] / cfg.pilot_values()
             oracle, *_ = np.linalg.lstsq(dictionary[:, est_profile.delays], ls, rcond=None)
@@ -233,7 +232,7 @@ class TestMimat:
         rng = RandomSource(148, stream=1)
         tx, _ = random_block(cfg, rng)
         rx = ofdm_link(tx, brazil_d_like_profile(), cfg, 20.0, rng)
-        est_profile, _, _ = estimate_mimat(rx, cfg, MimatConfig(snr_linear=100.0))
+        est_profile, _, _ = estimate_mimat(rx, cfg, snr_linear=100.0)
         (entered, kept), = sizes
         assert entered - kept >= 20
         pilots = cfg.pilots.indices
@@ -278,7 +277,7 @@ class TestMimat:
 
         # re-run the loop manually to capture per-iteration support sizes
         sizes = []
-        mcfg = MimatConfig(max_iters=6)
+        snr = 1e12  # estimate_mimat's default
         h_time = np.fft.ifft(estimate_linear(rx, CFG))
         beta = 0.1 * float(np.max(np.abs(h_time)))
         pilots = CFG.pilots.indices
@@ -290,8 +289,8 @@ class TestMimat:
             if cand.size == 0:
                 break
             fourier = np.exp(-2j * np.pi * np.outer(pilots, cand) / CFG.n)
-            gram = mcfg.snr_linear * (fourier @ fourier.conj().T) + np.eye(pilots.size)
-            gains = mcfg.snr_linear * (fourier.conj().T @ np.linalg.solve(gram, ls))
+            gram = snr * (fourier @ fourier.conj().T) + np.eye(pilots.size)
+            gains = snr * (fourier.conj().T @ np.linalg.solve(gram, ls))
             h_time = np.zeros(CFG.n, dtype=complex)
             h_time[cand] = gains
             sizes.append(cand.size)

@@ -24,7 +24,6 @@ from sparsekit.core import (
 )
 from sparsekit.ofdm import (
     ChannelProfile,
-    MimatConfig,
     OfdmConfig,
     estimate_mimat,
     map_symbols,
@@ -117,7 +116,7 @@ class TestMimatProperties:
         data = rng.integers(0, cfg.symbols().size, cfg.data_carriers.size)
         rx = ofdm_link(map_symbols(data, cfg), profile, cfg, cnr_db, rng)
         snr = 10 ** (cnr_db / 10.0)
-        estimate, response, _ = estimate_mimat(rx, cfg, MimatConfig(snr_linear=snr))
+        estimate, response, _ = estimate_mimat(rx, cfg, snr_linear=snr)
 
         delays = estimate.delays
         assert _strictly_increasing(delays)

@@ -10,8 +10,6 @@ from scipy.interpolate import BSpline
 from sparsekit.core import RandomSource, SupportSet, snr_db
 from sparsekit.sampling import (
     FriModel,
-    ImatConfig,
-    IterationConfig,
     MaskSpec,
     annihilating_recover,
     cg_accelerate,
@@ -69,16 +67,14 @@ class TestIterativeReconstruct:
         observed[times] = x[times]
         smask = MaskSpec("time-sample", SupportSet(times, n))
         fmask = MaskSpec("frequency-support", SupportSet(band, n))
-        est, report = iterative_reconstruct(
-            observed, smask, fmask, IterationConfig(max_iters=1)
-        )
+        est, report = iterative_reconstruct(observed, smask, fmask, max_iters=1)
         assert np.max(np.abs(est - x)) < 1e-10
         assert report.iterations == 1
 
     def test_fully_sampled_one_iteration(self):
         rng = RandomSource(21)
         x, observed, smask, fmask = make_instance(32, 6, 32, rng)
-        est, _ = iterative_reconstruct(observed, smask, fmask, IterationConfig(max_iters=1))
+        est, _ = iterative_reconstruct(observed, smask, fmask, max_iters=1)
         assert np.max(np.abs(est - observed)) < 1e-12
 
     def test_matches_pseudo_inverse_oracle(self):
@@ -86,7 +82,7 @@ class TestIterativeReconstruct:
         x, observed, smask, fmask = make_instance(64, 8, 32, rng)
         oracle = masked_dft_pinv_solve(observed, smask, fmask)
         est, report = iterative_reconstruct(
-            observed, smask, fmask, IterationConfig(max_iters=4000, eps=1e-13), reference=x
+            observed, smask, fmask, max_iters=4000, eps=1e-13, reference=x
         )
         assert np.max(np.abs(est - oracle)) < 1e-6
         snrs = np.array(report.snrs)
@@ -119,9 +115,7 @@ class TestIterativeReconstruct:
         # close to 2 on an ill-conditioned mask.
         rng = RandomSource(24)
         x, observed, smask, fmask = make_instance(64, 16, 16, rng)
-        _, report = iterative_reconstruct(
-            observed, smask, fmask, IterationConfig(max_iters=300, relax=1.99)
-        )
+        _, report = iterative_reconstruct(observed, smask, fmask, max_iters=300, relax=1.99)
         grew = "residual grew for 3 consecutive iterations" in report.flags
         assert grew or not report.converged
 
@@ -130,38 +124,34 @@ class TestAccelerations:
     def test_chebyshev_perfectly_conditioned_single_step(self):
         rng = RandomSource(25)
         x, observed, smask, fmask = make_instance(32, 5, 32, rng)
-        cfg = IterationConfig(max_iters=50, frame_bounds=(1.0, 1.0))
-        est, _ = chebyshev_accelerate(observed, smask, fmask, cfg)
+        est, _ = chebyshev_accelerate(observed, smask, fmask, max_iters=50,
+                                      frame_bounds=(1.0, 1.0))
         assert np.max(np.abs(est - x)) < 1e-10
 
     def test_chebyshev_matches_long_plain_iteration(self):
         rng = RandomSource(26)
         x, observed, smask, fmask = make_instance(64, 8, 40, rng)
-        plain, _ = iterative_reconstruct(
-            observed, smask, fmask, IterationConfig(max_iters=20000, eps=1e-14)
-        )
-        cheb, _ = chebyshev_accelerate(
-            observed, smask, fmask, IterationConfig(max_iters=2000, eps=1e-14)
-        )
+        plain, _ = iterative_reconstruct(observed, smask, fmask, max_iters=20000, eps=1e-14)
+        cheb, _ = chebyshev_accelerate(observed, smask, fmask, max_iters=2000, eps=1e-14)
         assert np.max(np.abs(cheb - plain)) < 1e-8
 
     def test_chebyshev_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            IterationConfig(frame_bounds=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            IterationConfig(frame_bounds=(2.0, 1.0))
+        _, observed, smask, fmask = make_instance(32, 4, 16, RandomSource(25))
+        for bounds in [(0.0, 1.0), (2.0, 1.0)]:
+            with pytest.raises(ValueError, match="frame bounds"):
+                chebyshev_accelerate(observed, smask, fmask, frame_bounds=bounds)
 
     def test_cg_finite_termination_rank3(self):
         rng = RandomSource(27)
         x, observed, smask, fmask = make_instance(32, 3, 16, rng)
-        _, report = cg_accelerate(observed, smask, fmask, IterationConfig(max_iters=3))
+        _, report = cg_accelerate(observed, smask, fmask, max_iters=3)
         assert report.residuals[-1] < 1e-10
 
     def test_cg_matches_pseudo_inverse_oracle(self):
         rng = RandomSource(28)
         x, observed, smask, fmask = make_instance(64, 8, 32, rng)
         oracle = masked_dft_pinv_solve(observed, smask, fmask)
-        est, _ = cg_accelerate(observed, smask, fmask, IterationConfig(max_iters=200, eps=1e-14))
+        est, _ = cg_accelerate(observed, smask, fmask, max_iters=200, eps=1e-14)
         assert np.max(np.abs(est - oracle)) < 1e-8
 
     def test_fixed_point_consistency_and_cg_monotonicity(self):
@@ -175,17 +165,12 @@ class TestAccelerations:
             bounds = estimate_frame_bounds(smask, fmask)
             relax = min(1.0 / bounds[1], 1.99)
             plain, _ = iterative_reconstruct(
-                observed, smask, fmask,
-                IterationConfig(max_iters=60000, eps=1e-14, relax=relax),
+                observed, smask, fmask, max_iters=60000, eps=1e-14, relax=relax
             )
-            cheb, _ = chebyshev_accelerate(
-                observed, smask, fmask, IterationConfig(max_iters=4000, eps=1e-14)
-            )
+            cheb, _ = chebyshev_accelerate(observed, smask, fmask, max_iters=4000, eps=1e-14)
             oracle = masked_dft_pinv_solve(observed, smask, fmask)
             cg, cg_report = cg_accelerate(
-                observed, smask, fmask,
-                IterationConfig(max_iters=500, eps=1e-14),
-                reference=oracle,
+                observed, smask, fmask, max_iters=500, eps=1e-14, reference=oracle
             )
             assert np.max(np.abs(plain - cheb)) < 1e-6
             assert np.max(np.abs(plain - cg)) < 1e-6
@@ -213,7 +198,7 @@ class TestMaskedNonFiniteInput:
         _, observed, smask, fmask = make_instance(32, 4, 16, rng)
         observed[smask.support.indices[3]] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            solver(observed, smask, fmask, IterationConfig(max_iters=50))
+            solver(observed, smask, fmask, max_iters=50)
 
     @pytest.mark.parametrize("solver", MASKED_SOLVERS, ids=lambda f: f.__name__)
     def test_non_finite_erased_sample_ignored(self, solver):
@@ -221,11 +206,31 @@ class TestMaskedNonFiniteInput:
         _, observed, smask, fmask = make_instance(32, 4, 16, rng)
         marked = observed.copy()
         marked[~smask.bool_mask()] = np.inf
-        cfg = IterationConfig(max_iters=50)
-        est, report = solver(marked, smask, fmask, cfg)
-        clean, clean_report = solver(observed, smask, fmask, cfg)
+        est, report = solver(marked, smask, fmask, max_iters=50)
+        clean, clean_report = solver(observed, smask, fmask, max_iters=50)
         assert np.array_equal(est, clean)
         assert report.residuals == clean_report.residuals
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("relax", [0.0, 2.0, -0.5])
+    def test_relax_outside_open_interval_rejected(self, relax):
+        _, observed, smask, fmask = make_instance(32, 4, 16, RandomSource(36))
+        with pytest.raises(ValueError, match="relaxation"):
+            iterative_reconstruct(observed, smask, fmask, relax=relax)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-10])
+    @pytest.mark.parametrize("solver", MASKED_SOLVERS, ids=lambda f: f.__name__)
+    def test_non_positive_eps_rejected(self, solver, eps):
+        _, observed, smask, fmask = make_instance(32, 4, 16, RandomSource(36))
+        with pytest.raises(ValueError, match="eps must be positive"):
+            solver(observed, smask, fmask, eps=eps)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.3])
+    def test_imat_non_positive_alpha_rejected(self, alpha):
+        _, observed, smask, _ = make_instance(32, 4, 16, RandomSource(36))
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            imat(observed, smask, alpha=alpha)
 
 
 class TestImat:
@@ -244,7 +249,7 @@ class TestImat:
     def test_recovery_at_four_times_sparsity(self):
         rng = RandomSource(30)
         x, observed, smask, fmask = make_instance(256, 8, 64, rng)
-        est, support, report = imat(observed, smask, cfg=ImatConfig(max_iters=200), reference=x)
+        est, support, report = imat(observed, smask, max_iters=200, reference=x)
         assert snr_db(x, est) > 60
         assert set(support.indices) == set(fmask.support.indices)
 
@@ -260,15 +265,15 @@ class TestImat:
             resid = np.linalg.norm(basis @ coeffs - observed[times])
             if best is None or resid < best[0]:
                 best = (resid, combo)
-        _, support, _ = imat(observed, smask, cfg=ImatConfig(max_iters=200))
+        _, support, _ = imat(observed, smask, max_iters=200)
         assert tuple(support.indices) == best[1]
 
     def test_idempotence(self):
         rng = RandomSource(32)
         x, observed, smask, fmask = make_instance(128, 6, 48, rng)
-        est1, _, _ = imat(observed, smask, cfg=ImatConfig(max_iters=300))
+        est1, _, _ = imat(observed, smask, max_iters=300)
         resampled = np.where(smask.bool_mask(), est1, 0.0)
-        est2, _, _ = imat(resampled, smask, cfg=ImatConfig(max_iters=300))
+        est2, _, _ = imat(resampled, smask, max_iters=300)
         assert np.max(np.abs(est2 - est1)) < 1e-8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -300,7 +305,7 @@ class TestImat:
         observed = np.zeros(n)
         observed[times] = x[times]
         smask = MaskSpec("time-sample", SupportSet(times, n))
-        est, support, _ = imat(observed, smask, transform="dct", cfg=ImatConfig(max_iters=300))
+        est, support, _ = imat(observed, smask, transform="dct", max_iters=300)
         assert snr_db(x, est) > 60
 
     @pytest.mark.parametrize("transform", ["dft", "dct"])
@@ -372,9 +377,7 @@ class TestFri:
         kernel, shifts, grid, kmat, coeffs = self.setup_kernel(k)
         instants = np.array([1.3, 4.1])
         amps = np.array([0.7, -1.2])
-        samples = sum(
-            c * np.nan_to_num(kernel(t - shifts)) for c, t in zip(amps, instants)
-        )
+        samples = sum(c * np.nan_to_num(kernel(t - shifts)) for c, t in zip(amps, instants))
         moments = fri_moments(samples, coeffs)
         direct = np.array([amps @ instants**r for r in range(2 * k)])
         assert np.max(np.abs(moments - direct)) < 1e-10

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsekit.core import RandomSource, detected_support
+from sparsekit.core import NumericError, RandomSource, detected_support
 from sparsekit.sca import (
     IDE_START_FRACTIONS,
     _min_norm_step,
@@ -201,6 +201,19 @@ class TestBasisPursuit:
         assert np.allclose(result.solution[:2], [3.0, 1.0], atol=1e-10)
         assert verify_reduced_costs(cost, eq, result.basis)
 
+    def test_simplex_drives_a_degenerate_artificial_out(self):
+        # phase 1 ends with the artificial of x2 = 0 basic at zero; a
+        # structural column replaces it and both constraints are kept
+        from scipy.optimize import linprog
+
+        cost, eq, rhs = [1.0, 1.0], [[1.0, 1.0], [0.0, -1.0]], [1.0, 0.0]
+        result = simplex_solve(cost, eq, rhs)
+        reference = linprog(cost, A_eq=eq, b_eq=rhs, bounds=(0, None), method="highs")
+        assert sorted(result.basis) == [0, 1]
+        assert abs(result.objective - reference.fun) < 1e-12
+        assert np.allclose(result.solution, reference.x, atol=1e-12)
+        assert np.allclose(result.solution, [1.0, 0.0], atol=1e-12)
+
 
 class TestFocuss:
     def test_one_sparse_fixed_point(self):
@@ -349,6 +362,31 @@ class TestIde:
         # the ridged P is near singular, yet the estimate stays feasible
         assert np.linalg.norm(a @ s - problem.observation) <= 1e-7 * np.linalg.norm(
             problem.observation)
+
+    @staticmethod
+    def widely_scaled_problem():
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((8, 16))
+        a[:, :4] *= 1e4
+        s = np.zeros(16)
+        s[rng.choice(16, 3, replace=False)] = rng.standard_normal(3)
+        return SparseProblem(a, a @ s)
+
+    def test_widely_scaled_columns_rebuild_the_inactive_gram(self):
+        # the downdate A A' - A_a A_a' cancels when column scales differ by
+        # 1e4, and its Cholesky fails; P is rebuilt as A_i A_i' and ridged
+        problem = self.widely_scaled_problem()
+        s, report = ide(problem)
+        assert np.all(np.isfinite(s))
+        assert report.converged
+        assert 0 < report.flags.count("ridge-regularized inactive Gram") <= report.iterations
+
+    def test_unrepairable_inactive_gram_raises_numeric_error(self, monkeypatch):
+        import sparsekit.sca as sca_module
+
+        monkeypatch.setattr(sca_module, "_positive_definite", lambda p_mat: False)
+        with pytest.raises(NumericError, match="positive definite"):
+            ide(self.widely_scaled_problem())
 
     def test_equally_sparse_passes_keep_the_earliest_start_fraction(self):
         # noisy instances: several passes end equally dense, and all are
