@@ -8,6 +8,7 @@ parity-check matrices with the iterative machinery of the sampling module.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from .core import (
     SolverReport,
     SupportSet,
     as_values,
-    polynomial_roots,
     pseudo_inverse_solve,
     read_samples,
     sorted_dft,
@@ -77,34 +77,6 @@ class DftBlockCode:
         placed = sorted_dft(values, self.q)
         spectrum = placed[self._message_bins()]
         return np.fft.ifft(spectrum) * math.sqrt(self.l)
-
-
-@dataclasses.dataclass(frozen=True)
-class ElpPolynomial:
-    """Locator polynomial sum_t h_t z^(k-t) with h_0 = 1.
-
-    Its unit-circle roots exp(2pi j i/n) mark the erased/corrupted sample
-    positions.
-    """
-
-    coefficients: np.ndarray
-    n: int
-
-    @property
-    def degree(self):
-        return self.coefficients.size - 1
-
-    @classmethod
-    def from_positions(cls, positions, n):
-        return cls(coefficients=_elp_coefficients(positions, n), n=n)
-
-    def roots(self):
-        return polynomial_roots(self.coefficients)
-
-    def root_positions(self):
-        """Positions i with |H(exp(2pi j i/n))| = 0, via angle rounding."""
-        angles = np.angle(self.roots()) % (2.0 * np.pi)
-        return np.sort(np.round(angles * self.n / (2.0 * np.pi)).astype(int) % self.n)
 
 
 def _elp_coefficients(positions, n):
@@ -310,6 +282,34 @@ def conv_parity_check(code, input_length):
     return h
 
 
+@functools.lru_cache(maxsize=8)
+def _conv_operators(h1, h2, input_length):
+    """Generator G and parity projector P = H (H^T H)^-1 H^T of the code with
+    tap tuples h1, h2 at one input length, built once and shared by every
+    decode of that pair; both arrays are read-only.
+
+    Returns (G, P, problem). When the parity construction fails its
+    annihilation check or H^T H has cond > 1e12, P is None and problem says
+    why; the erasure decoder needs G only. With m = input_length + taps - 1,
+    an entry holds 8 * (2m * input_length + 4m^2) bytes of arrays (141 KB for
+    6 taps at input length 50); at most 8 entries are kept.
+    """
+    code = ConvCode(h1, h2)
+    g = code.generator_matrix(input_length)
+    g.flags.writeable = False
+    try:
+        h = conv_parity_check(code, input_length)
+    except NumericError as exc:
+        return g, None, str(exc)
+    gram = h.T @ h
+    condition = np.linalg.cond(gram)
+    if condition > 1e12:
+        return g, None, f"parity projector rank-deficient: cond = {condition:.3e}"
+    projector = h @ np.linalg.solve(gram, h.T)
+    projector.flags.writeable = False
+    return g, projector, None
+
+
 def conv_erasure_decode(received, erasures, code, max_iters=200):
     """Recover the encoder input from an erased output stream.
 
@@ -322,7 +322,7 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     if y.size % 2:
         raise ValueError("received stream must have even length (rate 1/2)")
     input_length = y.size // 2 - code.taps + 1
-    g = code.generator_matrix(input_length)
+    g, _, _ = _conv_operators(tuple(code.h1), tuple(code.h2), input_length)
     keep = ~erasures.mask() if len(erasures) else np.ones(y.size, dtype=bool)
     y = read_samples(y, ~keep)
 
@@ -346,30 +346,48 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
     to sparsify the noise estimate, and least-squares decodes the cleaned
     stream. A non-finite sample raises ValueError. Returns (input estimate,
     impulse estimate, report).
+
+    received may also be a (T, L) stack of streams of the same code and
+    length. Its rows run through the same loop together, each bit-identical
+    to its own decode, and the call returns a (T, input_length) array of
+    estimates, a (T, L) array of impulse estimates and a list of T reports;
+    every report's wall_time spans the whole stack.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    y = read_samples(np.asarray(received, dtype=np.float64).reshape(-1))
-    input_length = y.size // 2 - code.taps + 1
-    h = conv_parity_check(code, input_length)
-    gram = h.T @ h
-    condition = np.linalg.cond(gram)
-    if condition > 1e12:
-        raise NumericError(f"parity projector rank-deficient: cond = {condition:.3e}")
-    projector = h @ np.linalg.solve(gram, h.T)
+    y = read_samples(np.asarray(received, dtype=np.float64))
+    if y.ndim > 2:
+        raise ValueError("received must be one stream or a (T, L) stack of streams")
+    stack = np.atleast_2d(y)
+    input_length = stack.shape[1] // 2 - code.taps + 1
+    g, projector, problem = _conv_operators(tuple(code.h1), tuple(code.h2), input_length)
+    if projector is None:
+        raise NumericError(problem)
 
-    report = SolverReport(solver="conv-impulsive-imat")
-    noise_image = projector @ y
-    beta = max(float(np.max(np.abs(noise_image))), 1e-30)
-    nu = np.zeros_like(y)
+    def project(v):
+        # one gemv per row, as projector @ v[row] would run it
+        return np.matmul(projector, v[:, :, None])[:, :, 0]
+
+    reports = [SolverReport(solver="conv-impulsive-imat") for _ in stack]
+    noise_image = project(stack)
+    beta = np.maximum(np.max(np.abs(noise_image), axis=1), 1e-30)[:, None]
+    nu = np.zeros_like(stack)
     misfit = noise_image  # noise_image - projector @ nu, kept for the next blend
+    norms = []
     for i in range(1, max_iters + 1):
         blended = nu + relax * misfit
         threshold = beta * math.exp(-alpha * i)
         nu = np.where(np.abs(blended) > threshold, blended, 0.0)
-        misfit = noise_image - projector @ nu
-        report.iterations += 1
-        report.residuals.append(float(np.linalg.norm(misfit)))
-    g = code.generator_matrix(input_length)
-    estimate, *_ = np.linalg.lstsq(g, y - nu, rcond=None)
-    return estimate, nu, report._finish()
+        misfit = noise_image - project(nu)
+        # per-row sqrt(misfit . misfit), the 1-D np.linalg.norm
+        norms.append(np.sqrt(np.matmul(misfit[:, None, :], misfit[:, :, None]))[:, 0, 0])
+    estimates = np.empty((stack.shape[0], input_length))
+    for row, report in enumerate(reports):
+        estimates[row], *_ = np.linalg.lstsq(g, stack[row] - nu[row], rcond=None)
+        report.iterations = len(norms)
+        report.residuals = [float(norm[row]) for norm in norms]
+    for report in reports:
+        report._finish()
+    if y.ndim < 2:
+        return estimates[0], nu[0], reports[0]
+    return estimates, nu, reports

@@ -152,16 +152,20 @@ def snr_db(reference, estimate):
     """10*log10(||ref||^2 / ||ref - est||^2); +inf when the error is zero,
     -inf when the estimate has overflowed to non-finite values."""
     ref = as_values(reference)
-    est = as_values(estimate)
+    return _snr_db(ref, as_values(estimate), float(np.sum(np.abs(ref) ** 2)))
+
+
+def _snr_db(ref, est, ref_energy):
+    """snr_db of two value arrays, given ref_energy = ||ref||^2."""
     if ref.shape != est.shape:
         raise ValueError("reference and estimate lengths differ")
     with np.errstate(over="ignore", invalid="ignore"):
-        err = float(np.sum(np.abs(ref - est) ** 2))
+        err = float((np.abs(ref - est) ** 2).sum())  # np.sum's reduction, minus its dispatch
     if err == 0.0:
         return math.inf
     if not math.isfinite(err):
         return -math.inf
-    return 10.0 * math.log10(float(np.sum(np.abs(ref) ** 2)) / err)
+    return 10.0 * math.log10(ref_energy / err)
 
 
 ZERO_TOL = 1e-6  # support = |s_i| > ZERO_TOL * max|s|, uniform across solvers

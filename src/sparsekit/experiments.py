@@ -202,13 +202,15 @@ def run_fig15(params, seed, trials):
 
 
 def run_fig17(params, seed, trials):
-    """Impulsive-noise convolutional decoding vs impulse variance ratio."""
+    """Impulsive-noise convolutional decoding vs impulse variance ratio.
+
+    The trials of one ratio draw from their own streams, in order, and are
+    decoded as one stack."""
     code = codes.ConvCode(params["taps1"], params["taps2"])
     length = params["input_length"]
     rows = []
     for ratio in params["variance_ratios"]:
-        hits = 0
-        snrs = []
+        inputs, impulses, streams = [], [], []
         for t in range(trials):
             rng = RandomSource(seed, stream=int(ratio * 10) * 1000 + t)
             x = rng.uniform(-1.0, 1.0, length)
@@ -217,12 +219,18 @@ def run_fig17(params, seed, trials):
             positions = np.sort(rng.choice(y.size, size=params["impulses"], replace=False))
             noisy = y + params["awgn_floor"] * sigma_y * rng.standard_normal(y.size)
             noisy[positions] += math.sqrt(ratio) * sigma_y * rng.standard_normal(len(positions))
-            est, nu, _ = codes.conv_impulsive_decode(
-                noisy, code, alpha=params["alpha"], max_iters=params["iterations"],
-                relax=params["relax"],
-            )
-            hits += set(positions) <= set(detected_support(nu, tol=1e-3))
-            snrs.append(snr_db(x, est))
+            inputs.append(x)
+            impulses.append(positions)
+            streams.append(noisy)
+        estimates, nus, _ = codes.conv_impulsive_decode(
+            np.array(streams), code, alpha=params["alpha"],
+            max_iters=params["iterations"], relax=params["relax"],
+        )
+        hits = sum(
+            set(positions) <= set(detected_support(nu, tol=1e-3))
+            for positions, nu in zip(impulses, nus)
+        )
+        snrs = [snr_db(x, est) for x, est in zip(inputs, estimates)]
         rows.append((ratio, hits / trials, float(np.median(snrs))))
     return {"fig17.csv": (["variance_ratio", "detection_rate", "snr_db"], rows)}
 
@@ -234,11 +242,11 @@ FIG18_TONES = spectral.SpectralModel(
 )
 
 
-def _fig18_signal(m, snr_db_value, rng, model=FIG18_TONES):
-    clean = model.synthesize(m)
+def _fig18_noisy(clean, snr_db_value, rng):
+    """clean plus complex white noise at snr_db_value dB below its power."""
     power = float(np.mean(np.abs(clean) ** 2))
     sigma = math.sqrt(power / 10 ** (snr_db_value / 10.0))
-    return clean + rng.complex_normal(m, scale=sigma)
+    return clean + rng.complex_normal(clean.size, scale=sigma)
 
 
 def _fig18_error(estimated, truth):
@@ -259,10 +267,11 @@ def run_fig18(params, seed, trials):
     snr = params["snr_db"]
     k = FIG18_TONES.k
     grid = spectral.default_grid(params["grid_points"])
+    clean = FIG18_TONES.synthesize(m)  # every trial shares the noiseless tones
     errors = {"prony": [], "pisarenko": [], "music": []}
     for t in range(trials):
         rng = RandomSource(seed, stream=t + 1)
-        y = _fig18_signal(m, snr, rng)
+        y = _fig18_noisy(clean, snr, rng)
         model = spectral.prony(y[: 2 * k], k)
         errors["prony"].append(_fig18_error(model.frequencies.real, FIG18_TONES.frequencies))
         freqs, _, _ = spectral.pisarenko(y, k)
@@ -276,7 +285,7 @@ def run_fig18(params, seed, trials):
     ]
     rng = RandomSource(seed, stream=0)
     pseudo, _, _ = spectral.music(
-        spectral.sample_covariance(_fig18_signal(m, snr, rng), params["music_dimension"]),
+        spectral.sample_covariance(_fig18_noisy(clean, snr, rng), params["music_dimension"]),
         k, grid,
     )
     spectrum_rows = list(zip(grid, pseudo))

@@ -365,15 +365,6 @@ def nearest_symbols(values, cfg):
     return np.argmin(distances, axis=1)
 
 
-def ser_measure(tx_indices, rx_indices):
-    """Symbol error rate with a binomial confidence half-width (95%)."""
-    tx = np.asarray(tx_indices)
-    rx = np.asarray(rx_indices)
-    if tx.shape != rx.shape:
-        raise ValueError("symbol streams must have equal length")
-    return ser_from_counts(int(np.sum(tx != rx)), tx.size)
-
-
 def ser_from_counts(errors, symbols):
     """Symbol error rate of errors in symbols decisions, with its 95%
     (1.96 sigma) binomial half-width."""

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .core import (
+    NumericError,
     SolverReport,
     SupportSet,
     as_values,
@@ -19,7 +20,7 @@ from .core import (
     dft,
     polynomial_roots,
     read_samples,
-    snr_db,
+    _snr_db,
 )
 
 _MASK_KINDS = ("frequency-support", "time-sample")
@@ -78,10 +79,19 @@ def _masked_system(observed, sample_mask, sparsity_mask):
     return x_obs, smask, apply_ps, apply_ps(x_obs)
 
 
-def _record_snr(report, reference, estimate):
-    """Append the SNR of estimate against reference, when one was given."""
-    if reference is not None:
-        report.snrs.append(snr_db(reference, estimate))
+def _snr_recorder(report, reference):
+    """A callable that appends the SNR of an estimate against reference to
+    report.snrs, or does nothing without a reference. ||ref||^2 is summed
+    once per solve, by snr_db's expression, so each SNR equals snr_db's."""
+    if reference is None:
+        return lambda estimate: None
+    ref = as_values(reference)
+    energy = float(np.sum(np.abs(ref) ** 2))
+
+    def record(estimate):
+        report.snrs.append(_snr_db(ref, as_values(estimate), energy))
+
+    return record
 
 
 def _masked_operator_matrix(sample_mask, sparsity_mask):
@@ -118,6 +128,7 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, max_iters=500, r
     x_obs, smask, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
 
     report = SolverReport(solver="iterative")
+    record_snr = _snr_recorder(report, reference)
     x = np.zeros(x_obs.size, dtype=np.complex128)
     diverged = False
     grow_streak = 0
@@ -127,7 +138,7 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, max_iters=500, r
         resid = float(np.linalg.norm((x_new - x_obs)[smask]))
         report.iterations += 1
         report.residuals.append(resid)
-        _record_snr(report, reference, x_new)
+        record_snr(x_new)
         grow_streak = grow_streak + 1 if resid > prev_resid else 0
         if grow_streak >= 3 and not diverged:
             diverged = True
@@ -166,18 +177,19 @@ def chebyshev_accelerate(observed, sample_mask, sparsity_mask, max_iters=500, ep
     gain = 2.0 / (bound_a + bound_b)
 
     report = SolverReport(solver="chebyshev")
+    record_snr = _snr_recorder(report, reference)
     lam = 2.0
     x_prev = np.zeros(x_obs.size, dtype=np.complex128)
     x_cur = gain * b
     report.iterations = 1
     report.residuals.append(float(np.linalg.norm((x_cur - x_obs)[smask])))
-    _record_snr(report, reference, x_cur)
+    record_snr(x_cur)
     for _ in range(max_iters - 1):
         lam = 1.0 / (1.0 - 0.25 * rho * rho * lam)
         x_next = x_prev + lam * (x_cur - x_prev + gain * (b - apply_ps(x_cur)))
         report.iterations += 1
         report.residuals.append(float(np.linalg.norm((x_next - x_obs)[smask])))
-        _record_snr(report, reference, x_next)
+        record_snr(x_next)
         step = float(np.linalg.norm(x_next - x_cur))
         x_prev, x_cur = x_cur, x_next
         if step < eps:
@@ -190,32 +202,46 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
     """CG recursion for a self-adjoint PSD operator given as a callable.
 
     Terminates on ||r|| < eps, iteration budget, or breakdown of the
-    curvature inner product (flagged; best iterate returned).
+    curvature inner product (flagged; best iterate returned). A residual
+    norm or curvature that is no longer finite (its squares overflowed)
+    raises NumericError.
     """
+
+    def residual_norm(v):
+        norm = float(np.linalg.norm(v))
+        if not math.isfinite(norm):
+            raise NumericError("CG residual norm is not finite: its squares overflowed")
+        return norm
+
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = rhs.copy()
-    rhs_scale = float(np.linalg.norm(rhs))
     report = SolverReport(solver="cg")
-    for _ in range(max_iters):
-        if np.linalg.norm(r) < eps * max(rhs_scale, 1.0):
-            report.converged = True
-            break
-        op_p = apply_op(p)
-        denom = np.vdot(p, op_p)
-        if abs(denom) <= 1e-300:
-            report.flags.append("curvature inner product vanished")
-            break
-        lam = np.vdot(p, r) / denom
-        x = x + lam * p
-        r = r - lam * op_p
-        report.iterations += 1
-        report.residuals.append(float(np.linalg.norm(r)))
-        _record_snr(report, reference, x)
-        lam_prime = np.vdot(op_p, r) / denom
-        p = r - lam_prime * p
-    else:
-        report.converged = report.residuals[-1] < eps * max(rhs_scale, 1.0)
+    record_snr = _snr_recorder(report, reference)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = rhs_scale = residual_norm(rhs)
+        for _ in range(max_iters):
+            if residual < eps * max(rhs_scale, 1.0):
+                report.converged = True
+                break
+            op_p = apply_op(p)
+            denom = np.vdot(p, op_p)
+            if not np.isfinite(denom):
+                raise NumericError("CG curvature inner product is not finite: it overflowed")
+            if abs(denom) <= 1e-300:
+                report.flags.append("curvature inner product vanished")
+                break
+            lam = np.vdot(p, r) / denom
+            x = x + lam * p
+            r = r - lam * op_p
+            residual = residual_norm(r)
+            report.iterations += 1
+            report.residuals.append(residual)
+            record_snr(x)
+            lam_prime = np.vdot(op_p, r) / denom
+            p = r - lam_prime * p
+        else:
+            report.converged = residual < eps * max(rhs_scale, 1.0)
     return x, report._finish()
 
 
@@ -277,6 +303,7 @@ def imat(observed, sample_mask, transform="dft", alpha=0.3, max_iters=100, relax
         x_obs = x_obs.real.astype(np.float64)
 
     report = SolverReport(solver="imat")
+    record_snr = _snr_recorder(report, reference)
 
     m = int(smask.sum())
     gain = relax * n / m  # density-compensated sample replacement
@@ -304,7 +331,7 @@ def imat(observed, sample_mask, transform="dft", alpha=0.3, max_iters=100, relax
         resid = float(np.linalg.norm((x - x_obs)[smask]))
         report.iterations += 1
         report.residuals.append(resid)
-        _record_snr(report, reference, x)
+        record_snr(x)
         grow_streak = grow_streak + 1 if resid > prev_resid else 0
         prev_resid = resid
         if resid < best[0]:
@@ -361,9 +388,6 @@ class FriModel:
     @property
     def k(self):
         return self.instants.size
-
-    def rate_of_innovation(self, window):
-        return 2.0 * self.k / window
 
     def moments(self, count):
         """Power moments tau_r = sum_i c_i * t_i^r for r = 0..count-1."""

@@ -92,14 +92,6 @@ def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
     return s, report._finish()
 
 
-class SimplexResult:
-    def __init__(self, solution, objective, basis, iterations):
-        self.solution = solution
-        self.objective = objective
-        self.basis = basis
-        self.iterations = iterations
-
-
 def _columns(e, mirrored, index):
     """Columns `index` of the full matrix [E, -E, R] that e = [E, R] stands
     for, E being its first `mirrored` columns."""
@@ -209,8 +201,9 @@ def simplex_solve(cost, eq_matrix, eq_rhs):
 
     An E of the form [F, -F] with equal cost halves (basis pursuit's split
     into positive and negative parts) is pivoted on F alone; see
-    _simplex_phase. Raises ValueError on infeasible systems and
-    RuntimeError on unbounded ones.
+    _simplex_phase. Returns (solution, objective, basis, pivots): u, c'u,
+    the basic column indices and the pivot count of both phases. Raises
+    ValueError on infeasible systems and RuntimeError on unbounded ones.
     """
     e = np.asarray(eq_matrix, dtype=np.float64)
     b = np.asarray(eq_rhs, dtype=np.float64).copy()
@@ -258,7 +251,7 @@ def simplex_solve(cost, eq_matrix, eq_rhs):
     pivots += _simplex_phase(e, b, c, basis, mirrored)
     solution = np.zeros(n)
     solution[basis] = np.linalg.solve(_columns(e, mirrored, basis), b)
-    return SimplexResult(solution, float(c @ solution), basis.tolist(), pivots)
+    return solution, float(c @ solution), basis.tolist(), pivots
 
 
 def verify_reduced_costs(cost, eq_matrix, basis, tol=1e-9):
@@ -286,14 +279,14 @@ def basis_pursuit(problem):
 
     eq = np.hstack([a, -a])
     cost = np.ones(2 * n)
-    result = simplex_solve(cost, eq, x)
-    if not verify_reduced_costs(cost, eq, result.basis):
+    solution, _, basis, pivots = simplex_solve(cost, eq, x)
+    if not verify_reduced_costs(cost, eq, basis):
         report.flags.append("optimality certificate failed")
-    s = result.solution[:n] - result.solution[n:]
+    s = solution[:n] - solution[n:]
     feasibility = float(np.linalg.norm(a @ s - x))
     if feasibility > 1e-8 * max(1.0, float(np.linalg.norm(x))):
         report.flags.append(f"constraint residual {feasibility:.3e}")
-    report.iterations = result.iterations
+    report.iterations = pivots
     report.residuals = [feasibility]
     report.converged = not report.flags
     return s, report._finish()

@@ -6,6 +6,7 @@ project locator roots onto the unit circle.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -201,14 +202,24 @@ def music(covariance, k, grid):
         raise ValueError("frequency grid must be non-empty")
 
     noise_basis = covariance.eigvecs[:, k:]
-    steering = np.exp(2j * np.pi * np.outer(np.arange(m), grid))
-    projected = noise_basis.conj().T @ steering
+    projected = noise_basis.conj().T @ _steering(m, grid.tobytes())
     denom = np.sum(np.abs(projected) ** 2, axis=0)
     pseudospectrum = 1.0 / np.maximum(denom, 1e-300)
 
     peaks = _pick_peaks(pseudospectrum, k, min_separation=2)
     shortfall = len(peaks) < k
     return pseudospectrum, np.sort(grid[peaks]), shortfall
+
+
+@functools.lru_cache(maxsize=1)
+def _steering(m, grid_bytes):
+    """Read-only m x g steering matrix exp(2pi j r f) on the float64 grid
+    held in grid_bytes. One entry is kept: 16 * m * g bytes, 512 KB for
+    fig18's 16 x 2048."""
+    grid = np.frombuffer(grid_bytes, dtype=np.float64)
+    steering = np.exp(2j * np.pi * np.outer(np.arange(m), grid))
+    steering.flags.writeable = False
+    return steering
 
 
 def _pick_peaks(values, count, min_separation=2):

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from sparsekit.core import CapacityError, RandomSource, SupportSet, snr_db
+from sparsekit.core import (
+    CapacityError,
+    NumericError,
+    RandomSource,
+    SupportSet,
+    polynomial_roots,
+    snr_db,
+)
 from sparsekit.codes import (
     ConvCode,
     DftBlockCode,
@@ -285,6 +292,13 @@ class TestConvDecoding:
             snrs.append(np.median(vals))
         assert all(a >= b for a, b in zip(snrs, snrs[1:]))
 
+    def test_erasure_decode_raises_when_cg_overflows(self):
+        # at amplitude 1e150 the CG curvature p' G'G p overflows
+        code = ConvCode(EX_TAPS_1, EX_TAPS_2)
+        y = conv_encode(RandomSource(60).uniform(-1.0, 1.0, 20), code)
+        with pytest.raises(NumericError, match="not finite"):
+            conv_erasure_decode(1e150 * y, SupportSet([3, 7], y.size), code)
+
     def test_impulsive_zero_noise(self):
         rng = RandomSource(57)
         code = ConvCode(EX_TAPS_1, EX_TAPS_2)
@@ -308,15 +322,109 @@ class TestConvDecoding:
         assert snr_db(x, est) > 40
 
 
+class TestStackedImpulsiveDecode:
+    """A (T, L) stack decodes each row exactly as a solo call would."""
+
+    @staticmethod
+    def _streams(counts):
+        code = ConvCode(EX_TAPS_1, EX_TAPS_2)
+        streams = []
+        for t, count in enumerate(counts):
+            rng = RandomSource(62, stream=t)
+            y = conv_encode(rng.uniform(-1.0, 1.0, 50), code)
+            noisy = y + 0.01 * np.std(y) * rng.standard_normal(y.size)
+            positions = rng.choice(y.size, size=count, replace=False)
+            noisy[positions] += 5.0 * np.std(y) * rng.standard_normal(count)
+            streams.append(noisy)
+        return code, np.array(streams)
+
+    @staticmethod
+    def _reference_decode(y, code, alpha=0.02, max_iters=300, relax=1.9):
+        """The per-stream loop: projector @ nu, np.linalg.norm, one lstsq."""
+        input_length = y.size // 2 - code.taps + 1
+        h = conv_parity_check(code, input_length)
+        projector = h @ np.linalg.solve(h.T @ h, h.T)
+        noise_image = projector @ y
+        beta = max(float(np.max(np.abs(noise_image))), 1e-30)
+        nu, misfit, residuals = np.zeros_like(y), noise_image, []
+        for i in range(1, max_iters + 1):
+            blended = nu + relax * misfit
+            nu = np.where(np.abs(blended) > beta * math.exp(-alpha * i), blended, 0.0)
+            misfit = noise_image - projector @ nu
+            residuals.append(float(np.linalg.norm(misfit)))
+        estimate, *_ = np.linalg.lstsq(code.generator_matrix(input_length), y - nu, rcond=None)
+        return estimate, nu, residuals
+
+    @pytest.mark.parametrize("counts", [(3,), (0, 1, 2, 3, 4, 6, 9)])
+    def test_rows_equal_solo_decodes(self, counts):
+        code, streams = self._streams(counts)
+        estimates, nus, reports = conv_impulsive_decode(streams, code)
+        assert estimates.shape == (len(counts), 50) and nus.shape == streams.shape
+        assert len(reports) == len(counts)
+        for row, stream in enumerate(streams):
+            est, nu, report = conv_impulsive_decode(stream, code)
+            assert np.array_equal(estimates[row], est)
+            assert np.array_equal(nus[row], nu)
+            assert reports[row].residuals == report.residuals
+            assert reports[row].iterations == report.iterations == 300
+            ref_est, ref_nu, ref_residuals = self._reference_decode(stream, code)
+            assert np.array_equal(est, ref_est) and np.array_equal(nu, ref_nu)
+            assert report.residuals == ref_residuals
+
+    def test_rejects_a_three_dimensional_input(self):
+        code, streams = self._streams((1, 2))
+        with pytest.raises(ValueError, match="stack"):
+            conv_impulsive_decode(streams[None], code)
+
+
+class TestCachedConvOperators:
+    def test_codes_and_lengths_never_share_operators(self):
+        from sparsekit.codes import _conv_operators
+
+        first = _conv_operators(tuple(EX_TAPS_1), tuple(EX_TAPS_2), 20)
+        swapped = _conv_operators(tuple(EX_TAPS_2), tuple(EX_TAPS_1), 20)
+        longer = _conv_operators(tuple(EX_TAPS_1), tuple(EX_TAPS_2), 21)
+        code = ConvCode(EX_TAPS_1, EX_TAPS_2)
+        assert np.array_equal(first[0], code.generator_matrix(20))
+        assert np.array_equal(swapped[0], ConvCode(EX_TAPS_2, EX_TAPS_1).generator_matrix(20))
+        assert np.array_equal(longer[0], code.generator_matrix(21))
+        assert not np.array_equal(first[1], swapped[1])
+        assert longer[1].shape == (2 * 26, 2 * 26) != first[1].shape
+        assert _conv_operators(tuple(EX_TAPS_1), tuple(EX_TAPS_2), 20)[1] is first[1]
+
+    def test_cached_arrays_are_read_only(self):
+        from sparsekit.codes import _conv_operators
+
+        generator, projector, problem = _conv_operators(tuple(EX_TAPS_1), tuple(EX_TAPS_2), 20)
+        assert problem is None
+        for array in (generator, projector):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_rank_deficient_parity_fails_only_the_impulsive_decoder(self):
+        # equal branches leave H^T H singular; the erasure decoder needs G alone
+        code = ConvCode([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        x = np.arange(10.0)
+        y = conv_encode(x, code)
+        for _ in range(2):  # the second call reads the cached entry
+            with pytest.raises(NumericError, match="rank-deficient"):
+                conv_impulsive_decode(y, code)
+            est, _ = conv_erasure_decode(y, SupportSet([1], y.size), code)
+            assert np.max(np.abs(est - x)) < 1e-8
+
+
 class TestElpPolynomial:
     def test_root_positions_bijective(self):
-        from sparsekit.codes import ElpPolynomial
+        from sparsekit.codes import _elp_coefficients
 
         positions = np.array([2, 7, 19, 30])
-        poly = ElpPolynomial.from_positions(positions, 32)
-        assert poly.degree == 4
-        assert np.array_equal(poly.root_positions(), positions)
-        roots = poly.roots()
+        coefficients = _elp_coefficients(positions, 32)
+        assert coefficients.size - 1 == 4
+        roots = polynomial_roots(coefficients)
+        angles = np.angle(roots) % (2.0 * np.pi)
+        found = np.sort(np.round(angles * 32 / (2.0 * np.pi)).astype(int) % 32)
+        assert np.array_equal(found, positions)
         expected = np.exp(2j * np.pi * positions / 32)
         for root in roots:
             assert np.min(np.abs(expected - root)) < 1e-9

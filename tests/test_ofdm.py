@@ -22,7 +22,7 @@ from sparsekit.ofdm import (
     nearest_symbols,
     ofdm_link,
     qam16_awgn_ser_theory,
-    ser_measure,
+    ser_from_counts,
 )
 
 CFG = OfdmConfig()
@@ -369,14 +369,14 @@ class TestEqualize:
 
 class TestSer:
     def test_identical_streams(self):
-        rate, _ = ser_measure([1, 2, 3], [1, 2, 3])
+        rate, _ = ser_from_counts(0, 3)
         assert rate == 0.0
 
     def test_chance_level_16qam(self):
         rng = RandomSource(142)
         tx = rng.integers(0, 16, 200_000)
         guesses = rng.integers(0, 16, 200_000)
-        rate, half = ser_measure(tx, guesses)
+        rate, half = ser_from_counts(int(np.sum(tx != guesses)), tx.size)
         assert abs(rate - 15.0 / 16.0) < 3 * half
 
     def test_awgn_matches_theory(self):
@@ -389,12 +389,8 @@ class TestSer:
         sigma = math.sqrt(1.0 / 10 ** (es_n0 / 10.0))
         noisy = symbols + rng.complex_normal(count, scale=sigma)
         decisions = nearest_symbols(noisy, CFG)
-        rate, half = ser_measure(tx, decisions)
+        rate, half = ser_from_counts(int(np.sum(tx != decisions)), tx.size)
         assert abs(rate - qam16_awgn_ser_theory(es_n0)) < 3 * half + 1e-5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ser_measure([1, 2], [1, 2, 3])
 
 
 class TestTimeVaryingChannel:

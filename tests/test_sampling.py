@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from sparsekit.core import RandomSource, SupportSet, snr_db
+from sparsekit.core import NumericError, RandomSource, SupportSet, snr_db
 from sparsekit.sampling import (
     FriModel,
     MaskSpec,
@@ -186,6 +186,33 @@ class TestAccelerations:
         assert report.flags == ["curvature inner product vanished"]
         assert not report.converged
         assert report.iterations == 0 and np.array_equal(x, np.zeros(4))
+
+
+    def test_cg_raises_when_its_squared_norms_overflow(self):
+        # amplitude 1e160: ||b||^2 overflows before the first step
+        x, observed, smask, fmask = make_instance(64, 5, 40, RandomSource(30))
+        with pytest.raises(NumericError, match="not finite"):
+            cg_accelerate(1e160 * observed, smask, fmask, max_iters=50)
+
+    def test_cg_raises_on_an_overflowing_curvature(self):
+        rhs = np.full(8, 1e150, dtype=complex)
+        with pytest.raises(NumericError, match="curvature"):
+            conjugate_gradient(lambda v: 1e10 * v, rhs)
+
+    @pytest.mark.parametrize(
+        "solver", [iterative_reconstruct, chebyshev_accelerate, cg_accelerate],
+        ids=lambda f: f.__name__,
+    )
+    def test_recorded_snr_equals_snr_db(self, solver):
+        # the reference energy is summed once per solve; the SNR of the
+        # returned (last) iterate must still equal snr_db's, bit for bit
+        for stream in range(8):
+            x, observed, smask, fmask = make_instance(64, 8, 32, RandomSource(31, stream=stream))
+            for iters in (1, 2, 5):
+                est, report = solver(observed, smask, fmask, max_iters=iters, eps=1e-300,
+                                     reference=x)
+                assert len(report.snrs) == report.iterations == iters
+                assert report.snrs[-1] == snr_db(x, est)
 
 
 MASKED_SOLVERS = [iterative_reconstruct, chebyshev_accelerate, cg_accelerate]

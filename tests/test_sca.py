@@ -156,13 +156,17 @@ class TestBasisPursuit:
             problem = bernoulli_gaussian_problem(m, n, RandomSource(122, stream=stream),
                                                  sigma_noise=0.01)
             eq = np.hstack([problem.mixing, -problem.mixing])
-            half = simplex_solve(np.ones(2 * n), eq, problem.observation)
+            half_u, _, half_basis, half_pivots = simplex_solve(
+                np.ones(2 * n), eq, problem.observation
+            )
             with monkeypatch.context() as patch:
                 patch.setattr(sca_module, "_simplex_phase", full_tableau)
-                full = simplex_solve(np.ones(2 * n), eq, problem.observation)
-            assert half.iterations == full.iterations > 0
-            assert half.basis == full.basis
-            assert half.solution.tobytes() == full.solution.tobytes()
+                full_u, _, full_basis, full_pivots = simplex_solve(
+                    np.ones(2 * n), eq, problem.observation
+                )
+            assert half_pivots == full_pivots > 0
+            assert half_basis == full_basis
+            assert half_u.tobytes() == full_u.tobytes()
 
     def test_nearly_mirrored_lp_takes_the_generic_path(self, monkeypatch):
         # [E, -E + 1e-3 P] is not basis pursuit's split: it must be pivoted
@@ -184,22 +188,22 @@ class TestBasisPursuit:
 
         mirrored.clear()
         eq = np.hstack([e, -e + 1e-3 * rng.standard_normal((8, 20))])
-        result = simplex_solve(np.ones(40), eq, x)
+        solution, objective, _, _ = simplex_solve(np.ones(40), eq, x)
         assert mirrored == [0, 0]
         reference = linprog(np.ones(40), A_eq=eq, b_eq=x, bounds=(0, None), method="highs")
-        assert abs(result.objective - reference.fun) <= 1e-9 * max(reference.fun, 1.0)
-        assert np.linalg.norm(eq @ result.solution - x) <= 1e-9 * np.linalg.norm(x)
-        assert np.all(result.solution >= 0.0)
+        assert abs(objective - reference.fun) <= 1e-9 * max(reference.fun, 1.0)
+        assert np.linalg.norm(eq @ solution - x) <= 1e-9 * np.linalg.norm(x)
+        assert np.all(solution >= 0.0)
 
     def test_simplex_standalone(self):
         # min -x1 - 2 x2 s.t. x1 + x2 + u1 = 4, x1 + 3 x2 + u2 = 6
         cost = np.array([-1.0, -2.0, 0.0, 0.0])
         eq = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
         rhs = np.array([4.0, 6.0])
-        result = simplex_solve(cost, eq, rhs)
-        assert abs(result.objective - (-5.0)) < 1e-10
-        assert np.allclose(result.solution[:2], [3.0, 1.0], atol=1e-10)
-        assert verify_reduced_costs(cost, eq, result.basis)
+        solution, objective, basis, _ = simplex_solve(cost, eq, rhs)
+        assert abs(objective - (-5.0)) < 1e-10
+        assert np.allclose(solution[:2], [3.0, 1.0], atol=1e-10)
+        assert verify_reduced_costs(cost, eq, basis)
 
     def test_simplex_drives_a_degenerate_artificial_out(self):
         # phase 1 ends with the artificial of x2 = 0 basic at zero; a
@@ -207,12 +211,12 @@ class TestBasisPursuit:
         from scipy.optimize import linprog
 
         cost, eq, rhs = [1.0, 1.0], [[1.0, 1.0], [0.0, -1.0]], [1.0, 0.0]
-        result = simplex_solve(cost, eq, rhs)
+        solution, objective, basis, _ = simplex_solve(cost, eq, rhs)
         reference = linprog(cost, A_eq=eq, b_eq=rhs, bounds=(0, None), method="highs")
-        assert sorted(result.basis) == [0, 1]
-        assert abs(result.objective - reference.fun) < 1e-12
-        assert np.allclose(result.solution, reference.x, atol=1e-12)
-        assert np.allclose(result.solution, [1.0, 0.0], atol=1e-12)
+        assert sorted(basis) == [0, 1]
+        assert abs(objective - reference.fun) < 1e-12
+        assert np.allclose(solution, reference.x, atol=1e-12)
+        assert np.allclose(solution, [1.0, 0.0], atol=1e-12)
 
 
 class TestFocuss:

@@ -232,6 +232,30 @@ class TestMusic:
         pseudo, _, _ = music(cov, 2, np.array([0.15, 0.4]))
         assert np.all(1.0 / pseudo < 1e-8 * m)
 
+    def test_steering_memo_matches_a_fresh_computation(self):
+        # grids A, B, A and two dimensions: the one-entry memo must never
+        # hand back a stale steering matrix
+        import sparsekit.spectral as spectral_module
+
+        rng = RandomSource(77)
+        y = noisy_tones(
+            SpectralModel(np.array([0.12, 0.3]), np.ones(2), np.zeros(2)), 256, 10.0, rng
+        )
+        grid_a, grid_b = default_grid(512), default_grid(300)
+        calls = [(8, grid_a), (8, grid_b), (8, grid_a), (12, grid_a), (8, grid_a)]
+        for m, grid in calls:
+            cov = sample_covariance(y, m)
+            memo = music(cov, 2, grid)
+            spectral_module._steering.cache_clear()
+            fresh = music(cov, 2, grid.copy())
+            assert np.array_equal(memo[0], fresh[0])
+            assert np.array_equal(memo[1], fresh[1])
+            steering = np.exp(2j * np.pi * np.outer(np.arange(m), grid))
+            denom = np.sum(np.abs(cov.eigvecs[:, 2:].conj().T @ steering) ** 2, axis=0)
+            assert np.array_equal(memo[0], 1.0 / np.maximum(denom, 1e-300))
+        assert spectral_module._steering.cache_info().maxsize == 1
+        assert not spectral_module._steering(8, grid_a.tobytes()).flags.writeable
+
     def test_k_not_below_dimension_rejected(self):
         cov = CovarianceEstimate(np.eye(4), snapshots=10)
         with pytest.raises(ValueError):
