@@ -232,9 +232,6 @@ class ConvCode:
     def taps(self):
         return self.h1.size
 
-    def output_length(self, input_length):
-        return 2 * (input_length + self.taps - 1)
-
     def generator_matrix(self, input_length):
         """G with interleaved branch outputs: y = G x, zero tail padding."""
         g = np.empty((2 * (input_length + self.taps - 1), input_length))

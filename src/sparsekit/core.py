@@ -184,17 +184,14 @@ class RandomSource(np.random.Generator):
     """Seeded PCG64 generator; identical seed gives identical draws everywhere.
 
     A numpy Generator on PCG64(SeedSequence([seed, stream])), so every draw
-    is numpy's own call. Sources are single-owner; use split() to hand
-    independent child streams to parallel trials.
+    is numpy's own call. Sources are single-owner: each trial builds its
+    own, and distinct (seed, stream) pairs give independent streams.
     """
 
     def __init__(self, seed, stream=0):
         self.seed = int(seed)
         self.stream = int(stream)
         super().__init__(np.random.PCG64(np.random.SeedSequence([self.seed, self.stream])))
-
-    def split(self, count):
-        return [RandomSource(self.seed, self.stream + 1 + i) for i in range(count)]
 
     def complex_normal(self, size=None, scale=1.0):
         """Circular complex Gaussian with E|z|^2 = scale^2."""

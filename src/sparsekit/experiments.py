@@ -50,14 +50,14 @@ def _median_trace(traces, length):
 
 def _sampled_instance(n, bins, m, rng):
     """Complex Gaussian DFT coefficients on bins, then m distinct random
-    sample times: (x, observed, time-sample mask)."""
+    sample times: (x, observed, sample times as a SupportSet)."""
     spectrum = np.zeros(n, dtype=complex)
     spectrum[bins] = rng.complex_normal(len(bins))
     x = np.fft.ifft(spectrum) * math.sqrt(n)
     times = np.sort(rng.choice(n, size=m, replace=False))
     observed = np.zeros(n, dtype=complex)
     observed[times] = x[times]
-    return x, observed, sampling.MaskSpec("time-sample", SupportSet(times, n))
+    return x, observed, SupportSet(times, n)
 
 
 def _sparse_time_instance(n, k, m, rng):
@@ -71,15 +71,15 @@ def run_fig4(params, seed, trials):
     iters = params["iterations"]
     band = np.arange(params["band_start"], params["band_stop"])
     m = int(round(params["osr"] * band.size))
-    fmask = sampling.MaskSpec("frequency-support", SupportSet(band, n))
+    support = SupportSet(band, n)
     traces = {"plain": [], "chebyshev": [], "cg": []}
     for t in range(trials):
         rng = RandomSource(seed, stream=t + 1)
-        x, observed, smask = _sampled_instance(n, band, m, rng)
+        x, observed, times = _sampled_instance(n, band, m, rng)
         for name, solver in (("plain", sampling.iterative_reconstruct),
                              ("chebyshev", sampling.chebyshev_accelerate),
                              ("cg", sampling.cg_accelerate)):
-            _, rep = solver(observed, smask, fmask, max_iters=iters, eps=1e-300, reference=x)
+            _, rep = solver(observed, times, support, max_iters=iters, eps=1e-300, reference=x)
             traces[name].append(rep.snrs)
     med = {k: _median_trace(v, iters) for k, v in traces.items()}
     rows = [
@@ -100,8 +100,8 @@ def run_fig6(params, seed, trials):
         traces = []
         for t in range(trials):
             rng = RandomSource(seed, stream=1000 * factor + t)
-            x, observed, smask = _sparse_time_instance(n, k, m, rng)
-            _, _, rep = sampling.imat(observed, smask, alpha=params["alpha"], max_iters=iters,
+            x, observed, times = _sparse_time_instance(n, k, m, rng)
+            _, _, rep = sampling.imat(observed, times, alpha=params["alpha"], max_iters=iters,
                                       eps=1e-300, reference=x)
             traces.append(rep.snrs)
         columns[factor] = _median_trace(traces, iters)
@@ -114,8 +114,8 @@ def run_fig6(params, seed, trials):
 
 def fig7_recovered(n, k, m, rng):
     """One trial of the sparse-recovery success experiment (100 dB criterion)."""
-    x, observed, smask = _sparse_time_instance(n, k, m, rng)
-    est, _, _ = sampling.imat(observed, smask, alpha=0.1, max_iters=300, refine_support=True)
+    x, observed, times = _sparse_time_instance(n, k, m, rng)
+    est, _, _ = sampling.imat(observed, times, alpha=0.1, max_iters=300, refine_support=True)
     return snr_db(x, est) >= 100.0
 
 

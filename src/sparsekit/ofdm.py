@@ -45,11 +45,6 @@ class ChannelProfile:
     def k(self):
         return self.delays.size
 
-    def tap_vector(self, n):
-        h = np.zeros(n, dtype=np.complex128)
-        h[self.delays] = self.gains
-        return h
-
     def to_config(self):
         """Serializable form: list of (delay, re, im) rows."""
         return [(int(d), float(g.real), float(g.imag))

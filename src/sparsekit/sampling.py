@@ -17,59 +17,43 @@ from .core import (
     SupportSet,
     as_values,
     detected_support,
-    dft,
     polynomial_roots,
     read_samples,
     _snr_db,
 )
 
-_MASK_KINDS = ("frequency-support", "time-sample")
+
+def _retained_samples(observed, sample_times):
+    """The observed vector with its erased samples read as zero, and the
+    boolean mask of the retained sample_times. A non-finite retained sample
+    raises ValueError."""
+    x_obs = as_values(observed)
+    if sample_times.n != x_obs.size:
+        raise ValueError("ambient lengths must match the signal length")
+    smask = sample_times.mask()
+    return read_samples(x_obs, ~smask), smask
 
 
-@dataclasses.dataclass(frozen=True)
-class MaskSpec:
-    """0/1 mask over an ambient length, in time or in the sparsity domain."""
-
-    kind: str
-    support: SupportSet
-
-    def __post_init__(self):
-        if self.kind not in _MASK_KINDS:
-            raise ValueError(f"kind must be one of {_MASK_KINDS}")
-
-    @property
-    def n(self):
-        return self.support.n
-
-    def bool_mask(self):
-        return self.support.mask()
-
-
-def _masked_system(observed, sample_mask, sparsity_mask):
-    """Checked samples and masks, and the density-compensated masked operator.
+def _masked_system(observed, sample_times, freq_support):
+    """Checked samples and the density-compensated masked operator.
 
     apply_ps(z) keeps the retained time samples of z, scales them by n/m so
     a uniform Nyquist sampling is recovered in one projection, and projects
-    onto the frequency support. Erased samples read as zero; a non-finite
-    retained one raises ValueError. Returns (x_obs, smask, apply_ps,
-    apply_ps(x_obs)).
+    onto the frequency support. Returns (x_obs, smask, apply_ps,
+    apply_ps(x_obs)); see _retained_samples for x_obs and smask.
     """
-    x_obs = as_values(observed)
+    x_obs, smask = _retained_samples(observed, sample_times)
     n = x_obs.size
-    if sample_mask.n != n or sparsity_mask.n != n:
-        raise ValueError("mask ambient lengths must match the signal length")
-    if sample_mask.kind != "time-sample" or sparsity_mask.kind != "frequency-support":
-        raise ValueError("expected a time-sample mask and a frequency-support mask")
-    m = len(sample_mask.support)
-    t = len(sparsity_mask.support)
+    if freq_support.n != n:
+        raise ValueError("ambient lengths must match the signal length")
+    m = len(sample_times)
+    t = len(freq_support)
     if t > m:
         raise ValueError(
             f"infeasible masks: {t} sparse coefficients but only {m} samples"
         )
-    smask = sample_mask.bool_mask()
-    x_obs = read_samples(x_obs, ~smask)
-    outside = ~sparsity_mask.bool_mask()
-    comp = n / smask.sum()
+    outside = ~freq_support.mask()
+    comp = n / m
 
     def apply_ps(z):
         spectrum = np.fft.fft(np.where(smask, z, 0.0) * comp) / math.sqrt(n)
@@ -94,29 +78,30 @@ def _snr_recorder(report, reference):
     return record
 
 
-def _masked_operator_matrix(sample_mask, sparsity_mask):
+def _masked_operator_matrix(sample_times, freq_support):
     """Dense matrix of the compensated PS operator on the support coefficients."""
-    n = sample_mask.n
-    times = np.flatnonzero(sample_mask.bool_mask())
-    freqs = sparsity_mask.support.indices
+    n = sample_times.n
+    times = sample_times.indices
+    freqs = freq_support.indices
     basis = np.exp(2j * np.pi * np.outer(times, freqs) / n) / math.sqrt(n)
     return (n / times.size) * (basis.conj().T @ basis)
 
 
-def estimate_frame_bounds(sample_mask, sparsity_mask):
+def estimate_frame_bounds(sample_times, freq_support):
     """Frame bounds (A, B) of the masked reconstruction operator."""
-    eigvals = np.linalg.eigvalsh(_masked_operator_matrix(sample_mask, sparsity_mask))
+    eigvals = np.linalg.eigvalsh(_masked_operator_matrix(sample_times, freq_support))
     return float(max(eigvals[0], 1e-15)), float(eigvals[-1])
 
 
-def iterative_reconstruct(observed, sample_mask, sparsity_mask, max_iters=500, relax=1.0,
+def iterative_reconstruct(observed, sample_times, freq_support, max_iters=500, relax=1.0,
                           eps=1e-10, reference=None):
     """Alternating projections between sample data and transform support.
 
-    Runs x <- x + relax * P(S(observed) - S(x)) where S keeps the retained
-    time samples (density-compensated by n/m so a uniform Nyquist sampling
-    converges in one projection) and P projects onto the known frequency
-    support, until a step is shorter than eps or max_iters steps ran.
+    Runs x <- x + relax * P(S(observed) - S(x)) where S keeps the samples
+    at sample_times (density-compensated by n/m so a uniform Nyquist
+    sampling converges in one projection) and P projects onto the known
+    frequency support freq_support (both SupportSets of the signal
+    length), until a step is shorter than eps or max_iters steps ran.
     relax must lie in (0, 2) and eps be positive. Returns the estimate and
     a per-iteration report; divergence (three consecutive residual
     increases) is flagged, not fatal.
@@ -125,7 +110,7 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, max_iters=500, r
         raise ValueError("relaxation must lie in (0, 2)")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    x_obs, smask, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
+    x_obs, smask, apply_ps, b = _masked_system(observed, sample_times, freq_support)
 
     report = SolverReport(solver="iterative")
     record_snr = _snr_recorder(report, reference)
@@ -155,24 +140,19 @@ def iterative_reconstruct(observed, sample_mask, sparsity_mask, max_iters=500, r
     return x, report._finish()
 
 
-def chebyshev_accelerate(observed, sample_mask, sparsity_mask, max_iters=500, eps=1e-10,
-                         frame_bounds=None, reference=None):
+def chebyshev_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10,
+                         reference=None):
     """Two-term Chebyshev acceleration of the masked iteration.
 
     Uses the recursion lambda_n = (1 - rho^2 * lambda_{n-1} / 4)^-1 with
-    rho = (B - A)/(B + A). The frame bounds (A, B) must satisfy
-    0 < A <= B; when absent they are measured from the masked operator.
-    Same fixed point and stopping rule as iterative_reconstruct.
+    rho = (B - A)/(B + A), the frame bounds (A, B) measured from the masked
+    operator by estimate_frame_bounds. Same fixed point and stopping rule
+    as iterative_reconstruct.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if frame_bounds is not None:
-        bound_a, bound_b = frame_bounds
-        if bound_a <= 0 or bound_b < bound_a:
-            raise ValueError("frame bounds must satisfy 0 < A <= B")
-    x_obs, smask, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
-    if frame_bounds is None:
-        bound_a, bound_b = estimate_frame_bounds(sample_mask, sparsity_mask)
+    x_obs, smask, apply_ps, b = _masked_system(observed, sample_times, freq_support)
+    bound_a, bound_b = estimate_frame_bounds(sample_times, freq_support)
     rho = (bound_b - bound_a) / (bound_b + bound_a)
     gain = 2.0 / (bound_a + bound_b)
 
@@ -245,13 +225,13 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
     return x, report._finish()
 
 
-def cg_accelerate(observed, sample_mask, sparsity_mask, max_iters=500, eps=1e-10,
+def cg_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10,
                   reference=None):
     """Conjugate-gradient solve of the masked reconstruction problem; eps
     must be positive."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    _, _, apply_ps, b = _masked_system(observed, sample_mask, sparsity_mask)
+    _, _, apply_ps, b = _masked_system(observed, sample_times, freq_support)
     return conjugate_gradient(apply_ps, b, max_iters=max_iters, eps=eps, reference=reference)
 
 
@@ -273,11 +253,11 @@ def _from_sparse_domain(coeffs, transform):
     return scipy.fft.idct(coeffs, norm="ortho")
 
 
-def imat(observed, sample_mask, transform="dft", alpha=0.3, max_iters=100, relax=1.0,
+def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, relax=1.0,
          eps=1e-12, refine_support=False, reference=None):
     """Iterative method with adaptive hard thresholding, support unknown.
 
-    Alternates relax-weighted replacement of the known time samples with
+    Alternates relax-weighted replacement of the samples at sample_times with
     hard thresholding of the transform at the decaying level
     beta*exp(-alpha*i), i = 1, 2, ..., max_iters, with alpha positive.
     beta is the peak magnitude of the first density-compensated transform
@@ -293,19 +273,15 @@ def imat(observed, sample_mask, transform="dft", alpha=0.3, max_iters=100, relax
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x_obs = as_values(observed)
+    x_obs, smask = _retained_samples(observed, sample_times)
     n = x_obs.size
-    if sample_mask.n != n:
-        raise ValueError("mask ambient length must match the signal")
-    smask = sample_mask.bool_mask()
-    x_obs = read_samples(x_obs, ~smask)
     if transform == "dct":
         x_obs = x_obs.real.astype(np.float64)
 
     report = SolverReport(solver="imat")
     record_snr = _snr_recorder(report, reference)
 
-    m = int(smask.sum())
+    m = len(sample_times)
     gain = relax * n / m  # density-compensated sample replacement
     cap = max(1, m // 2)
     first = _to_sparse_domain(np.where(smask, x_obs, 0.0) * (n / m), transform)
@@ -352,7 +328,7 @@ def imat(observed, sample_mask, transform="dft", alpha=0.3, max_iters=100, relax
 
     support = SupportSet(detected_support(coeffs), n)
 
-    if refine_support and len(support) > 0 and len(support) <= smask.sum():
+    if refine_support and len(support) > 0 and len(support) <= m:
         x = _least_squares_on_support(x_obs, smask, support, transform)
         report.flags.append("least-squares polish on detected support")
 

@@ -24,7 +24,6 @@ class SparseProblem:
 
     mixing: np.ndarray
     observation: np.ndarray
-    noise_level: float = 0.0
     true_source: np.ndarray = None
 
     def __post_init__(self):
@@ -57,21 +56,29 @@ def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
 
     Selection correlates against unit-normalized columns even when the
     mixing matrix is not normalized; reported amplitudes stay in the
-    original column scale.
+    original column scale. The loop stops once k_max distinct atoms
+    (default min(m, n); more than n raises ValueError) are chosen, once the
+    residual meets residual_tol, or, flagged and not converged, at a step
+    that does not lower the residual: on an inconsistent system the argmax
+    keeps re-picking chosen atoms and the distinct count stops growing.
     """
     a, x = problem.mixing, problem.observation
     m, n = a.shape
-    k_max = k_max if k_max is not None else m
+    if k_max is None:
+        k_max = min(m, n)
+    elif k_max > n:
+        raise ValueError(f"k_max={k_max} exceeds the {n} atoms")
     norms = np.linalg.norm(a, axis=0)
     unit = a / norms
 
     report = SolverReport(solver="omp" if orthogonal else "mp")
     s = np.zeros(n)
     residual = x.copy()
+    residual_norm = float(np.linalg.norm(residual))
     chosen = []
     x_scale = max(float(np.linalg.norm(x)), 1e-300)
     while len(set(chosen)) < k_max:
-        if np.linalg.norm(residual) <= residual_tol * x_scale:
+        if residual_norm <= residual_tol * x_scale:
             report.converged = True
             break
         correlations = unit.T @ residual
@@ -85,10 +92,14 @@ def matching_pursuit(problem, k_max=None, residual_tol=1e-10, orthogonal=False):
         else:
             s[atom] += correlations[atom] / norms[atom]
         residual = x - a @ s
+        previous, residual_norm = residual_norm, float(np.linalg.norm(residual))
         report.iterations += 1
-        report.residuals.append(float(np.linalg.norm(residual)))
+        report.residuals.append(residual_norm)
+        if residual_norm >= previous:
+            report.flags.append("residual did not decrease: stopped")
+            break
     else:
-        report.converged = report.residuals[-1] <= residual_tol * x_scale
+        report.converged = residual_norm <= residual_tol * x_scale
     return s, report._finish()
 
 
@@ -265,24 +276,35 @@ def verify_reduced_costs(cost, eq_matrix, basis, tol=1e-9):
     return float(reduced.min()) >= -tol
 
 
+BP_RESCALE_EXPONENT = 8  # binary exponent of max|A| or max|x| beyond which BP rescales
+
+
 def basis_pursuit(problem):
     """min ||s||_1 s.t. A s = x through the standard-form LP.
 
     Splits s into positive and negative parts (2n variables, all-ones
     cost, [A, -A] constraints) and solves with the in-module simplex; the
     no-negative-reduced-costs certificate is re-verified independently
-    after termination.
+    after termination. The simplex tolerances are absolute, so when the
+    binary exponent e of max|A| or f of max|x| exceeds BP_RESCALE_EXPONENT
+    in magnitude the LP is solved for A 2^-e and x 2^-f, and its solution
+    scaled back by 2^(f - e). Division by a power of two is exact and
+    leaves the minimizer unchanged.
     """
     a, x = problem.mixing, problem.observation
     m, n = a.shape
     report = SolverReport(solver="bp")
 
-    eq = np.hstack([a, -a])
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    f = int(np.frexp(np.max(np.abs(x)))[1])
+    if max(abs(e), abs(f)) <= BP_RESCALE_EXPONENT:
+        e = f = 0
+    eq = np.ldexp(np.hstack([a, -a]), -e)
     cost = np.ones(2 * n)
-    solution, _, basis, pivots = simplex_solve(cost, eq, x)
+    solution, _, basis, pivots = simplex_solve(cost, eq, np.ldexp(x, -f))
     if not verify_reduced_costs(cost, eq, basis):
         report.flags.append("optimality certificate failed")
-    s = solution[:n] - solution[n:]
+    s = np.ldexp(solution[:n] - solution[n:], f - e)
     feasibility = float(np.linalg.norm(a @ s - x))
     if feasibility > 1e-8 * max(1.0, float(np.linalg.norm(x))):
         report.flags.append(f"constraint residual {feasibility:.3e}")
@@ -532,8 +554,7 @@ def bernoulli_gaussian_problem(m, n, rng, p=0.1, sigma_on=1.0, sigma_off=0.01,
     s = np.where(active, sigma_on * rng.standard_normal(n),
                  sigma_off * rng.standard_normal(n))
     x = a @ s + sigma_noise * rng.standard_normal(m)
-    return SparseProblem(mixing=a, observation=x, noise_level=sigma_noise,
-                         true_source=s)
+    return SparseProblem(mixing=a, observation=x, true_source=s)
 
 
 def ksubspace_fit(data, l, k, initial_partition=None, max_iters=100):

@@ -109,7 +109,7 @@ class TestCriterion3Imat:
         for seed in range(100):
             rng = RandomSource(9300, stream=seed + 1)
             x, observed, smask = _sparse_time_instance(n, k, m, rng)
-            times = np.flatnonzero(smask.bool_mask())
+            times = smask.indices
             residuals = {}
             for combo in itertools.combinations(range(n), k):
                 basis = np.exp(2j * np.pi * np.outer(times, combo) / n) / math.sqrt(n)
@@ -150,8 +150,8 @@ class TestCriterion4Acceleration:
             times = np.sort(rng.choice(n, size=m, replace=False))
             observed = np.zeros(n, dtype=complex)
             observed[times] = x[times]
-            smask = sampling.MaskSpec("time-sample", SupportSet(times, n))
-            fmask = sampling.MaskSpec("frequency-support", SupportSet(band, n))
+            smask = SupportSet(times, n)
+            fmask = SupportSet(band, n)
 
             _, plain = sampling.iterative_reconstruct(observed, smask, fmask, max_iters=4000,
                                                       eps=1e-300, reference=x)
@@ -196,8 +196,8 @@ def _well_conditioned_instance(n, k, m, rng):
     times = np.sort(rng.choice(n, size=m, replace=False))
     observed = np.zeros(n, dtype=complex)
     observed[times] = x[times]
-    smask = sampling.MaskSpec("time-sample", SupportSet(times, n))
-    fmask = sampling.MaskSpec("frequency-support", SupportSet(freq_idx, n))
+    smask = SupportSet(times, n)
+    fmask = SupportSet(freq_idx, n)
     return x, observed, smask, fmask
 
 

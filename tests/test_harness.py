@@ -229,3 +229,40 @@ def test_every_public_parameter_is_read(module_name):
     unread = [f"{name}({param})" for name, node in _public_functions(tree)
               for param in _unread_parameters(node)]
     assert unread == []
+
+
+def _loaded_names(path):
+    """Every name a source file loads: plain names, attributes and the
+    names it imports from modules."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_function_is_used():
+    """A public function or method (dunders aside) that no file in src/ or
+    tests/ loads, as a name, an attribute or an import, is dead code.
+
+    Uses are matched by bare name, so a dead function that shares its name
+    with a live one passes: this is a lower bound on the dead code.
+    """
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    files = [os.path.join(folder, name)
+             for top in ("src", "tests")
+             for folder, _, names in os.walk(os.path.join(root, top))
+             for name in names if name.endswith(".py")]
+    loaded = set().union(*map(_loaded_names, files))
+    unused = []
+    for module in pkgutil.iter_modules(sparsekit.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"sparsekit.{module.name}")))
+        unused += [f"{module.name}.{name}" for name, node in _public_functions(tree)
+                   if not node.name.startswith("__") and node.name not in loaded]
+    assert unused == []

@@ -91,8 +91,56 @@ class TestMatchingPursuit:
             mismatch += not np.allclose(s_mp, s_omp, atol=1e-8)
         assert mismatch > 0
 
+    @pytest.mark.parametrize("orthogonal", [False, True], ids=["mp", "omp"])
+    def test_a_step_that_does_not_lower_the_residual_stops(self, orthogonal):
+        # every column is the same atom, so after the first step the residual
+        # is orthogonal to all of them and the argmax only re-picks atom 0
+        problem = SparseProblem(np.ones((8, 16)), np.arange(8.0))
+        s, report = matching_pursuit(problem, orthogonal=orthogonal)
+        assert report.flags == ["residual did not decrease: stopped"]
+        assert not report.converged
+        assert report.residuals[-1] >= report.residuals[-2]
+        assert np.allclose(problem.mixing @ s, 3.5)
+
+    def test_omp_on_a_tall_matrix_ends_at_the_least_squares_fit(self):
+        rng = RandomSource(95)
+        a = rng.standard_normal((16, 8))
+        x = rng.standard_normal(16)
+        s, report = matching_pursuit(SparseProblem(a, x), orthogonal=True)
+        assert report.iterations == 8 and not report.converged
+        assert np.max(np.abs(s - np.linalg.lstsq(a, x, rcond=None)[0])) < 1e-10
+
+    def test_k_max_beyond_the_atom_count_rejected(self):
+        problem = SparseProblem(RandomSource(95).standard_normal((16, 8)), np.ones(16))
+        with pytest.raises(ValueError, match="k_max"):
+            matching_pursuit(problem, k_max=9)
+
+
+def bp_probe_problems():
+    """20 consistent 8 x 16 systems with 3-sparse sources."""
+    problems = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((8, 16))
+        s = np.zeros(16)
+        s[rng.choice(16, size=3, replace=False)] = rng.standard_normal(3)
+        problems.append((a, a @ s))
+    return problems
+
 
 class TestBasisPursuit:
+    @pytest.mark.parametrize("scale_a,scale_x", [
+        (1e3, 1e3), (1e4, 1e4), (1e5, 1e5), (1e6, 1e6), (1e6, 1.0), (1e-12, 1e-12)])
+    def test_estimate_does_not_depend_on_the_scale(self, scale_a, scale_x):
+        # the simplex tolerances are absolute; A s = x scaled as A c_a, x c_x
+        # has the minimizer s c_x / c_a
+        for a, x in bp_probe_problems():
+            s_unit, _ = basis_pursuit(SparseProblem(a, x))
+            s, report = basis_pursuit(SparseProblem(scale_a * a, scale_x * x))
+            assert report.converged
+            expected = s_unit * (scale_x / scale_a)
+            assert np.max(np.abs(s - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_square_invertible(self):
         rng = RandomSource(94)
         a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
