@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import NumericError, write_csv
+from .core import NumericError, write_csv, _stack_row
 from .spectral import CovarianceEstimate
 
 
@@ -26,6 +26,11 @@ class UlaScenario:
     source_cov: np.ndarray  # k x k PSD
     noise_var: float
     snapshots: int
+    # set once here, read by every simulate_snapshots call: the n x k steering
+    # matrix and the Cholesky factor of source_cov (ridged by 1e-15 of its trace)
+    steering: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    source_chol: np.ndarray = dataclasses.field(init=False, repr=False, compare=False,
+                                                default=None)
 
     def __post_init__(self):
         doas = np.atleast_1d(np.asarray(self.doas, dtype=np.float64))
@@ -44,18 +49,22 @@ class UlaScenario:
             raise ValueError("noise variance must be non-negative")
         object.__setattr__(self, "doas", doas)
         object.__setattr__(self, "source_cov", cov)
+        # a(phi)_j = exp(2pi j * (d/lambda) * j * sin(phi)), one column per source
+        sensors = np.arange(self.sensors)[:, None]
+        object.__setattr__(self, "steering",
+                           np.exp(2j * np.pi * self.spacing * sensors * np.sin(doas)[None, :]))
+        if np.any(cov):  # an all-zero source covariance is its own factor
+            object.__setattr__(self, "source_chol", np.linalg.cholesky(
+                cov + 1e-15 * np.trace(cov).real * np.eye(doas.size)))
+        elif doas.size:
+            object.__setattr__(self, "source_chol", cov)
 
     @property
     def k(self):
         return self.doas.size
 
-    def steering_matrix(self):
-        """a(phi)_j = exp(2pi j * (d/lambda) * j * sin(phi)), columns per source."""
-        sensors = np.arange(self.sensors)[:, None]
-        return np.exp(2j * np.pi * self.spacing * sensors * np.sin(self.doas)[None, :])
-
     def theory_covariance(self):
-        a = self.steering_matrix()
+        a = self.steering
         r = a @ self.source_cov @ a.conj().T + self.noise_var * np.eye(self.sensors)
         return CovarianceEstimate(matrix=r, snapshots=self.snapshots)
 
@@ -66,27 +75,49 @@ def simulate_snapshots(scenario, rng):
     noise = rng.complex_normal((n, m), scale=math.sqrt(scenario.noise_var))
     if k == 0:
         return noise
-    chol = np.linalg.cholesky(
-        scenario.source_cov + 1e-15 * np.trace(scenario.source_cov).real * np.eye(k)
-    )
-    sources = chol @ rng.complex_normal((k, m))
-    return scenario.steering_matrix() @ sources + noise
+    sources = scenario.source_chol @ rng.complex_normal((k, m))
+    return scenario.steering @ sources + noise
 
 
-def snapshot_covariance(snapshots):
+def _hermitian_product(snapshots):
+    """(x x^H / m, symmetrized, and m) of one n x m snapshot matrix."""
     x = np.asarray(snapshots)
     m = x.shape[1]
     r = (x @ x.conj().T) / m
-    return CovarianceEstimate(matrix=0.5 * (r + r.conj().T), snapshots=m)
+    return 0.5 * (r + r.conj().T), m
+
+
+def snapshot_covariance(snapshots):
+    """Covariance estimate x x^H / m of an n x m snapshot array x.
+
+    snapshots may instead be an iterable of T such arrays (a generator, say)
+    with one snapshot count: each product is formed as its array is read,
+    and the (T, n, n) stack of products is estimated at once, so the
+    snapshot arrays are never held together.
+    """
+    if isinstance(snapshots, np.ndarray) and snapshots.ndim == 2:
+        matrix, m = _hermitian_product(snapshots)
+        return CovarianceEstimate(matrix=matrix, snapshots=m)
+    matrices, counts = zip(*map(_hermitian_product, snapshots))
+    if len(set(counts)) != 1:
+        raise ValueError("stacked snapshot arrays must share their snapshot count")
+    return CovarianceEstimate(matrix=np.array(matrices), snapshots=counts[0])
 
 
 @dataclasses.dataclass(frozen=True)
 class MdlReport:
-    estimated_k: int
-    criteria: np.ndarray  # value per candidate k = 0..n-1
-    free_params: np.ndarray  # kappa(k) per candidate
+    """estimated_k is an int and criteria an (n,) array per candidate k =
+    0..n-1; for a stack of T covariances they gain a leading T axis. The
+    free-parameter counts kappa(k) depend on n alone."""
+
+    estimated_k: object  # int, or (T,) ints
+    criteria: np.ndarray
+    free_params: np.ndarray
 
     def to_csv(self, path):
+        """One row per candidate k; a single covariance's report only."""
+        if self.criteria.ndim != 1:
+            raise ValueError("to_csv writes the report of a single covariance")
         write_csv(path, ["k", "criterion", "kappa"],
                   zip(range(self.criteria.size), self.criteria, self.free_params))
 
@@ -102,40 +133,49 @@ def mdl_enumerate(covariance):
     Criterion: m (n-k) log(arith/geom mean of the n-k smallest eigenvalues)
     plus half the free-parameter count times log m, the constant '+1'
     dropped. The maximum-likelihood trace identity tr(R_ML^-1 R_hat) = n is
-    recomputed as an internal self-test at the winning k.
+    recomputed as an internal self-test at the winning k. A stacked
+    covariance (see CovarianceEstimate) is enumerated matrix by matrix, each
+    row equal to its own enumeration; a failing self-test names its row.
     """
-    r = covariance.matrix
     n = covariance.dimension
     m = covariance.snapshots
     if m < 2:
         raise ValueError("need the snapshot count recorded in the covariance")
     eigvals = np.clip(covariance.eigvals, 1e-300, None)
 
-    criteria = np.empty(n)
+    ariths = np.empty(eigvals.shape)
+    criteria = np.empty(eigvals.shape)
     kappas = np.empty(n, dtype=int)
     for k in range(n):
-        tail = eigvals[k:]
-        arith = float(np.mean(tail))
-        geom = float(np.exp(np.mean(np.log(tail))))
-        sphericity = m * (n - k) * math.log(max(arith / geom, 1.0))
+        tail = eigvals[..., k:]
+        ariths[..., k] = np.mean(tail, axis=-1)
+        geom = np.exp(np.mean(np.log(tail), axis=-1))
+        ratio = np.maximum(ariths[..., k] / geom, 1.0)
+        # math.log, not np.log: the two can differ in the last bit
+        log_ratio = np.reshape([math.log(value) for value in ratio.flat], ratio.shape)
         kappa = free_parameter_count(n, k) - 1
         kappas[k] = kappa
-        criteria[k] = sphericity + 0.5 * kappa * math.log(m)
-    k_hat = int(np.argmin(criteria))
+        criteria[..., k] = m * (n - k) * log_ratio + 0.5 * kappa * math.log(m)
+    k_hat = np.argmin(criteria, axis=-1)
 
-    _check_ml_trace_identity(eigvals, covariance.eigvecs, r, k_hat)
-    return MdlReport(estimated_k=k_hat, criteria=criteria, free_params=kappas)
+    _check_ml_trace_identity(eigvals, covariance.eigvecs, covariance.matrix, k_hat,
+                             np.take_along_axis(ariths, k_hat[..., None], axis=-1))
+    estimated_k = int(k_hat) if k_hat.ndim == 0 else k_hat
+    return MdlReport(estimated_k=estimated_k, criteria=criteria, free_params=kappas)
 
 
-def _check_ml_trace_identity(eigvals, eigvecs, sample_cov, k):
-    """tr(R_ML^-1 R_hat) must equal the dimension exactly."""
-    n = eigvals.size
-    sigma2 = float(np.mean(eigvals[k:]))
-    inv_vals = np.concatenate([1.0 / eigvals[:k], np.full(n - k, 1.0 / sigma2)])
-    r_ml_inv = (eigvecs * inv_vals[None, :]) @ eigvecs.conj().T
-    value = float(np.trace(r_ml_inv @ sample_cov).real)
-    if abs(value - n) > 1e-8 * n:
-        raise NumericError(f"ML trace identity violated: {value} != {n}")
+def _check_ml_trace_identity(eigvals, eigvecs, sample_cov, k, sigma2):
+    """tr(R_ML^-1 R_hat) must equal the dimension exactly; R_ML keeps the k
+    largest eigenvalues and replaces the rest by their mean sigma2."""
+    n = eigvals.shape[-1]
+    signal = np.arange(n) < np.expand_dims(k, -1)
+    inv_vals = np.where(signal, 1.0 / eigvals, 1.0 / sigma2)
+    r_ml_inv = (eigvecs * inv_vals[..., None, :]) @ eigvecs.conj().swapaxes(-2, -1)
+    values = np.trace(r_ml_inv @ sample_cov, axis1=-2, axis2=-1).real
+    violated = np.abs(values - n) > 1e-8 * n
+    if np.any(violated):
+        value = values[np.flatnonzero(violated)[0]] if violated.ndim else values
+        raise NumericError(f"ML trace identity violated{_stack_row(violated)}: {value} != {n}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -151,16 +151,21 @@ class SupportSet:
 def snr_db(reference, estimate):
     """10*log10(||ref||^2 / ||ref - est||^2); +inf when the error is zero,
     -inf when the estimate has overflowed to non-finite values."""
-    ref = as_values(reference)
-    return _snr_db(ref, as_values(estimate), float(np.sum(np.abs(ref) ** 2)))
-
-
-def _snr_db(ref, est, ref_energy):
-    """snr_db of two value arrays, given ref_energy = ||ref||^2."""
+    ref, est = as_values(reference), as_values(estimate)
     if ref.shape != est.shape:
         raise ValueError("reference and estimate lengths differ")
+    return _snr_db(float(np.sum(np.abs(ref) ** 2)), _squared_errors(ref, est))
+
+
+def _squared_errors(ref, est):
+    """||ref - est||^2 along the last axis: one row sum per row, each equal to
+    the 1-D sum of that row."""
     with np.errstate(over="ignore", invalid="ignore"):
-        err = float((np.abs(ref - est) ** 2).sum())  # np.sum's reduction, minus its dispatch
+        return (np.abs(ref - est) ** 2).sum(axis=-1)  # np.sum's reduction, minus its dispatch
+
+
+def _snr_db(ref_energy, err):
+    """snr_db from ref_energy = ||ref||^2 and err = ||ref - est||^2."""
     if err == 0.0:
         return math.inf
     if not math.isfinite(err):
@@ -281,22 +286,32 @@ def pseudo_inverse_solve(matrix, rhs):
     return vh[keep].conj().T @ coeff
 
 
+def _stack_row(failing):
+    """'' for the 0-d check of one matrix; for a stack's per-row check,
+    ' in stack row j', j the first failing row."""
+    return f" in stack row {np.flatnonzero(failing)[0]}" if np.ndim(failing) else ""
+
+
 def hermitian_eig(matrix):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input is symmetrized internally; it must be Hermitian to 1e-10
-    relative to its norm.
+    relative to its norm. A (T, n, n) stack is decomposed matrix by matrix,
+    each checked on its own, into (T, n) eigenvalues and (T, n, n)
+    eigenvectors; the error names the first failing row.
     """
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if np.max(np.abs(a - a.conj().T)) > 1e-10 * scale:
-        raise ValueError("matrix is not Hermitian to 1e-10")
-    sym = 0.5 * (a + a.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    order = np.argsort(eigvals)[::-1]
-    return eigvals[order].real, eigvecs[:, order]
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ValueError("matrix must be square, or a stack of square matrices")
+    adjoint = a.conj().swapaxes(-2, -1)
+    scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    skewed = np.max(np.abs(a - adjoint), axis=(-2, -1)) > 1e-10 * scale
+    if np.any(skewed):
+        raise ValueError(f"matrix is not Hermitian to 1e-10{_stack_row(skewed)}")
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (a + adjoint))
+    order = np.argsort(eigvals, axis=-1)[..., ::-1]
+    return (np.take_along_axis(eigvals, order, axis=-1),
+            np.take_along_axis(eigvecs, order[..., None, :], axis=-1))
 
 
 def polynomial_roots(coefficients):

@@ -89,8 +89,22 @@ def run_fig4(params, seed, trials):
     return {"fig4.csv": (["iteration", "plain_snr_db", "chebyshev_snr_db", "cg_snr_db"], rows)}
 
 
+_STACK_BYTES = 128 * 1024  # one (rows, n) complex imat stack stays within this
+
+
+def _stack_chunks(trials, n):
+    """Consecutive trial ranges of at most _STACK_BYTES // (16 n) trials (at
+    least one), each one imat stack: fig6's 60-row stack at n=256 raised the
+    peak RSS by 6%, and a bounded chunk caps the stack's working set."""
+    rows = max(1, _STACK_BYTES // (16 * n))
+    return [range(start, min(start + rows, trials)) for start in range(0, trials, rows)]
+
+
 def run_fig6(params, seed, trials):
-    """IMAT SNR vs iteration at several sampling rates over the sparsity count."""
+    """IMAT SNR vs iteration at several sampling rates over the sparsity count.
+
+    The trials of one rate draw from their own streams, in order, and are
+    solved in stacks (see _stack_chunks)."""
     n, k = params["n"], params["k"]
     iters = params["iterations"]
     factors = params["rate_factors"]
@@ -98,12 +112,14 @@ def run_fig6(params, seed, trials):
     for factor in factors:
         m = int(factor * k)
         traces = []
-        for t in range(trials):
-            rng = RandomSource(seed, stream=1000 * factor + t)
-            x, observed, times = _sparse_time_instance(n, k, m, rng)
-            _, _, rep = sampling.imat(observed, times, alpha=params["alpha"], max_iters=iters,
-                                      eps=1e-300, reference=x)
-            traces.append(rep.snrs)
+        for chunk in _stack_chunks(trials, n):
+            signals, observed, times = zip(*(
+                _sparse_time_instance(n, k, m, RandomSource(seed, stream=1000 * factor + t))
+                for t in chunk
+            ))
+            _, _, reports = sampling.imat(observed, times, alpha=params["alpha"],
+                                          max_iters=iters, eps=1e-300, reference=signals)
+            traces.extend(rep.snrs for rep in reports)
         columns[factor] = _median_trace(traces, iters)
     header = ["iteration"] + [f"snr_db_rate_{f}x" for f in factors]
     rows = [
@@ -114,13 +130,22 @@ def run_fig6(params, seed, trials):
 
 def fig7_recovered(n, k, m, rng):
     """One trial of the sparse-recovery success experiment (100 dB criterion)."""
-    x, observed, times = _sparse_time_instance(n, k, m, rng)
-    est, _, _ = sampling.imat(observed, times, alpha=0.1, max_iters=300, refine_support=True)
-    return snr_db(x, est) >= 100.0
+    return _fig7_wins(n, k, m, [rng]) == 1
+
+
+def _fig7_wins(n, k, m, streams):
+    """Trials of the recovery experiment that succeed, one per stream,
+    solved as one imat stack."""
+    signals, observed, times = zip(*(_sparse_time_instance(n, k, m, rng) for rng in streams))
+    estimates, _, _ = sampling.imat(observed, times, alpha=0.1, max_iters=300,
+                                    refine_support=True)
+    return sum(snr_db(x, est) >= 100.0 for x, est in zip(signals, estimates))
 
 
 def run_fig7(params, seed, trials):
-    """Minimal sample count for 80% perfect recovery vs sparsity."""
+    """Minimal sample count for 80% perfect recovery vs sparsity.
+
+    The trials of one sample count are solved in stacks (see _stack_chunks)."""
     n = params["n"]
     rows = []
     for k in params["k_values"]:
@@ -130,8 +155,9 @@ def run_fig7(params, seed, trials):
         found = None
         while m <= n:
             wins = sum(
-                fig7_recovered(n, k, m, RandomSource(seed, stream=7_000_000 + 1000 * k + 17 * m + t))
-                for t in range(trials)
+                _fig7_wins(n, k, m, (RandomSource(seed, stream=7_000_000 + 1000 * k + 17 * m + t)
+                                     for t in chunk))
+                for chunk in _stack_chunks(trials, n)
             )
             if wins >= math.ceil(0.8 * trials):
                 found = m
@@ -296,26 +322,28 @@ def run_fig18(params, seed, trials):
 
 
 def run_fig20(params, seed, trials):
-    """MDL source-count detection rates across SNR."""
+    """MDL source-count detection rates across SNR.
+
+    One scenario per SNR; each trial's covariance is formed from its own
+    stream's snapshots as they are drawn, and the SNR's covariances are
+    enumerated as one stack."""
     from . import arrays
 
     n, k, m = params["sensors"], params["sources"], params["snapshots"]
     rows = []
     for snr in params["snr_grid_db"]:
-        under = correct = over = 0
-        for t in range(trials):
-            rng = RandomSource(seed, stream=int(snr) * 1000 + t + 100000)
-            scenario = arrays.UlaScenario(
-                sensors=n, spacing=0.5,
-                doas=np.array(params["doas"]),
-                source_cov=10 ** (snr / 10.0) * np.eye(k),
-                noise_var=1.0, snapshots=m,
-            )
-            x = arrays.simulate_snapshots(scenario, rng)
-            k_hat = arrays.mdl_enumerate(arrays.snapshot_covariance(x)).estimated_k
-            under += k_hat < k
-            correct += k_hat == k
-            over += k_hat > k
+        scenario = arrays.UlaScenario(
+            sensors=n, spacing=0.5,
+            doas=np.array(params["doas"]),
+            source_cov=10 ** (snr / 10.0) * np.eye(k),
+            noise_var=1.0, snapshots=m,
+        )
+        streams = (RandomSource(seed, stream=int(snr) * 1000 + t + 100000) for t in range(trials))
+        covariance = arrays.snapshot_covariance(
+            arrays.simulate_snapshots(scenario, rng) for rng in streams
+        )
+        k_hat = arrays.mdl_enumerate(covariance).estimated_k
+        under, correct, over = (int(np.sum(hits)) for hits in (k_hat < k, k_hat == k, k_hat > k))
         rows.append((snr, under / trials, correct / trials, over / trials))
     return {
         "fig20.csv": (["snr_db", "rate_under", "rate_correct", "rate_over"], rows)

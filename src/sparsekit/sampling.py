@@ -20,16 +20,19 @@ from .core import (
     polynomial_roots,
     read_samples,
     _snr_db,
+    _squared_errors,
 )
 
 
 def _retained_samples(observed, sample_times):
     """The observed vector with its erased samples read as zero, and the
-    boolean mask of the retained sample_times. A non-finite retained sample
-    raises ValueError."""
+    boolean mask of the retained sample_times. A non-finite retained sample,
+    or no retained sample at all, raises ValueError."""
     x_obs = as_values(observed)
     if sample_times.n != x_obs.size:
         raise ValueError("ambient lengths must match the signal length")
+    if len(sample_times) == 0:
+        raise ValueError("need at least one retained sample")
     smask = sample_times.mask()
     return read_samples(x_obs, ~smask), smask
 
@@ -63,17 +66,26 @@ def _masked_system(observed, sample_times, freq_support):
     return x_obs, smask, apply_ps, apply_ps(x_obs)
 
 
-def _snr_recorder(report, reference):
-    """A callable that appends the SNR of an estimate against reference to
-    report.snrs, or does nothing without a reference. ||ref||^2 is summed
-    once per solve, by snr_db's expression, so each SNR equals snr_db's."""
-    if reference is None:
-        return lambda estimate: None
-    ref = as_values(reference)
-    energy = float(np.sum(np.abs(ref) ** 2))
+def _snr_recorder(reports, references):
+    """A callable record(estimates, rows) that appends, for each row i of
+    estimates, its SNR against references[rows[i]] to reports[rows[i]].snrs,
+    or does nothing without references. Without rows, estimates is the one
+    report's 1-D estimate. ||ref||^2 is summed once per solve and each error
+    by its row sum, both by snr_db's expressions, so each SNR equals snr_db's."""
+    if references is None:
+        return lambda estimates, rows=None: None
+    refs = np.array([as_values(ref) for ref in references])
+    energies = [float(np.sum(np.abs(ref) ** 2)) for ref in refs]
 
-    def record(estimate):
-        report.snrs.append(_snr_db(ref, as_values(estimate), energy))
+    def record(estimates, rows=None):
+        if refs.shape[-1] != estimates.shape[-1]:
+            raise ValueError("reference and estimate lengths differ")
+        if rows is None:
+            rows, errors = (0,), [float(_squared_errors(refs[0], estimates))]
+        else:
+            errors = _squared_errors(refs[rows], estimates).tolist()
+        for row, error in zip(rows, errors):
+            reports[row].snrs.append(_snr_db(energies[row], error))
 
     return record
 
@@ -113,7 +125,7 @@ def iterative_reconstruct(observed, sample_times, freq_support, max_iters=500, r
     x_obs, smask, apply_ps, b = _masked_system(observed, sample_times, freq_support)
 
     report = SolverReport(solver="iterative")
-    record_snr = _snr_recorder(report, reference)
+    record_snr = _snr_recorder([report], None if reference is None else [reference])
     x = np.zeros(x_obs.size, dtype=np.complex128)
     diverged = False
     grow_streak = 0
@@ -157,7 +169,7 @@ def chebyshev_accelerate(observed, sample_times, freq_support, max_iters=500, ep
     gain = 2.0 / (bound_a + bound_b)
 
     report = SolverReport(solver="chebyshev")
-    record_snr = _snr_recorder(report, reference)
+    record_snr = _snr_recorder([report], None if reference is None else [reference])
     lam = 2.0
     x_prev = np.zeros(x_obs.size, dtype=np.complex128)
     x_cur = gain * b
@@ -197,7 +209,7 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
     r = rhs.copy()
     p = rhs.copy()
     report = SolverReport(solver="cg")
-    record_snr = _snr_recorder(report, reference)
+    record_snr = _snr_recorder([report], None if reference is None else [reference])
     with np.errstate(over="ignore", invalid="ignore"):
         residual = rhs_scale = residual_norm(rhs)
         for _ in range(max_iters):
@@ -236,9 +248,9 @@ def cg_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10
 
 
 def _to_sparse_domain(z, transform):
-    n = z.size
+    """Forward transform along the last axis."""
     if transform == "dft":
-        return np.fft.fft(z) / math.sqrt(n)
+        return np.fft.fft(z) / math.sqrt(z.shape[-1])
     if transform == "dct":
         import scipy.fft  # lazy: scipy brings a second BLAS, and only the DCT needs it
         return scipy.fft.dct(z, norm="ortho")
@@ -251,6 +263,27 @@ def _from_sparse_domain(coeffs, transform):
         return np.fft.ifft(coeffs) * math.sqrt(coeffs.shape[-1])
     import scipy.fft
     return scipy.fft.idct(coeffs, norm="ortho")
+
+
+def _retained_groups(smask, values):
+    """The rows of a (R, n) sample mask grouped by retained-sample count. Per
+    count: the rows, the flat indices of their retained entries in a (R, n)
+    array, one row of indices per row, and values at those entries."""
+    counts = smask.sum(axis=1)
+    groups = []
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        flat = (rows[:, None] * smask.shape[1]
+                + np.nonzero(smask[rows])[1].reshape(rows.size, count))
+        groups.append((rows, flat, np.take(values, flat)))
+    return groups
+
+
+def _row_norms(v):
+    """np.linalg.norm of each row of v, bit for bit: the squares of each
+    real part are summed by one BLAS dot per row, as the 1-D norm sums them."""
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    return np.sqrt(sum(np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0] for p in parts))
 
 
 def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, relax=1.0,
@@ -269,70 +302,124 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
     refine_support then re-solves the detected support by least squares.
     Returns the reconstructed signal, the detected transform support, and
     the iteration report. Non-convergence is reported via flags, never
-    raised; a non-finite retained sample raises ValueError.
+    raised; a non-finite retained sample, or none at all, raises ValueError.
+
+    observed may also be a (T, n) stack with a list of T sample_times, and
+    reference then a (T, n) stack. Each row keeps its own threshold level,
+    best iterate, grow streak and stopping rule, and a row that stops is
+    frozen, so every row equals its own solve bit for bit. The call then
+    returns a (T, n) array of signals, a list of T supports and a list of T
+    reports; every report's wall_time spans the whole stack.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x_obs, smask = _retained_samples(observed, sample_times)
-    n = x_obs.size
+    stacked = np.ndim(getattr(observed, "values", observed)) == 2
+    if not stacked:
+        observed, sample_times = [observed], [sample_times]
+        reference = None if reference is None else [reference]
+    if len(sample_times) != len(observed):
+        raise ValueError("a stack needs one sample_times per row")
+    x_obs, smask = (np.array(parts) for parts in
+                    zip(*map(_retained_samples, observed, sample_times)))
     if transform == "dct":
         x_obs = x_obs.real.astype(np.float64)
+    n = x_obs.shape[1]
+    m = np.array([len(times) for times in sample_times])
 
-    report = SolverReport(solver="imat")
-    record_snr = _snr_recorder(report, reference)
+    reports = [SolverReport(solver="imat") for _ in x_obs]
+    record_snr = _snr_recorder(reports, reference)
+    groups = _retained_groups(smask, x_obs)
+    tol = np.empty(len(reports))
+    for rows, _, retained in groups:
+        tol[rows] = eps * np.maximum(1.0, _row_norms(retained))
+    gain = (relax * n / m)[:, None]  # density-compensated sample replacement
+    cap = np.maximum(1, m // 2)
+    coeffs = _to_sparse_domain(np.where(smask, x_obs, 0.0) * (n / m)[:, None], transform)
+    beta = np.maximum(np.max(np.abs(coeffs), axis=1), 1e-30)[:, None]
+    coeffs.fill(0.0)  # the coefficients before the first pass
 
-    m = len(sample_times)
-    gain = relax * n / m  # density-compensated sample replacement
-    cap = max(1, m // 2)
-    first = _to_sparse_domain(np.where(smask, x_obs, 0.0) * (n / m), transform)
-    beta = max(float(np.max(np.abs(first))), 1e-30)
-
+    # the work arrays hold the live rows only; live maps them to stack rows
+    live = np.arange(len(reports))
+    obs, mask = x_obs, smask
     x = np.zeros_like(x_obs)
-    coeffs = np.zeros_like(_to_sparse_domain(x, transform))
-    best = (math.inf, x, coeffs, 0)
-    grow_streak = 0
-    prev_resid = math.inf
+    finals = np.empty_like(coeffs)  # each row's coefficients when it stopped
+    best_resid = np.full(live.size, math.inf)
+    best_coeffs = coeffs.copy()
+    best_iter = np.zeros(live.size, dtype=int)
+    grow_streak = np.zeros(live.size, dtype=int)
+    prev_resid = np.full(live.size, math.inf)
     for i in range(1, max_iters + 1):
-        filled = x + gain * np.where(smask, x_obs - x, 0.0)
-        coeffs = _to_sparse_domain(filled, transform)
-        threshold = beta * math.exp(-alpha * i)
-        magnitudes = np.abs(coeffs)
-        keep = magnitudes > threshold
-        if keep.sum() > cap:
-            order = np.argsort(magnitudes)[::-1]
-            keep = np.zeros(n, dtype=bool)
-            keep[order[:cap]] = True
+        # x + gain * (...), computed in place: the stack's working set is
+        # what bounds its rows
+        coeffs = np.where(mask, obs - x, 0.0)
+        coeffs *= gain
+        coeffs += x
+        coeffs = _to_sparse_domain(coeffs, transform)
+        keep = np.abs(coeffs) > beta * math.exp(-alpha * i)
+        over = keep.sum(axis=1) > cap
+        if over.any():
+            order = np.argsort(np.abs(coeffs[over]), axis=1)[:, ::-1]
+            largest = np.empty(order.shape, dtype=bool)
+            largest[np.arange(order.shape[0])[:, None], order] = np.arange(n) < cap[over, None]
+            keep[over] = largest
         coeffs[~keep] = 0.0
         x = _from_sparse_domain(coeffs, transform)
-        resid = float(np.linalg.norm((x - x_obs)[smask]))
-        report.iterations += 1
-        report.residuals.append(resid)
-        record_snr(x)
-        grow_streak = grow_streak + 1 if resid > prev_resid else 0
+        resid = np.empty(live.size)
+        for rows, flat, retained in groups:
+            resid[rows] = _row_norms(np.take(x, flat) - retained)
+        for row, value in zip(live, resid.tolist()):
+            reports[row].iterations += 1
+            reports[row].residuals.append(value)
+        record_snr(x, live)
+        grow_streak = (grow_streak + 1) * (resid > prev_resid)
         prev_resid = resid
-        if resid < best[0]:
-            best = (resid, x, coeffs, report.iterations)
-        if resid < eps * max(1.0, float(np.linalg.norm(x_obs[smask]))):
-            report.converged = True
-            break
-        if grow_streak >= 3:
-            # divergence brake: the compensated gain can blow up once the
-            # threshold admits a wrong support; return the best iterate
+        better = resid < best_resid
+        if better.any():
+            best_resid = np.where(better, resid, best_resid)
+            best_iter[better] = i
+            np.copyto(best_coeffs, coeffs, where=better[:, None])
+        stopped = (resid < tol) | (grow_streak >= 3)
+        if not stopped.any():
+            continue
+        converged = resid < tol
+        # divergence brake: the compensated gain can blow up once the
+        # threshold admits a wrong support; such a row ends on its best iterate
+        braked = stopped & ~converged
+        for j in np.flatnonzero(converged):
+            reports[live[j]].converged = True
+        for j in np.flatnonzero(braked):
+            report, kept = reports[live[j]], int(best_iter[j])
             report.flags.append("residual grew for 3 iterations: kept best iterate")
-            _, x, coeffs, kept = best
             del report.residuals[kept:], report.snrs[kept:]
             report.iterations = kept
+        finals[live[converged]] = coeffs[converged]
+        finals[live[braked]] = best_coeffs[braked]
+        going = ~stopped
+        live, obs, mask, x, coeffs, tol, gain, cap, beta = (
+            part[going] for part in (live, obs, mask, x, coeffs, tol, gain, cap, beta))
+        best_resid, best_coeffs, best_iter, grow_streak, prev_resid = (
+            part[going] for part in (best_resid, best_coeffs, best_iter, grow_streak, prev_resid))
+        groups = _retained_groups(mask, obs)
+        if not live.size:
             break
-    else:
-        report.flags.append("max iterations reached without sample consistency")
+    for row in live:
+        reports[row].flags.append("max iterations reached without sample consistency")
+    finals[live] = coeffs
+    # a row's signal is the inverse transform of its final coefficients,
+    # bit for bit the iterate the loop computed from them
+    signals = _from_sparse_domain(finals, transform)
 
-    support = SupportSet(detected_support(coeffs), n)
-
-    if refine_support and len(support) > 0 and len(support) <= m:
-        x = _least_squares_on_support(x_obs, smask, support, transform)
-        report.flags.append("least-squares polish on detected support")
-
-    return x, support, report._finish()
+    supports = []
+    for row, report in enumerate(reports):
+        support = SupportSet(detected_support(finals[row]), n)
+        if refine_support and 0 < len(support) <= m[row]:
+            signals[row] = _least_squares_on_support(x_obs[row], smask[row], support, transform)
+            report.flags.append("least-squares polish on detected support")
+        supports.append(support)
+        report._finish()
+    if stacked:
+        return signals, supports, reports
+    return signals[0], supports[0], reports[0]
 
 
 def _least_squares_on_support(x_obs, smask, support, transform):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import as_values, hermitian_eig, polynomial_roots
+from .core import as_values, hermitian_eig, polynomial_roots, _stack_row
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,6 +88,9 @@ class CovarianceEstimate:
     The eigendecomposition is taken once, here: eigvals descending, eigvecs
     holding the matching unit eigenvectors as columns. The subspace
     estimators (Pisarenko, MUSIC, MDL) all read it from the covariance.
+    matrix may also be a (T, n, n) stack of covariances that share the
+    snapshot count, for MDL; each matrix is checked on its own, and the
+    error names the first failing row.
     """
 
     matrix: np.ndarray
@@ -98,15 +101,17 @@ class CovarianceEstimate:
     def __post_init__(self):
         r = np.asarray(self.matrix, dtype=np.complex128)
         eigvals, eigvecs = hermitian_eig(r)  # rejects non-square, non-Hermitian input
-        if eigvals[-1] < -1e-8 * max(float(np.trace(r).real), 1.0):
-            raise ValueError("covariance must be positive semidefinite")
+        trace = np.trace(r, axis1=-2, axis2=-1).real
+        indefinite = eigvals[..., -1] < -1e-8 * np.maximum(trace, 1.0)
+        if np.any(indefinite):
+            raise ValueError(f"covariance must be positive semidefinite{_stack_row(indefinite)}")
         object.__setattr__(self, "matrix", r)
         object.__setattr__(self, "eigvals", eigvals)
         object.__setattr__(self, "eigvecs", eigvecs)
 
     @property
     def dimension(self):
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def exact_tone_covariance(model, dimension, noise_variance=0.0):

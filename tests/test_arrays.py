@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from sparsekit.core import RandomSource
+from sparsekit.core import NumericError, RandomSource
 from sparsekit.arrays import (
     ArrayLayout,
     UlaScenario,
@@ -125,6 +125,105 @@ class TestMdl:
         shift = full - report.criteria
         expected = m * np.sum(np.log(eigvals))
         assert np.max(np.abs(shift - expected)) < 1e-8 * abs(expected)
+
+
+def reference_mdl_criteria(covariance):
+    """The per-matrix MDL criterion, written out with Python floats."""
+    eigvals = np.clip(covariance.eigvals, 1e-300, None)
+    n, m = covariance.dimension, covariance.snapshots
+    criteria = np.empty(n)
+    for k in range(n):
+        tail = eigvals[k:]
+        ratio = float(np.mean(tail)) / float(np.exp(np.mean(np.log(tail))))
+        criteria[k] = (m * (n - k) * math.log(max(ratio, 1.0))
+                       + 0.5 * (free_parameter_count(n, k) - 1) * math.log(m))
+    return criteria
+
+
+def fig20_draws(count, snr_db_value=-10.0, m=200):
+    """count snapshot arrays of one scenario, one stream each."""
+    scenario = two_source_scenario(snr_db_value, m=m)
+    return [simulate_snapshots(scenario, RandomSource(76, stream=t)) for t in range(count)]
+
+
+class TestStackedMdl:
+    """A (T, n, n) covariance stack enumerates each row as a lone matrix."""
+
+    @pytest.mark.parametrize("count", [1, 40])
+    def test_rows_equal_per_matrix_calls(self, count):
+        draws = fig20_draws(count)
+        stack = snapshot_covariance(iter(draws))
+        assert stack.matrix.shape == (count, 6, 6) and stack.dimension == 6
+        report = mdl_enumerate(stack)
+        assert report.estimated_k.shape == (count,) and report.criteria.shape == (count, 6)
+        for row, x in enumerate(draws):
+            cov = snapshot_covariance(x)
+            assert np.array_equal(stack.matrix[row], cov.matrix)
+            assert np.array_equal(stack.eigvals[row], cov.eigvals)
+            assert np.array_equal(stack.eigvecs[row], cov.eigvecs)
+            solo = mdl_enumerate(cov)
+            assert isinstance(solo.estimated_k, int)
+            assert report.estimated_k[row] == solo.estimated_k
+            assert np.array_equal(report.criteria[row], solo.criteria)
+            assert np.array_equal(solo.criteria, reference_mdl_criteria(cov))
+            assert np.array_equal(report.free_params, solo.free_params)
+        if count > 1:
+            assert len(set(report.estimated_k.tolist())) > 1  # rows differ at -10 dB
+
+    def test_stack_from_a_generator_never_holds_the_snapshots(self):
+        scenario = two_source_scenario(0.0, m=50)
+        streams = (RandomSource(77, stream=t) for t in range(3))
+        stack = snapshot_covariance(simulate_snapshots(scenario, rng) for rng in streams)
+        assert stack.matrix.shape == (3, 6, 6) and stack.snapshots == 50
+
+    def test_mixed_snapshot_counts_rejected(self):
+        draws = [np.ones((4, 10)), np.ones((4, 12))]
+        with pytest.raises(ValueError, match="snapshot count"):
+            snapshot_covariance(draws)
+
+    def test_non_psd_row_named(self):
+        stack = np.array([np.eye(4), np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
+        with pytest.raises(ValueError, match="positive semidefinite in stack row 2"):
+            CovarianceEstimate(stack, snapshots=100)
+
+    def test_trace_identity_checked_per_row(self):
+        stack = snapshot_covariance(iter(fig20_draws(5)))
+        assert mdl_enumerate(stack) is not None
+        # a matrix that no longer matches its eigendecomposition breaks
+        # tr(R_ML^-1 R_hat) = n in its row only
+        tampered = stack.matrix.copy()
+        tampered[3] *= 2.0
+        object.__setattr__(stack, "matrix", tampered)
+        with pytest.raises(NumericError, match="ML trace identity violated in stack row 3"):
+            mdl_enumerate(stack)
+
+    def test_stacked_report_has_no_csv_form(self, tmp_path):
+        report = mdl_enumerate(snapshot_covariance(iter(fig20_draws(2))))
+        with pytest.raises(ValueError, match="single covariance"):
+            report.to_csv(tmp_path / "mdl.csv")
+
+
+class TestScenarioOperators:
+    def test_snapshots_follow_the_model_with_the_stored_factors(self):
+        scenario = two_source_scenario(3.0, m=64)
+        sensors = np.arange(6)[:, None]
+        steering = np.exp(2j * np.pi * 0.5 * sensors * np.sin(np.array([-0.3, 0.4]))[None, :])
+        assert np.array_equal(scenario.steering, steering)
+        chol = np.linalg.cholesky(scenario.source_cov
+                                  + 1e-15 * np.trace(scenario.source_cov).real * np.eye(2))
+        assert np.array_equal(scenario.source_chol, chol)
+        rng = RandomSource(78)
+        noise = rng.complex_normal((6, 64))
+        expected = steering @ (chol @ rng.complex_normal((2, 64))) + noise
+        assert np.array_equal(simulate_snapshots(scenario, RandomSource(78)), expected)
+
+    def test_silent_sources_simulate_noise_only(self):
+        scenario = UlaScenario(sensors=4, spacing=0.5, doas=np.array([0.1, 0.5]),
+                               source_cov=np.zeros((2, 2)), noise_var=1.0, snapshots=8)
+        assert np.array_equal(scenario.theory_covariance().matrix, np.eye(4))
+        rng = RandomSource(79)
+        noise = rng.complex_normal((4, 8))
+        assert np.array_equal(simulate_snapshots(scenario, RandomSource(79)), noise)
 
 
 class TestAperturePattern:

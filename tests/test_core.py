@@ -190,6 +190,37 @@ class TestHermitianEig:
             hermitian_eig(np.ones((2, 3)))
 
 
+class TestStackedHermitianEig:
+    @staticmethod
+    def _stack(count, n=6, seed=14):
+        rng = RandomSource(seed)
+        a = rng.complex_normal((count, n, n))
+        return a + a.conj().transpose(0, 2, 1)
+
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_rows_equal_per_matrix_calls(self, count):
+        stack = self._stack(count)
+        w, v = hermitian_eig(stack)
+        assert w.shape == (count, 6) and v.shape == (count, 6, 6)
+        for row, matrix in enumerate(stack):
+            w_row, v_row = hermitian_eig(matrix)
+            assert np.array_equal(w[row], w_row) and np.array_equal(v[row], v_row)
+
+    def test_non_hermitian_row_named(self):
+        stack = self._stack(5)
+        stack[3, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian to 1e-10 in stack row 3"):
+            hermitian_eig(stack)
+
+    def test_lone_matrix_message_names_no_row(self):
+        with pytest.raises(ValueError, match=r"not Hermitian to 1e-10$"):
+            hermitian_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eig(np.ones((2, 3, 4)))
+
+
 class TestPolynomialRoots:
     def test_linear(self):
         assert np.allclose(polynomial_roots([1.0, -0.5]), [0.5])

@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sparsekit
@@ -130,6 +131,43 @@ class TestRunExperiment:
         assert len(rows) == 1 + 256
         errors = read_csv(tmp_path / "fig18_errors.csv")
         assert {r[0] for r in errors[1:]} == {"prony", "pisarenko", "music"}
+
+
+class TestImatStackBound:
+    """fig6 and fig7 solve their trials in imat stacks of at most
+    128 KiB // (16 n) rows: a 60-row fig6 stack at n=256 raised the peak
+    RSS by 6%. Row counts only, no timing."""
+
+    @staticmethod
+    def _stack_rows(monkeypatch, experiment_id, trials, overrides):
+        from sparsekit import sampling
+
+        solve, rows = sampling.imat, []
+
+        def counting(observed, *args, **kwargs):
+            rows.append(np.shape(observed)[0] if np.ndim(observed) == 2 else 1)
+            return solve(observed, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "imat", counting)
+        definition = REGISTRY[experiment_id]
+        definition.runner({**definition.defaults, **overrides}, 11, trials)
+        return rows
+
+    @pytest.mark.parametrize("experiment_id, trials, overrides", [
+        ("fig6", None, {}),
+        ("fig6", 20, {"n": 1024}),
+        ("fig6", 70, {}),
+        ("fig7", None, {"k_values": [4]}),
+    ], ids=["fig6-defaults", "fig6-n1024", "fig6-70-trials", "fig7-defaults-k4"])
+    def test_stacks_stay_within_the_row_bound(self, monkeypatch, experiment_id, trials,
+                                              overrides):
+        definition = REGISTRY[experiment_id]
+        trials = definition.default_trials if trials is None else trials
+        n = {**definition.defaults, **overrides}["n"]
+        bound = 128 * 1024 // (16 * n)
+        rows = self._stack_rows(monkeypatch, experiment_id, trials, overrides)
+        assert rows and max(rows) <= bound
+        assert max(rows) == min(bound, trials)  # a stack is as tall as allowed
 
 
 class TestCli:

@@ -353,6 +353,146 @@ class TestImat:
             assert polished.tobytes() == expected.tobytes()
 
 
+def reference_imat(observed, smask, transform="dft", alpha=0.3, max_iters=100, relax=1.0,
+                   eps=1e-12, refine_support=False, reference=None):
+    """The one-signal IMAT loop, written out: np.linalg.norm per residual,
+    snr_db per iterate, best iterate kept as a tuple. Returns (signal,
+    support indices, residuals, snrs, flags, converged)."""
+    from sparsekit.core import detected_support
+    from sparsekit.sampling import (
+        _from_sparse_domain,
+        _least_squares_on_support,
+        _to_sparse_domain,
+    )
+
+    mask = smask.mask()
+    x_obs = np.where(mask, np.asarray(observed, dtype=complex), 0.0)
+    if transform == "dct":
+        x_obs = x_obs.real.astype(np.float64)
+    n, m = x_obs.size, len(smask)
+    first = _to_sparse_domain(np.where(mask, x_obs, 0.0) * (n / m), transform)
+    beta = max(float(np.max(np.abs(first))), 1e-30)
+    x = np.zeros_like(x_obs)
+    coeffs = np.zeros_like(_to_sparse_domain(x, transform))
+    best, grow, prev = (math.inf, x, coeffs, 0), 0, math.inf
+    residuals, snrs, flags, converged = [], [], [], False
+    for i in range(1, max_iters + 1):
+        coeffs = _to_sparse_domain(x + relax * n / m * np.where(mask, x_obs - x, 0.0), transform)
+        magnitudes = np.abs(coeffs)
+        keep = magnitudes > beta * math.exp(-alpha * i)
+        if keep.sum() > max(1, m // 2):
+            keep = np.zeros(n, dtype=bool)
+            keep[np.argsort(magnitudes)[::-1][: max(1, m // 2)]] = True
+        coeffs[~keep] = 0.0
+        x = _from_sparse_domain(coeffs, transform)
+        resid = float(np.linalg.norm((x - x_obs)[mask]))
+        residuals.append(resid)
+        if reference is not None:
+            snrs.append(snr_db(reference, x))
+        grow, prev = (grow + 1 if resid > prev else 0), resid
+        if resid < best[0]:
+            best = (resid, x, coeffs, i)
+        if resid < eps * max(1.0, float(np.linalg.norm(x_obs[mask]))):
+            converged = True
+            break
+        if grow >= 3:
+            flags.append("residual grew for 3 iterations: kept best iterate")
+            _, x, coeffs, kept = best
+            del residuals[kept:], snrs[kept:]
+            break
+    else:
+        flags.append("max iterations reached without sample consistency")
+    support = detected_support(coeffs)
+    if refine_support and 0 < support.size <= m:
+        x = _least_squares_on_support(x_obs, mask, SupportSet(support, n), transform)
+        flags.append("least-squares polish on detected support")
+    return x, support, residuals, snrs, flags, converged
+
+
+def imat_stack(n, sparsity, counts, seed, transform="dft"):
+    """Signals, observations and sample times of one sparse instance per
+    sample count in counts."""
+    rows = [make_instance(n, sparsity, m, RandomSource(seed, stream=t))
+            for t, m in enumerate(counts)]
+    signals = np.array([x for x, *_ in rows])
+    observed = np.array([obs for _, obs, _, _ in rows])
+    if transform == "dct":
+        signals, observed = signals.real, observed.real
+    return signals, observed, [smask for _, _, smask, _ in rows]
+
+
+class TestStackedImat:
+    """A (T, n) stack solves each row exactly as a solo call would."""
+
+    CASES = {
+        # name: (n, sparsity, sample counts, keyword arguments)
+        "fig6-like, reference": (256, 8, [32] * 7, dict(alpha=0.2, max_iters=60, eps=1e-300)),
+        "all three endings": (64, 4, [16] * 7, dict(max_iters=40, eps=1e-8)),
+        "mixed sample counts": (64, 4, [10, 16, 22, 16, 28, 10, 12], dict(max_iters=40, eps=1e-8)),
+        "refined support": (256, 8, [16, 24, 24, 32, 32, 48, 64],
+                            dict(alpha=0.1, max_iters=300, refine_support=True)),
+        "dct": (128, 5, [50] * 7, dict(transform="dct", max_iters=300)),
+        "one row": (256, 8, [32], dict(alpha=0.2, max_iters=60, eps=1e-300)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_rows_equal_solo_runs(self, case, with_reference):
+        n, sparsity, counts, kwargs = self.CASES[case]
+        signals, observed, times = imat_stack(n, sparsity, counts, seed=42,
+                                              transform=kwargs.get("transform", "dft"))
+        references = signals if with_reference else None
+        estimates, supports, reports = imat(observed, times, reference=references, **kwargs)
+        assert estimates.shape == observed.shape
+        assert len(supports) == len(reports) == len(counts)
+        endings = set()
+        for row in range(len(counts)):
+            reference = signals[row] if with_reference else None
+            est, support, report = imat(observed[row], times[row], reference=reference, **kwargs)
+            assert np.array_equal(estimates[row], est)
+            assert np.array_equal(supports[row].indices, support.indices)
+            for field in ("residuals", "snrs", "iterations", "flags", "converged"):
+                assert getattr(reports[row], field) == getattr(report, field), field
+            assert len(report.snrs) == (report.iterations if with_reference else 0)
+            want = reference_imat(observed[row], times[row], reference=reference, **kwargs)
+            assert np.array_equal(est, want[0]) and np.array_equal(support.indices, want[1])
+            assert (report.residuals, report.snrs, report.flags, report.converged) == want[2:]
+            endings.add("converged" if report.converged else report.flags[0][:8])
+        if case == "all three endings":
+            assert endings == {"converged", "residual", "max iter"}
+
+    def test_rows_stop_at_their_own_iterations(self):
+        # a shared grow streak or stopping rule would end rows together
+        _, observed, times = imat_stack(64, 4, [16] * 7, seed=42)
+        _, _, reports = imat(observed, times, max_iters=40, eps=1e-8)
+        assert len({report.iterations for report in reports}) > 2
+
+    def test_stack_shape_checks(self):
+        _, observed, times = imat_stack(64, 4, [16, 16], seed=42)
+        with pytest.raises(ValueError, match="one sample_times per row"):
+            imat(observed, times[:1])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            imat(observed[None], times)
+
+
+class TestEmptySampleTimes:
+    """No retained sample is a ValueError, never a division by zero."""
+
+    @pytest.mark.parametrize("solver", MASKED_SOLVERS, ids=lambda f: f.__name__)
+    def test_masked_solvers_reject_empty_sample_times(self, solver):
+        with pytest.raises(ValueError, match="at least one retained sample"):
+            solver(np.zeros(8), SupportSet([], 8), SupportSet([], 8))
+
+    def test_imat_rejects_empty_sample_times(self):
+        with pytest.raises(ValueError, match="at least one retained sample"):
+            imat(np.zeros(8), SupportSet([], 8))
+
+    def test_stacked_imat_rejects_an_empty_row(self):
+        _, observed, times = imat_stack(64, 4, [16, 16], seed=42)
+        with pytest.raises(ValueError, match="at least one retained sample"):
+            imat(observed, [times[0], SupportSet([], 64)])
+
+
 def bspline_kernel(degree):
     """Centered cardinal B-spline of the given degree."""
     knots = np.arange(degree + 2) - (degree + 1) / 2.0
