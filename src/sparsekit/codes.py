@@ -23,6 +23,7 @@ from .core import (
     pseudo_inverse_solve,
     read_samples,
     sorted_dft,
+    _row_norms,
 )
 from .sampling import conjugate_gradient
 
@@ -376,8 +377,7 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
         threshold = beta * math.exp(-alpha * i)
         nu = np.where(np.abs(blended) > threshold, blended, 0.0)
         misfit = noise_image - project(nu)
-        # per-row sqrt(misfit . misfit), the 1-D np.linalg.norm
-        norms.append(np.sqrt(np.matmul(misfit[:, None, :], misfit[:, :, None]))[:, 0, 0])
+        norms.append(_row_norms(misfit))
     estimates = np.empty((stack.shape[0], input_length))
     for row, report in enumerate(reports):
         estimates[row], *_ = np.linalg.lstsq(g, stack[row] - nu[row], rcond=None)

@@ -145,8 +145,11 @@ def _fig7_wins(n, k, m, streams):
 def run_fig7(params, seed, trials):
     """Minimal sample count for 80% perfect recovery vs sparsity.
 
-    The trials of one sample count are solved in stacks (see _stack_chunks)."""
+    The trials of one sample count are solved in stacks (see _stack_chunks);
+    none starts once the count is decided, which moves no outcome, as each
+    trial draws from its own stream."""
     n = params["n"]
+    need = math.ceil(0.8 * trials)
     rows = []
     for k in params["k_values"]:
         target = int(round(k * math.log2(n / k)))
@@ -154,12 +157,14 @@ def run_fig7(params, seed, trials):
         m = max(2 * k, step)
         found = None
         while m <= n:
-            wins = sum(
-                _fig7_wins(n, k, m, (RandomSource(seed, stream=7_000_000 + 1000 * k + 17 * m + t)
-                                     for t in chunk))
-                for chunk in _stack_chunks(trials, n)
-            )
-            if wins >= math.ceil(0.8 * trials):
+            wins = losses = 0
+            for chunk in _stack_chunks(trials, n):
+                won = _fig7_wins(n, k, m, (RandomSource(seed, stream=7_000_000 + 1000 * k + 17 * m + t)
+                                           for t in chunk))
+                wins, losses = wins + won, losses + len(chunk) - won
+                if wins >= need or losses > trials - need:
+                    break  # the sample count is decided
+            if wins >= need:
                 found = m
                 break
             m += step

@@ -19,6 +19,7 @@ from .core import (
     detected_support,
     polynomial_roots,
     read_samples,
+    _row_norms,
     _snr_db,
     _squared_errors,
 )
@@ -265,27 +266,6 @@ def _from_sparse_domain(coeffs, transform):
     return scipy.fft.idct(coeffs, norm="ortho")
 
 
-def _retained_groups(smask, values):
-    """The rows of a (R, n) sample mask grouped by retained-sample count. Per
-    count: the rows, the flat indices of their retained entries in a (R, n)
-    array, one row of indices per row, and values at those entries."""
-    counts = smask.sum(axis=1)
-    groups = []
-    for count in np.unique(counts):
-        rows = np.flatnonzero(counts == count)
-        flat = (rows[:, None] * smask.shape[1]
-                + np.nonzero(smask[rows])[1].reshape(rows.size, count))
-        groups.append((rows, flat, np.take(values, flat)))
-    return groups
-
-
-def _row_norms(v):
-    """np.linalg.norm of each row of v, bit for bit: the squares of each
-    real part are summed by one BLAS dot per row, as the 1-D norm sums them."""
-    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    return np.sqrt(sum(np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0] for p in parts))
-
-
 def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, relax=1.0,
          eps=1e-12, refine_support=False, reference=None):
     """Iterative method with adaptive hard thresholding, support unknown.
@@ -304,12 +284,14 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
     the iteration report. Non-convergence is reported via flags, never
     raised; a non-finite retained sample, or none at all, raises ValueError.
 
-    observed may also be a (T, n) stack with a list of T sample_times, and
-    reference then a (T, n) stack. Each row keeps its own threshold level,
-    best iterate, grow streak and stopping rule, and a row that stops is
-    frozen, so every row equals its own solve bit for bit. The call then
-    returns a (T, n) array of signals, a list of T supports and a list of T
-    reports; every report's wall_time spans the whole stack.
+    observed may also be a (T, n) stack with a list of T sample_times that
+    all retain the same number of samples, and reference then a (T, n)
+    stack; a stack that mixes sample counts raises ValueError (solve such
+    rows one by one). Each row keeps its own threshold level, best iterate,
+    grow streak and stopping rule, and a row that stops is frozen, so every
+    row equals its own solve bit for bit. The call then returns a (T, n)
+    array of signals, a list of T supports and a list of T reports; every
+    report's wall_time spans the whole stack.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -321,20 +303,19 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
         raise ValueError("a stack needs one sample_times per row")
     x_obs, smask = (np.array(parts) for parts in
                     zip(*map(_retained_samples, observed, sample_times)))
+    m = len(sample_times[0])
+    if any(len(times) != m for times in sample_times):
+        raise ValueError("every row of a stack must retain the same number of samples")
     if transform == "dct":
         x_obs = x_obs.real.astype(np.float64)
     n = x_obs.shape[1]
-    m = np.array([len(times) for times in sample_times])
 
     reports = [SolverReport(solver="imat") for _ in x_obs]
     record_snr = _snr_recorder(reports, reference)
-    groups = _retained_groups(smask, x_obs)
-    tol = np.empty(len(reports))
-    for rows, _, retained in groups:
-        tol[rows] = eps * np.maximum(1.0, _row_norms(retained))
-    gain = (relax * n / m)[:, None]  # density-compensated sample replacement
-    cap = np.maximum(1, m // 2)
-    coeffs = _to_sparse_domain(np.where(smask, x_obs, 0.0) * (n / m)[:, None], transform)
+    tol = eps * np.maximum(1.0, _row_norms(x_obs[smask].reshape(-1, m)))
+    gain = relax * n / m  # density-compensated sample replacement
+    cap = max(1, m // 2)
+    coeffs = _to_sparse_domain(np.where(smask, x_obs, 0.0) * (n / m), transform)
     beta = np.maximum(np.max(np.abs(coeffs), axis=1), 1e-30)[:, None]
     coeffs.fill(0.0)  # the coefficients before the first pass
 
@@ -360,15 +341,12 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
         if over.any():
             order = np.argsort(np.abs(coeffs[over]), axis=1)[:, ::-1]
             largest = np.empty(order.shape, dtype=bool)
-            largest[np.arange(order.shape[0])[:, None], order] = np.arange(n) < cap[over, None]
+            largest[np.arange(order.shape[0])[:, None], order] = np.arange(n) < cap
             keep[over] = largest
         coeffs[~keep] = 0.0
         x = _from_sparse_domain(coeffs, transform)
-        resid = np.empty(live.size)
-        for rows, flat, retained in groups:
-            resid[rows] = _row_norms(np.take(x, flat) - retained)
+        resid = _row_norms((x - obs)[mask].reshape(-1, m))
         for row, value in zip(live, resid.tolist()):
-            reports[row].iterations += 1
             reports[row].residuals.append(value)
         record_snr(x, live)
         grow_streak = (grow_streak + 1) * (resid > prev_resid)
@@ -391,15 +369,13 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
             report, kept = reports[live[j]], int(best_iter[j])
             report.flags.append("residual grew for 3 iterations: kept best iterate")
             del report.residuals[kept:], report.snrs[kept:]
-            report.iterations = kept
         finals[live[converged]] = coeffs[converged]
         finals[live[braked]] = best_coeffs[braked]
         going = ~stopped
-        live, obs, mask, x, coeffs, tol, gain, cap, beta = (
-            part[going] for part in (live, obs, mask, x, coeffs, tol, gain, cap, beta))
+        live, obs, mask, x, coeffs, tol, beta = (
+            part[going] for part in (live, obs, mask, x, coeffs, tol, beta))
         best_resid, best_coeffs, best_iter, grow_streak, prev_resid = (
             part[going] for part in (best_resid, best_coeffs, best_iter, grow_streak, prev_resid))
-        groups = _retained_groups(mask, obs)
         if not live.size:
             break
     for row in live:
@@ -412,10 +388,11 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
     supports = []
     for row, report in enumerate(reports):
         support = SupportSet(detected_support(finals[row]), n)
-        if refine_support and 0 < len(support) <= m[row]:
+        if refine_support and 0 < len(support) <= m:
             signals[row] = _least_squares_on_support(x_obs[row], smask[row], support, transform)
             report.flags.append("least-squares polish on detected support")
         supports.append(support)
+        report.iterations = len(report.residuals)
         report._finish()
     if stacked:
         return signals, supports, reports

@@ -90,7 +90,8 @@ class CovarianceEstimate:
     estimators (Pisarenko, MUSIC, MDL) all read it from the covariance.
     matrix may also be a (T, n, n) stack of covariances that share the
     snapshot count, for MDL; each matrix is checked on its own, and the
-    error names the first failing row.
+    error names the first failing row. Pisarenko and MUSIC take one
+    covariance and reject a stack.
     """
 
     matrix: np.ndarray
@@ -112,6 +113,13 @@ class CovarianceEstimate:
     @property
     def dimension(self):
         return self.matrix.shape[-1]
+
+
+def _one_covariance(cov):
+    """cov itself, for the estimators that take one; a stack raises ValueError."""
+    if cov.matrix.ndim != 2:
+        raise ValueError(f"takes one covariance, not a stack of shape {cov.matrix.shape}")
+    return cov
 
 
 def exact_tone_covariance(model, dimension, noise_variance=0.0):
@@ -171,7 +179,7 @@ def pisarenko(samples_or_cov, k):
     repeated smallest eigenvalue.
     """
     if isinstance(samples_or_cov, CovarianceEstimate):
-        cov = samples_or_cov
+        cov = _one_covariance(samples_or_cov)
     else:
         cov = sample_covariance(samples_or_cov, k + 1)
     if cov.dimension != k + 1:
@@ -198,6 +206,7 @@ def music(covariance, k, grid):
     """
     if not isinstance(covariance, CovarianceEstimate):
         covariance = CovarianceEstimate(np.asarray(covariance), snapshots=0)
+    covariance = _one_covariance(covariance)
     m = covariance.dimension
     k = int(k)
     if k >= m:

@@ -5,6 +5,7 @@ import csv
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -168,6 +169,27 @@ class TestImatStackBound:
         rows = self._stack_rows(monkeypatch, experiment_id, trials, overrides)
         assert rows and max(rows) <= bound
         assert max(rows) == min(bound, trials)  # a stack is as tall as allowed
+
+    def test_fig7_starts_no_stack_after_its_sample_count_is_decided(self, monkeypatch):
+        from sparsekit import experiments
+
+        count_wins, outcomes = experiments._fig7_wins, []
+
+        def recording(n, k, m, streams):
+            wins = count_wins(n, k, m, streams)
+            outcomes.append((m, wins))
+            return wins
+
+        monkeypatch.setattr(experiments, "_fig7_wins", recording)
+        trials = REGISTRY["fig7"].default_trials
+        rows = self._stack_rows(monkeypatch, "fig7", trials, {"k_values": [4]})
+        need = math.ceil(0.8 * trials)
+        tally = {}  # sample count -> (wins, losses) before its next stack
+        for height, (m, wins) in zip(rows, outcomes, strict=True):
+            won, lost = tally.get(m, (0, 0))
+            assert won < need and lost <= trials - need, f"a stack started after m={m} was decided"
+            tally[m] = (won + wins, lost + height - wins)
+        assert sum(rows) < trials * len(tally)  # some sample count stopped early
 
 
 class TestCli:

@@ -411,9 +411,11 @@ def reference_imat(observed, smask, transform="dft", alpha=0.3, max_iters=100, r
 
 def imat_stack(n, sparsity, counts, seed, transform="dft"):
     """Signals, observations and sample times of one sparse instance per
-    sample count in counts."""
-    rows = [make_instance(n, sparsity, m, RandomSource(seed, stream=t))
-            for t, m in enumerate(counts)]
+    sample count in counts; sparsity is one count for every row or a list
+    with one per row."""
+    sparsities = sparsity if isinstance(sparsity, list) else [sparsity] * len(counts)
+    rows = [make_instance(n, s, m, RandomSource(seed, stream=t))
+            for t, (s, m) in enumerate(zip(sparsities, counts))]
     signals = np.array([x for x, *_ in rows])
     observed = np.array([obs for _, obs, _, _ in rows])
     if transform == "dct":
@@ -428,8 +430,8 @@ class TestStackedImat:
         # name: (n, sparsity, sample counts, keyword arguments)
         "fig6-like, reference": (256, 8, [32] * 7, dict(alpha=0.2, max_iters=60, eps=1e-300)),
         "all three endings": (64, 4, [16] * 7, dict(max_iters=40, eps=1e-8)),
-        "mixed sample counts": (64, 4, [10, 16, 22, 16, 28, 10, 12], dict(max_iters=40, eps=1e-8)),
-        "refined support": (256, 8, [16, 24, 24, 32, 32, 48, 64],
+        # the silent rows detect no support, so they skip the polish
+        "refined support": (256, [8, 8, 0, 8, 8, 0, 8], [32] * 7,
                             dict(alpha=0.1, max_iters=300, refine_support=True)),
         "dct": (128, 5, [50] * 7, dict(transform="dct", max_iters=300)),
         "one row": (256, 8, [32], dict(alpha=0.2, max_iters=60, eps=1e-300)),
@@ -445,7 +447,7 @@ class TestStackedImat:
         estimates, supports, reports = imat(observed, times, reference=references, **kwargs)
         assert estimates.shape == observed.shape
         assert len(supports) == len(reports) == len(counts)
-        endings = set()
+        endings, polished = set(), set()
         for row in range(len(counts)):
             reference = signals[row] if with_reference else None
             est, support, report = imat(observed[row], times[row], reference=reference, **kwargs)
@@ -458,14 +460,23 @@ class TestStackedImat:
             assert np.array_equal(est, want[0]) and np.array_equal(support.indices, want[1])
             assert (report.residuals, report.snrs, report.flags, report.converged) == want[2:]
             endings.add("converged" if report.converged else report.flags[0][:8])
+            polished.add("least-squares polish on detected support" in report.flags)
         if case == "all three endings":
             assert endings == {"converged", "residual", "max iter"}
+        if case == "refined support":
+            assert polished == {True, False}
 
     def test_rows_stop_at_their_own_iterations(self):
         # a shared grow streak or stopping rule would end rows together
         _, observed, times = imat_stack(64, 4, [16] * 7, seed=42)
         _, _, reports = imat(observed, times, max_iters=40, eps=1e-8)
         assert len({report.iterations for report in reports}) > 2
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_mixed_sample_counts_rejected(self, with_reference):
+        signals, observed, times = imat_stack(64, 4, [10, 16, 22, 16], seed=42)
+        with pytest.raises(ValueError, match="same number of samples"):
+            imat(observed, times, reference=signals if with_reference else None)
 
     def test_stack_shape_checks(self):
         _, observed, times = imat_stack(64, 4, [16, 16], seed=42)

@@ -39,6 +39,17 @@ class TestCovarianceEstimate:
         with pytest.raises(ValueError, match="positive semidefinite"):
             music(np.diag([2.0, 1.0, -1.0]), 1, default_grid(64))
 
+    STACK = np.array([np.eye(4), 2 * np.eye(4)])  # two covariances, as MDL takes them
+
+    def test_music_rejects_a_stack(self):
+        for covariance in (CovarianceEstimate(self.STACK, snapshots=10), self.STACK):
+            with pytest.raises(ValueError, match="one covariance, not a stack"):
+                music(covariance, 1, default_grid(64))
+
+    def test_pisarenko_rejects_a_stack(self):
+        with pytest.raises(ValueError, match="one covariance, not a stack"):
+            pisarenko(CovarianceEstimate(self.STACK, snapshots=10), 3)
+
     def test_stored_eigendecomposition(self):
         y = noisy_tones(SpectralModel([0.1, 0.3], [1.0, 0.5], [0.0, 1.0]), 200, 10.0,
                         RandomSource(41))
