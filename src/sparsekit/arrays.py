@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .core import NumericError, write_csv, _stack_row
-from .spectral import CovarianceEstimate
+from .spectral import CovarianceEstimate, _hermitian_product
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,14 +77,6 @@ def simulate_snapshots(scenario, rng):
         return noise
     sources = scenario.source_chol @ rng.complex_normal((k, m))
     return scenario.steering @ sources + noise
-
-
-def _hermitian_product(snapshots):
-    """(x x^H / m, symmetrized, and m) of one n x m snapshot matrix."""
-    x = np.asarray(snapshots)
-    m = x.shape[1]
-    r = (x @ x.conj().T) / m
-    return 0.5 * (r + r.conj().T), m
 
 
 def snapshot_covariance(snapshots):

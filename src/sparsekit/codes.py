@@ -24,6 +24,7 @@ from .core import (
     read_samples,
     sorted_dft,
     _row_norms,
+    _unitary_dft,
 )
 from .sampling import conjugate_gradient
 
@@ -66,7 +67,7 @@ class DftBlockCode:
         values = as_values(message)
         if values.size != self.l:
             raise ValueError(f"message length {values.size} != l = {self.l}")
-        spectrum = np.fft.fft(values) / math.sqrt(self.l)
+        spectrum = _unitary_dft(values)
         placed = np.zeros(self.n, dtype=np.complex128)
         placed[self._message_bins()] = spectrum
         return sorted_dft(placed, self.q, inverse=True)
@@ -77,7 +78,7 @@ class DftBlockCode:
             raise ValueError(f"codeword length {values.size} != n = {self.n}")
         placed = sorted_dft(values, self.q)
         spectrum = placed[self._message_bins()]
-        return np.fft.ifft(spectrum) * math.sqrt(self.l)
+        return _unitary_dft(spectrum, inverse=True)
 
 
 def _elp_coefficients(positions, n):
@@ -184,13 +185,9 @@ def elp_impulsive_decode(received, code):
     if k == 0:
         raise CapacityError("code has no impulse-correction capacity (p < 2)")
     # equations sum_t h_t E[r + t] = 0 with the whole window inside theta
-    rows = []
-    rhs = []
     start = theta[0]
-    for r in range(start, start + code.p - k):
-        rows.append(transformed[np.arange(r + 1, r + k + 1)])
-        rhs.append(-transformed[r])
-    h_tail = pseudo_inverse_solve(np.array(rows), np.array(rhs))
+    rows = np.lib.stride_tricks.sliding_window_view(transformed[start + 1 : start + code.p], k)
+    h_tail = pseudo_inverse_solve(rows, -transformed[start : start + code.p - k])
     h = np.concatenate(([1.0 + 0j], h_tail))
 
     locator = np.abs(np.fft.fft(np.concatenate([h, np.zeros(n - 1 - k, dtype=complex)])))

@@ -239,15 +239,18 @@ class SolverReport:
         return self
 
 
+def _unitary_dft(z, inverse=False):
+    """The unitary DFT of z along its last axis: the one place an FFT is
+    scaled by 1/sqrt(n)."""
+    n = z.shape[-1]
+    if inverse:
+        return np.fft.ifft(z) * math.sqrt(n)
+    return np.fft.fft(z) / math.sqrt(n)
+
+
 def dft(signal, inverse=False):
     """Unitary DFT (scale 1/sqrt(n) both directions)."""
-    x = as_values(signal)
-    n = x.size
-    if inverse:
-        out = np.fft.ifft(x) * math.sqrt(n)
-    else:
-        out = np.fft.fft(x) / math.sqrt(n)
-    return _wrap_like(signal, out)
+    return _wrap_like(signal, _unitary_dft(as_values(signal), inverse))
 
 
 def sorted_dft(signal, q, inverse=False):
@@ -266,9 +269,9 @@ def sorted_dft(signal, q, inverse=False):
     if inverse:
         spectrum = np.empty(n, dtype=np.complex128)
         spectrum[perm] = x
-        out = np.fft.ifft(spectrum) * math.sqrt(n)
+        out = _unitary_dft(spectrum, inverse=True)
     else:
-        out = (np.fft.fft(x) / math.sqrt(n))[perm]
+        out = _unitary_dft(x)[perm]
     return _wrap_like(signal, out)
 
 
@@ -302,14 +305,17 @@ def _stack_row(failing):
 def hermitian_eig(matrix):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    The input is symmetrized internally; it must be Hermitian to 1e-10
-    relative to its norm. A (T, n, n) stack is decomposed matrix by matrix,
-    each checked on its own, into (T, n) eigenvalues and (T, n, n)
-    eigenvectors; the error names the first failing row.
+    The input is symmetrized internally; it must be finite and Hermitian
+    to 1e-10 relative to its norm. A (T, n, n) stack is decomposed matrix
+    by matrix, each checked on its own, into (T, n) eigenvalues and
+    (T, n, n) eigenvectors; the error names the first failing row.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square, or a stack of square matrices")
+    nonfinite = ~np.all(np.isfinite(a), axis=(-2, -1))
+    if np.any(nonfinite):
+        raise ValueError(f"matrix entries must be finite{_stack_row(nonfinite)}")
     adjoint = a.conj().swapaxes(-2, -1)
     scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
     skewed = np.max(np.abs(a - adjoint), axis=(-2, -1)) > 1e-10 * scale
@@ -332,3 +338,17 @@ def polynomial_roots(coefficients):
     if h[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
     return np.roots(h)
+
+
+def _annihilating_filter(values, k):
+    """Monic [1, h_1, ..., h_k] with x[r] + sum_j h_j x[r-j] = 0 for
+    r = k..2k-1, x the first 2k of values: Prony's locator, the FRI
+    annihilating filter. k < 1, a non-finite value or a recursion with
+    cond > 1e12 (fewer than k effective terms) raises ValueError."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    x = read_samples(values, what="annihilated values")
+    rows = np.lib.stride_tricks.sliding_window_view(x[: 2 * k - 1], k)[:, ::-1]
+    if np.linalg.cond(rows) > 1e12:
+        raise ValueError("degenerate recursion: fewer than k effective terms")
+    return np.concatenate(([1.0 + 0j], np.linalg.solve(rows, -x[k : 2 * k])))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import __version__, codes, ofdm, sampling, sca, spectral
-from .core import RandomSource, SupportSet, detected_support, snr_db, write_csv
+from .core import RandomSource, SupportSet, detected_support, snr_db, write_csv, _unitary_dft
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,7 +53,7 @@ def _sampled_instance(n, bins, m, rng):
     sample times: (x, observed, sample times as a SupportSet)."""
     spectrum = np.zeros(n, dtype=complex)
     spectrum[bins] = rng.complex_normal(len(bins))
-    x = np.fft.ifft(spectrum) * math.sqrt(n)
+    x = _unitary_dft(spectrum, inverse=True)
     times = np.sort(rng.choice(n, size=m, replace=False))
     observed = np.zeros(n, dtype=complex)
     observed[times] = x[times]
@@ -305,7 +305,7 @@ def run_fig18(params, seed, trials):
         y = _fig18_noisy(clean, snr, rng)
         model = spectral.prony(y[: 2 * k], k)
         errors["prony"].append(_fig18_error(model.frequencies.real, FIG18_TONES.frequencies))
-        freqs, _, _ = spectral.pisarenko(y, k)
+        freqs, _, _ = spectral.pisarenko(spectral.sample_covariance(y, k + 1), k)
         errors["pisarenko"].append(_fig18_error(freqs, FIG18_TONES.frequencies))
         cov = spectral.sample_covariance(y, params["music_dimension"])
         _, music_freqs, _ = spectral.music(cov, k, grid)

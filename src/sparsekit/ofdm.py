@@ -114,7 +114,7 @@ class OfdmConfig:
 
 def channel_frequency_response(profile, cfg):
     """Per-carrier response H[i] = sum_l h_l exp(-2pi j i l / n)."""
-    n = cfg.n if isinstance(cfg, OfdmConfig) else int(cfg)
+    n = cfg.n
     if np.any(profile.delays >= n):
         raise ValueError("tap delays must be below the carrier count")
     carriers = np.arange(n)

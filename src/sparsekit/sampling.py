@@ -19,9 +19,11 @@ from .core import (
     detected_support,
     polynomial_roots,
     read_samples,
+    _annihilating_filter,
     _row_norms,
     _snr_db,
     _squared_errors,
+    _unitary_dft,
 )
 
 
@@ -60,9 +62,9 @@ def _masked_system(observed, sample_times, freq_support):
     comp = n / m
 
     def apply_ps(z):
-        spectrum = np.fft.fft(np.where(smask, z, 0.0) * comp) / math.sqrt(n)
+        spectrum = _unitary_dft(np.where(smask, z, 0.0) * comp)
         spectrum[outside] = 0.0
-        return np.fft.ifft(spectrum) * math.sqrt(n)
+        return _unitary_dft(spectrum, inverse=True)
 
     return x_obs, smask, apply_ps, apply_ps(x_obs)
 
@@ -70,12 +72,15 @@ def _masked_system(observed, sample_times, freq_support):
 def _snr_recorder(reports, references):
     """A callable record(estimates, rows) that appends, for each row i of
     estimates, its SNR against references[rows[i]] to reports[rows[i]].snrs,
-    or does nothing without references. Without rows, estimates is the one
+    or does nothing without references; a reference count other than the
+    report count raises ValueError. Without rows, estimates is the one
     report's 1-D estimate. ||ref||^2 is summed once per solve and each error
     by its row sum, both by snr_db's expressions, so each SNR equals snr_db's."""
     if references is None:
         return lambda estimates, rows=None: None
     refs = np.array([as_values(ref) for ref in references])
+    if len(refs) != len(reports):
+        raise ValueError(f"need one reference per row: got {len(refs)} for {len(reports)} rows")
     energies = [float(np.sum(np.abs(ref) ** 2)) for ref in refs]
 
     def record(estimates, rows=None):
@@ -251,7 +256,7 @@ def cg_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10
 def _to_sparse_domain(z, transform):
     """Forward transform along the last axis."""
     if transform == "dft":
-        return np.fft.fft(z) / math.sqrt(z.shape[-1])
+        return _unitary_dft(z)
     if transform == "dct":
         import scipy.fft  # lazy: scipy brings a second BLAS, and only the DCT needs it
         return scipy.fft.dct(z, norm="ortho")
@@ -261,7 +266,7 @@ def _to_sparse_domain(z, transform):
 def _from_sparse_domain(coeffs, transform):
     """Inverse transform along the last axis."""
     if transform == "dft":
-        return np.fft.ifft(coeffs) * math.sqrt(coeffs.shape[-1])
+        return _unitary_dft(coeffs, inverse=True)
     import scipy.fft
     return scipy.fft.idct(coeffs, norm="ortho")
 
@@ -482,14 +487,13 @@ def fri_moments(samples, reproduction_coeffs, kernel_samples=None, grid=None):
 def annihilating_recover(moments, k):
     """Recover a k-Dirac model from >= 2k power moments.
 
-    Solves the k x k Hankel system for the annihilating-filter coefficients,
-    roots the locator polynomial for the instants, then solves the
-    Vandermonde system for the amplitudes.
+    Roots the annihilating filter of the scaled moments for the instants,
+    then solves the Vandermonde system for the amplitudes. k < 1,
+    coincident instants or zero amplitudes, or a non-finite moment raise
+    ValueError.
     """
-    tau = np.asarray(moments, dtype=np.complex128).reshape(-1)
+    tau = read_samples(np.asarray(moments, dtype=np.complex128).reshape(-1), what="moments")
     k = int(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if tau.size < 2 * k:
         raise ValueError(f"need at least {2 * k} moments, got {tau.size}")
 
@@ -501,19 +505,9 @@ def annihilating_recover(moments, k):
         base = float(np.abs(tau[0])) if tau[0] != 0 else float(np.abs(tau[nonzero][0]))
         if top > 0 and base > 0:
             scale = max((float(np.abs(tau[top])) / base) ** (1.0 / top), 1e-12)
-    tau_s = tau / scale ** np.arange(tau.size)
-
-    hankel = np.empty((k, k), dtype=np.complex128)
-    for r in range(k):
-        hankel[r] = tau_s[r : r + k]
-    rhs = -tau_s[k : 2 * k]
-    if np.linalg.cond(hankel) > 1e13:
-        raise ValueError("degenerate model: coincident instants or zero amplitudes")
-    h = np.linalg.solve(hankel, rhs)
-
-    # monic locator: z^k + h[k-1] z^(k-1) + ... + h[0]
-    poly = np.concatenate(([1.0 + 0j], h[::-1]))
-    roots = polynomial_roots(poly)
+    # the filter reads the first 2k moments only; scaling the rest can overflow
+    orders = np.arange(2 * k)
+    roots = polynomial_roots(_annihilating_filter(tau[orders] / scale**orders, k))
     if np.max(np.abs(roots.imag)) > 1e-6 * max(1.0, np.max(np.abs(roots))):
         raise ValueError("degenerate model: complex instants recovered")
     instants = np.sort(roots.real) * scale

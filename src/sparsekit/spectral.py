@@ -7,11 +7,10 @@ project locator roots onto the unit circle.
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 
-from .core import as_values, hermitian_eig, polynomial_roots, _stack_row
+from .core import as_values, hermitian_eig, polynomial_roots, _annihilating_filter, _stack_row
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,11 +73,16 @@ def sample_covariance(samples, dimension):
     p = int(dimension)
     if p < 1 or p > x.size:
         raise ValueError("dimension must be in [1, len(samples)]")
-    count = x.size - p + 1
     windows = np.lib.stride_tricks.sliding_window_view(x, p)
-    cov = (windows.T @ windows.conj()) / count
-    cov = 0.5 * (cov + cov.conj().T)
-    return CovarianceEstimate(matrix=cov, snapshots=count)
+    return CovarianceEstimate(*_hermitian_product(windows.T))
+
+
+def _hermitian_product(snapshots):
+    """(x x^H / m, symmetrized, and m) of one n x m snapshot matrix."""
+    x = np.asarray(snapshots)
+    m = x.shape[1]
+    r = (x @ x.conj().T) / m
+    return 0.5 * (r + r.conj().T), m
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,7 +120,10 @@ class CovarianceEstimate:
 
 
 def _one_covariance(cov):
-    """cov itself, for the estimators that take one; a stack raises ValueError."""
+    """cov itself, for the estimators that take one CovarianceEstimate; any
+    other input raises TypeError, a stack ValueError."""
+    if not isinstance(cov, CovarianceEstimate):
+        raise TypeError(f"takes a CovarianceEstimate, not {type(cov).__name__}")
     if cov.matrix.ndim != 2:
         raise ValueError(f"takes one covariance, not a stack of shape {cov.matrix.shape}")
     return cov
@@ -146,16 +153,7 @@ def prony(samples, k):
         raise ValueError(f"need at least {2 * k} samples")
     x = x[: 2 * k]
 
-    rows = np.empty((k, k), dtype=np.complex128)
-    rhs = np.empty(k, dtype=np.complex128)
-    for i, r in enumerate(range(k, 2 * k)):
-        rows[i] = x[r - 1 : r - k - 1 : -1] if r - k - 1 >= 0 else x[r - 1 :: -1][:k]
-        rhs[i] = -x[r]
-    if np.linalg.cond(rows) > 1e12:
-        raise ValueError("degenerate recursion: fewer than k effective tones")
-    h = np.linalg.solve(rows, rhs)
-
-    roots = polynomial_roots(np.concatenate(([1.0 + 0j], h)))
+    roots = polynomial_roots(_annihilating_filter(x, k))
     # z = exp(2pi j f); damping shows up as a negative imaginary part of f
     freqs = np.log(roots) / (2j * np.pi)
     freqs = np.where(np.abs(freqs.imag) < 1e-12, freqs.real % 1.0, freqs)
@@ -169,19 +167,17 @@ def prony(samples, k):
     )
 
 
-def pisarenko(samples_or_cov, k):
+def pisarenko(covariance, k):
     """Harmonic decomposition from the noise eigenvector of a (k+1) covariance.
 
-    The eigenvector of the smallest eigenvalue supplies the locator
-    coefficients; its unit-circle root angles are the frequencies and the
-    eigenvalue itself estimates the noise variance. Returns
-    (frequencies, noise_variance, ambiguous) where ambiguous flags a
-    repeated smallest eigenvalue.
+    covariance is one CovarianceEstimate of dimension k + 1, such as
+    sample_covariance(samples, k + 1). The eigenvector of the smallest
+    eigenvalue supplies the locator coefficients; its unit-circle root
+    angles are the frequencies and the eigenvalue itself estimates the
+    noise variance. Returns (frequencies, noise_variance, ambiguous) where
+    ambiguous flags a repeated smallest eigenvalue.
     """
-    if isinstance(samples_or_cov, CovarianceEstimate):
-        cov = _one_covariance(samples_or_cov)
-    else:
-        cov = sample_covariance(samples_or_cov, k + 1)
+    cov = _one_covariance(covariance)
     if cov.dimension != k + 1:
         raise ValueError(f"covariance dimension {cov.dimension} != k + 1 = {k + 1}")
 
@@ -199,13 +195,11 @@ def pisarenko(samples_or_cov, k):
 def music(covariance, k, grid):
     """Pseudospectrum 1 / (e^H Pi_perp e) and its k largest separated peaks.
 
-    Pi_perp projects onto the noise subspace (eigenvectors beyond the k
-    largest). Peaks are grid local maxima picked greedily with a two-bin
-    minimum separation; a shortfall is reported via the flag in the third
-    return slot.
+    covariance is one CovarianceEstimate. Pi_perp projects onto the noise
+    subspace (eigenvectors beyond the k largest). Peaks are grid local
+    maxima picked greedily with a two-bin minimum separation; a shortfall
+    is reported via the flag in the third return slot.
     """
-    if not isinstance(covariance, CovarianceEstimate):
-        covariance = CovarianceEstimate(np.asarray(covariance), snapshots=0)
     covariance = _one_covariance(covariance)
     m = covariance.dimension
     k = int(k)

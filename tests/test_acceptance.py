@@ -270,7 +270,7 @@ class TestCriterion5SpectralSuite:
             )
             music_hits += err <= 1.0 / 2048 + 1e-12
             music_err.append(_freq_error(mf, FIG18_TONES.frequencies))
-            pf, _, _ = spectral.pisarenko(y, 4)
+            pf, _, _ = spectral.pisarenko(spectral.sample_covariance(y, 5), 4)
             phd_err.append(_freq_error(pf, FIG18_TONES.frequencies))
             pr = spectral.prony(y[:8], 4)
             prony_err.append(_freq_error(pr.frequencies.real, FIG18_TONES.frequencies))

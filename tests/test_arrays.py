@@ -186,6 +186,18 @@ class TestStackedMdl:
         with pytest.raises(ValueError, match="positive semidefinite in stack row 2"):
             CovarianceEstimate(stack, snapshots=100)
 
+    def test_non_finite_snapshot_rejected(self):
+        # on two sensors numpy's eigensolver returns NaN eigenvalues without
+        # an error, and MDL would enumerate them as k = 0
+        x = RandomSource(78).complex_normal((2, 20))
+        x[1, 4] = np.nan
+        with pytest.raises(ValueError, match="must be finite$"):
+            snapshot_covariance(x)
+        draws = fig20_draws(3)
+        draws[1][0, 0] = np.nan
+        with pytest.raises(ValueError, match="must be finite in stack row 1"):
+            snapshot_covariance(iter(draws))
+
     def test_trace_identity_checked_per_row(self):
         stack = snapshot_covariance(iter(fig20_draws(5)))
         assert mdl_enumerate(stack) is not None

@@ -220,6 +220,19 @@ class TestStackedHermitianEig:
         with pytest.raises(ValueError, match="square"):
             hermitian_eig(np.ones((2, 3, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        matrix = self._stack(1)[0]
+        matrix[2, 2] = bad
+        with pytest.raises(ValueError, match=r"matrix entries must be finite$"):
+            hermitian_eig(matrix)
+
+    def test_non_finite_row_named(self):
+        stack = self._stack(4)
+        stack[2, 1, 3] = stack[2, 3, 1] = np.nan
+        with pytest.raises(ValueError, match="must be finite in stack row 2"):
+            hermitian_eig(stack)
+
 
 class TestPolynomialRoots:
     def test_linear(self):

@@ -326,3 +326,31 @@ def test_every_public_function_is_used():
         unused += [f"{module.name}.{name}" for name, node in _public_functions(tree)
                    if not node.name.startswith("__") and node.name not in loaded]
     assert unused == []
+
+
+def _called(node):
+    """The dotted name a call node calls, such as 'np.fft.fft', else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    parts, func = [], node.func
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    return ".".join([func.id, *reversed(parts)]) if isinstance(func, ast.Name) else None
+
+
+def test_only_core_scales_an_fft():
+    """The unitary DFT's 1/sqrt(n) is written once, in core: no other module
+    multiplies or divides an np.fft.fft or np.fft.ifft call by a math.sqrt
+    call."""
+    sites = []
+    for module in pkgutil.iter_modules(sparsekit.__path__):
+        if module.name == "core":
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"sparsekit.{module.name}")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+                operands = {_called(node.left), _called(node.right)}
+                if "math.sqrt" in operands and operands & {"np.fft.fft", "np.fft.ifft"}:
+                    sites.append(f"{module.name}:{node.lineno}")
+    assert sites == []

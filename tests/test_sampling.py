@@ -485,6 +485,13 @@ class TestStackedImat:
         with pytest.raises(ValueError, match="one-dimensional"):
             imat(observed[None], times)
 
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_reference_row_count_checked_before_the_loop(self, rows):
+        signals, observed, times = imat_stack(64, 4, [16] * 3, seed=42)
+        reference = np.concatenate([signals, signals])[:rows]
+        with pytest.raises(ValueError, match=f"one reference per row: got {rows} for 3"):
+            imat(observed, times, max_iters=0, reference=reference)
+
 
 class TestEmptySampleTimes:
     """No retained sample is a ValueError, never a division by zero."""
@@ -600,3 +607,21 @@ class TestFri:
         truth = FriModel([1.0, 1.0 + 1e-13], [1.0, 1.0])
         with pytest.raises(ValueError, match="degenerate"):
             annihilating_recover(truth.moments(4), 2)
+
+    @pytest.mark.parametrize("position", [0, 3, 5])
+    def test_non_finite_moment_rejected(self, position):
+        moments = FriModel([0.5, 1.7], [1.0, -0.5]).moments(6)
+        moments[position] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            annihilating_recover(moments, 2)
+
+    def test_order_below_one_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="need k >= 1"):
+                annihilating_recover([1.0, 2.0, 3.0, 4.0, 5.0], k)
+
+    def test_many_moments_of_small_instants(self):
+        # tau_r / scale^r overflows for r near 120; only r < 2k may be scaled
+        truth = FriModel([1e-3, 2e-3], [1.0, 1.0])
+        model = annihilating_recover(truth.moments(120), 2)
+        assert np.max(np.abs(model.instants - truth.instants)) < 1e-12

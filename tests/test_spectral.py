@@ -26,6 +26,58 @@ def noisy_tones(model, m, snr_db_value, rng):
     return clean + rng.complex_normal(m, scale=sigma)
 
 
+def reference_covariance(x, p):
+    """The windowed product sample_covariance forms, written out: forward
+    windows w, (w^T conj(w)) / count, symmetrized."""
+    w = np.lib.stride_tricks.sliding_window_view(x, p)
+    cov = (w.T @ w.conj()) / w.shape[0]
+    return 0.5 * (cov + cov.conj().T)
+
+
+def reference_prony(x, k):
+    """Prony written out: the locator recursion filled row by row and solved,
+    its roots, and the Vandermonde fit of the weights. Returns
+    (frequencies, weights) in prony's order."""
+    x = np.asarray(x, dtype=np.complex128)[: 2 * k]
+    rows = np.empty((k, k), dtype=np.complex128)
+    rhs = np.empty(k, dtype=np.complex128)
+    for i, r in enumerate(range(k, 2 * k)):
+        rows[i] = x[r - 1 : r - k - 1 : -1] if r - k - 1 >= 0 else x[r - 1 :: -1][:k]
+        rhs[i] = -x[r]
+    h = np.linalg.solve(rows, rhs)
+    roots = np.roots(np.concatenate(([1.0 + 0j], h)))
+    freqs = np.log(roots) / (2j * np.pi)
+    freqs = np.where(np.abs(freqs.imag) < 1e-12, freqs.real % 1.0, freqs)
+    weights, *_ = np.linalg.lstsq(roots[None, :] ** np.arange(2 * k)[:, None], x, rcond=None)
+    order = np.argsort([f.real if np.iscomplexobj(freqs) else f for f in freqs])
+    return np.asarray(freqs)[order], weights[order]
+
+
+class TestSharedKernelsBitForBit:
+    """The merged kernels reproduce the expressions they replaced, bit for bit."""
+
+    def test_sample_covariance_is_the_windowed_product(self):
+        rng = RandomSource(90)
+        for _ in range(100):
+            n = int(rng.integers(1, 300))
+            p = int(rng.integers(1, min(n, 40) + 1))
+            x = rng.complex_normal(n)
+            cov = sample_covariance(x, p)
+            assert cov.snapshots == n - p + 1
+            assert cov.matrix.tobytes() == reference_covariance(x, p).tobytes()
+
+    def test_prony_is_the_row_by_row_recursion(self):
+        rng = RandomSource(91)
+        for _ in range(100):
+            k = int(rng.integers(1, 9))
+            x = rng.complex_normal(2 * k + int(rng.integers(0, 5)))
+            model = prony(x, k)
+            freqs, weights = reference_prony(x, k)
+            assert model.frequencies.tobytes() == freqs.tobytes()
+            assert model.amplitudes.tobytes() == np.abs(weights).tobytes()
+            assert model.phases.tobytes() == np.angle(weights).tobytes()
+
+
 class TestCovarianceEstimate:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -35,20 +87,29 @@ class TestCovarianceEstimate:
         with pytest.raises(ValueError, match="positive semidefinite"):
             CovarianceEstimate(np.diag([1.0, -0.5]), snapshots=10)
 
-    def test_music_on_raw_indefinite_array_raises(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            music(np.diag([2.0, 1.0, -1.0]), 1, default_grid(64))
-
     STACK = np.array([np.eye(4), 2 * np.eye(4)])  # two covariances, as MDL takes them
 
     def test_music_rejects_a_stack(self):
-        for covariance in (CovarianceEstimate(self.STACK, snapshots=10), self.STACK):
-            with pytest.raises(ValueError, match="one covariance, not a stack"):
-                music(covariance, 1, default_grid(64))
+        with pytest.raises(ValueError, match="one covariance, not a stack"):
+            music(CovarianceEstimate(self.STACK, snapshots=10), 1, default_grid(64))
 
     def test_pisarenko_rejects_a_stack(self):
         with pytest.raises(ValueError, match="one covariance, not a stack"):
             pisarenko(CovarianceEstimate(self.STACK, snapshots=10), 3)
+
+    def test_estimators_take_only_a_covariance_estimate(self):
+        y = np.exp(2j * np.pi * 0.1 * np.arange(32))
+        with pytest.raises(TypeError, match="takes a CovarianceEstimate, not ndarray"):
+            pisarenko(y, 1)
+        with pytest.raises(TypeError, match="takes a CovarianceEstimate, not ndarray"):
+            music(np.eye(4), 1, default_grid(64))
+
+    def test_non_finite_sample_rejected(self):
+        y = noisy_tones(SpectralModel([0.1, 0.3], [1.0, 0.5], [0.0, 1.0]), 64, 10.0,
+                        RandomSource(42))
+        y[17] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            sample_covariance(y, 5)
 
     def test_stored_eigendecomposition(self):
         y = noisy_tones(SpectralModel([0.1, 0.3], [1.0, 0.5], [0.0, 1.0]), 200, 10.0,
@@ -145,6 +206,21 @@ class TestProny:
         rotated = prony(x * np.exp(1j * 1.234), 2).frequencies.real
         assert np.max(np.abs(base - rotated)) < 1e-10
 
+    def test_order_below_one_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="need k >= 1"):
+                prony(np.ones(4, dtype=complex), k)
+
+    def test_non_finite_sample_rejected(self):
+        x = np.exp(2j * np.pi * 0.1 * np.arange(4))
+        x[2] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            prony(x, 2)
+
+    def test_degenerate_recursion_rejected(self):
+        with pytest.raises(ValueError, match="degenerate recursion"):
+            prony(np.ones(4, dtype=complex), 2)
+
 
 class TestPisarenko:
     def test_exact_covariance_two_tones(self):
@@ -194,7 +270,7 @@ class TestPisarenko:
         for seed in range(100):
             rng = RandomSource(63, stream=seed + 1)
             y = noisy_tones(truth, 1024, 5.0, rng)
-            phd_freqs, _, _ = pisarenko(y, 4)
+            phd_freqs, _, _ = pisarenko(sample_covariance(y, 5), 4)
             phd_err.append(freq_error(phd_freqs, truth.frequencies))
             pr = prony(y[: 2 * 4], 4)
             prony_err.append(freq_error(np.sort(pr.frequencies.real % 1.0), truth.frequencies))
@@ -305,7 +381,7 @@ class TestMusic:
             cov = sample_covariance(y, 16)
             _, mf, _ = music(cov, 4, grid)
             music_err.append(freq_error(mf, truth.frequencies))
-            pf, _, _ = pisarenko(y, 4)
+            pf, _, _ = pisarenko(sample_covariance(y, 5), 4)
             phd_err.append(freq_error(pf, truth.frequencies))
             pr = prony(y[:8], 4)
             prony_err.append(freq_error(pr.frequencies.real, truth.frequencies))
@@ -322,8 +398,8 @@ class TestMusic:
         rot = y * np.exp(1j * 0.777)
         grid = default_grid(1024)
         for signal_pair in [(y, rot)]:
-            f1, _, _ = pisarenko(signal_pair[0], 2)
-            f2, _, _ = pisarenko(signal_pair[1], 2)
+            f1, _, _ = pisarenko(sample_covariance(signal_pair[0], 3), 2)
+            f2, _, _ = pisarenko(sample_covariance(signal_pair[1], 3), 2)
             assert np.max(np.abs(f1 - f2)) < 1e-10
             _, m1, _ = music(sample_covariance(signal_pair[0], 8), 2, grid)
             _, m2, _ = music(sample_covariance(signal_pair[1], 8), 2, grid)
