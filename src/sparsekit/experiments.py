@@ -6,16 +6,23 @@ and output digests so any artifact can be regenerated byte-for-byte
 (timing columns excepted; see fig31/fig32).
 """
 
+import contextvars
+import ctypes
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import math
+import os
+import platform
+import signal
 
 import numpy as np
 
 from . import __version__, codes, ofdm, sampling, sca, spectral
-from .core import RandomSource, SupportSet, detected_support, snr_db, write_csv, _unitary_dft
+from .core import (RandomSource, SupportSet, blas_threads, detected_support, snr_db, write_csv,
+                   _unitary_dft)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,6 +43,7 @@ class RunManifest:
     started: str
     finished: str
     outputs: dict  # filename -> sha256 of contents
+    environment: dict  # what the runner ran on; see _environment
 
 
 def _median_trace(traces, length):
@@ -355,6 +363,53 @@ def run_fig20(params, seed, trials):
     }
 
 
+# The most worker processes a runner's _map_trials used; run_experiment
+# reads it into the manifest.
+_pool_workers = contextvars.ContextVar("pool_workers", default=1)
+
+
+def _trial_workers(tasks):
+    """Worker processes for tasks independent trials: one per usable CPU
+    and at most one per task; 1 where there is no sched_getaffinity or no
+    fork (not Linux)."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        return min(len(os.sched_getaffinity(0)), tasks)
+    return 1
+
+
+def _die_with_parent(parent):
+    """Pool initializer: have the kernel SIGKILL this worker when its parent
+    dies (Linux PR_SET_PDEATHSIG), so a killed run leaves no workers."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    if prctl(1, signal.SIGKILL) != 0:  # 1: PR_SET_PDEATHSIG
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:  # the parent died before prctl took effect
+        os._exit(1)
+
+
+def _map_trials(fn, tasks):
+    """[fn(task) for task in tasks], in task order. With two workers or
+    more (see _trial_workers) the tasks run in a pool of forked processes,
+    which inherit this process's BLAS thread count; the first error a task
+    raises is raised here, after the tasks not yet started are cancelled."""
+    workers = _trial_workers(len(tasks))
+    if workers < 2:
+        return list(map(fn, tasks))
+    # imported here: a process that never fans out keeps 1 MB of modules off its RSS
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _pool_workers.set(max(workers, _pool_workers.get()))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_die_with_parent, initargs=(os.getpid(),)) as pool:
+        try:
+            return list(pool.map(fn, tasks))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 BENCH_SOLVERS = ("omp", "bp", "focuss", "ide", "sl0")
 
 
@@ -373,37 +428,51 @@ def _bench_solve(name, problem):
     raise ValueError(name)
 
 
+def _bench_trial(task):
+    """One benchmark trial: build its problem from its own stream and run
+    every BENCH_SOLVERS solver on it. Returns the true support size and one
+    (nmse, support found, seconds) per solver."""
+    seed, stream, m, n, p, sigma_on, sigma_off, sigma_nu = task
+    problem = sca.bernoulli_gaussian_problem(
+        m, n, RandomSource(seed, stream=stream), p=p, sigma_on=sigma_on,
+        sigma_off=sigma_off, sigma_noise=sigma_nu,
+    )
+    truth = problem.true_source
+    true_support = set(np.flatnonzero(np.abs(truth) > 10 * sigma_off))
+    outcomes = []
+    for name in BENCH_SOLVERS:
+        estimate, report = _bench_solve(name, problem)
+        nmse = float(np.sum(np.abs(estimate - truth) ** 2) / max(np.sum(truth**2), 1e-300))
+        ok = true_support <= set(detected_support(estimate, tol=1e-3))
+        outcomes.append((nmse, ok, report.wall_time))
+    return len(true_support), outcomes
+
+
 def _bench_rows(n_grid, m_of_n, sigma_grid, trials, seed, p, sigma_on, sigma_off):
+    """One row per (n, sigma, solver). The trials of the whole grid are
+    solved by _map_trials and summed in (n, sigma, trial) order, so the
+    sums are the same bits as a serial run's."""
+    points = [(n, m_of_n(n), sigma_nu, (n_index * 64 + s_index) * 10_000)
+              for n_index, n in enumerate(n_grid)
+              for s_index, sigma_nu in enumerate(sigma_grid)]
+    results = iter(_map_trials(_bench_trial, [
+        (seed, base + t, m, n, p, sigma_on, sigma_off, sigma_nu)
+        for n, m, sigma_nu, base in points for t in range(trials)
+    ]))
     rows = []
-    for n_index, n in enumerate(n_grid):
-        m = m_of_n(n)
-        for s_index, sigma_nu in enumerate(sigma_grid):
-            stats = {name: [0.0, 0, 0.0] for name in BENCH_SOLVERS}  # mse, ok, secs
-            k_true_total = 0
-            for t in range(trials):
-                rng = RandomSource(seed, stream=(n_index * 64 + s_index) * 10_000 + t)
-                problem = sca.bernoulli_gaussian_problem(
-                    m, n, rng, p=p, sigma_on=sigma_on, sigma_off=sigma_off,
-                    sigma_noise=sigma_nu,
-                )
-                truth = problem.true_source
-                true_support = set(np.flatnonzero(np.abs(truth) > 10 * sigma_off))
-                k_true_total += len(true_support)
-                for name in BENCH_SOLVERS:
-                    estimate, report = _bench_solve(name, problem)
-                    nmse = float(
-                        np.sum(np.abs(estimate - truth) ** 2) / max(np.sum(truth**2), 1e-300)
-                    )
-                    ok = true_support <= set(detected_support(estimate, tol=1e-3))
-                    stats[name][0] += nmse
-                    stats[name][1] += ok
-                    stats[name][2] += report.wall_time
-            for name in BENCH_SOLVERS:
-                mse, ok, secs = stats[name]
-                rows.append(
-                    (name, n, m, round(k_true_total / trials, 2), sigma_nu, seed,
-                     ok / trials, mse / trials, secs / trials)
-                )
+    for n, m, sigma_nu, _ in points:
+        sums = [[0.0, 0, 0.0] for _ in BENCH_SOLVERS]  # nmse, support found, seconds
+        k_true_total = 0
+        for k_true, outcomes in itertools.islice(results, trials):
+            k_true_total += k_true
+            for total, outcome in zip(sums, outcomes):
+                for j, value in enumerate(outcome):
+                    total[j] += value
+        rows.extend(
+            (name, n, m, round(k_true_total / trials, 2), sigma_nu, seed,
+             ok / trials, mse / trials, secs / trials)
+            for name, (mse, ok, secs) in zip(BENCH_SOLVERS, sums)
+        )
     return rows
 
 
@@ -614,13 +683,40 @@ def resolve_config(spec):
     return definition, config, trials
 
 
-def run_experiment(spec):
-    """Execute a registered experiment; write CSVs and a JSON manifest."""
-    import os
+def _environment(blas, workers):
+    """The manifest's environment block: the BLAS thread count the runner
+    ran at (None: numpy's OpenBLAS not found, count not set), the most
+    trial worker processes it used, the usable CPUs, the thread variables
+    and the versions."""
+    import scipy  # no runner needs it; the bare package import loads no BLAS
 
+    return {
+        "blas_threads": blas,
+        "trial_workers": workers,
+        "nproc": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count()),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def run_experiment(spec):
+    """Execute a registered experiment; write CSVs and a JSON manifest.
+
+    The runner runs with numpy's OpenBLAS at one thread (see
+    core.blas_threads); the caller's thread count is restored afterwards."""
     definition, config, trials = resolve_config(spec)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    outputs = definition.runner(config, spec.seed, trials)
+    token = _pool_workers.set(1)
+    try:
+        with blas_threads(1) as blas:
+            outputs = definition.runner(config, spec.seed, trials)
+        environment = _environment(blas, _pool_workers.get())
+    finally:
+        _pool_workers.reset(token)
     os.makedirs(spec.out_dir, exist_ok=True)
     digests = {}
     for filename, (header, rows) in outputs.items():
@@ -636,6 +732,7 @@ def run_experiment(spec):
         started=started,
         finished=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         outputs=digests,
+        environment=environment,
     )
     manifest_path = os.path.join(spec.out_dir, f"{spec.experiment_id}_manifest.json")
     with open(manifest_path, "w") as fh:

@@ -1,15 +1,18 @@
 """Core numerics: transforms, solvers, eigen/root finding, signal carrier."""
 
+import ctypes.util
 import math
 
 import numpy as np
 import pytest
 
+from sparsekit import core
 from sparsekit.core import (
     ComplexSignal,
     RandomSource,
     SolverReport,
     SupportSet,
+    blas_threads,
     dft,
     hermitian_eig,
     polynomial_roots,
@@ -418,3 +421,44 @@ class TestSolverReport:
         assert report.wall_time == 0.0
         assert report._finish() is report
         assert report.wall_time > 0.0
+
+
+def _openblas_get():
+    functions = core._openblas()
+    if functions is None:
+        pytest.skip("numpy's OpenBLAS not found")
+    return functions[1]
+
+
+class TestBlasThreads:
+    def test_count_set_inside_and_restored_after_exit(self):
+        get_threads = _openblas_get()
+        with blas_threads(2):
+            with blas_threads(1) as count:
+                assert count == get_threads() == 1
+            assert get_threads() == 2
+
+    def test_count_restored_after_an_exception(self):
+        get_threads = _openblas_get()
+        with blas_threads(2):
+            with pytest.raises(KeyError):
+                with blas_threads(1):
+                    raise KeyError("inside")
+            assert get_threads() == 2
+
+    def test_nothing_done_without_a_known_symbol(self, monkeypatch):
+        get_threads = _openblas_get()
+        with blas_threads(2):
+            monkeypatch.setattr(core, "_openblas", lambda: None)
+            with blas_threads(1) as count:
+                assert count is None
+                assert get_threads() == 2
+
+    def test_library_search_finds_nothing_without_the_library_or_its_symbols(self, monkeypatch):
+        monkeypatch.setattr(core.glob, "glob", lambda pattern: [])
+        assert core._openblas.__wrapped__() is None
+        libc = ctypes.util.find_library("c")
+        if libc is None:
+            pytest.skip("no C library to stand in for an OpenBLAS without the symbols")
+        monkeypatch.setattr(core.glob, "glob", lambda pattern: [libc])
+        assert core._openblas.__wrapped__() is None
