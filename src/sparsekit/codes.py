@@ -340,7 +340,11 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
     decaying level beta*exp(-alpha*i), beta the peak of that noise image,
     to sparsify the noise estimate, and least-squares decodes the cleaned
     stream. A non-finite sample raises ValueError. Returns (input estimate,
-    impulse estimate, report).
+    impulse estimate, report). The report has converged when the last misfit
+    ||noise image - projector nu|| is at most 1e-7 ||received||: the impulse
+    estimate explains the parity image exactly. Background noise that no
+    sparse impulse vector explains, or more impulses than the code corrects,
+    leaves a misfit far above that.
 
     received may also be a (T, L) stack of streams of the same code and
     length. Its rows run through the same loop together, each bit-identical
@@ -375,11 +379,13 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
         nu = np.where(np.abs(blended) > threshold, blended, 0.0)
         misfit = noise_image - project(nu)
         norms.append(_row_norms(misfit))
+    tolerances = 1e-7 * _row_norms(stack)
     estimates = np.empty((stack.shape[0], input_length))
     for row, report in enumerate(reports):
         estimates[row], *_ = np.linalg.lstsq(g, stack[row] - nu[row], rcond=None)
         report.iterations = len(norms)
         report.residuals = [float(norm[row]) for norm in norms]
+        report.converged = bool(norms) and report.residuals[-1] <= float(tolerances[row])
     for report in reports:
         report._finish()
     if y.ndim < 2:

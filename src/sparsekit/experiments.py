@@ -6,17 +6,13 @@ and output digests so any artifact can be regenerated byte-for-byte
 (timing columns excepted; see fig31/fig32).
 """
 
-import contextvars
-import ctypes
 import dataclasses
 import datetime
 import hashlib
-import itertools
 import json
 import math
 import os
 import platform
-import signal
 
 import numpy as np
 
@@ -363,53 +359,6 @@ def run_fig20(params, seed, trials):
     }
 
 
-# The most worker processes a runner's _map_trials used; run_experiment
-# reads it into the manifest.
-_pool_workers = contextvars.ContextVar("pool_workers", default=1)
-
-
-def _trial_workers(tasks):
-    """Worker processes for tasks independent trials: one per usable CPU
-    and at most one per task; 1 where there is no sched_getaffinity or no
-    fork (not Linux)."""
-    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
-        return min(len(os.sched_getaffinity(0)), tasks)
-    return 1
-
-
-def _die_with_parent(parent):
-    """Pool initializer: have the kernel SIGKILL this worker when its parent
-    dies (Linux PR_SET_PDEATHSIG), so a killed run leaves no workers."""
-    prctl = ctypes.CDLL(None, use_errno=True).prctl
-    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-    if prctl(1, signal.SIGKILL) != 0:  # 1: PR_SET_PDEATHSIG
-        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-    if os.getppid() != parent:  # the parent died before prctl took effect
-        os._exit(1)
-
-
-def _map_trials(fn, tasks):
-    """[fn(task) for task in tasks], in task order. With two workers or
-    more (see _trial_workers) the tasks run in a pool of forked processes,
-    which inherit this process's BLAS thread count; the first error a task
-    raises is raised here, after the tasks not yet started are cancelled."""
-    workers = _trial_workers(len(tasks))
-    if workers < 2:
-        return list(map(fn, tasks))
-    # imported here: a process that never fans out keeps 1 MB of modules off its RSS
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    _pool_workers.set(max(workers, _pool_workers.get()))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_die_with_parent, initargs=(os.getpid(),)) as pool:
-        try:
-            return list(pool.map(fn, tasks))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 BENCH_SOLVERS = ("omp", "bp", "focuss", "ide", "sl0")
 
 
@@ -428,15 +377,12 @@ def _bench_solve(name, problem):
     raise ValueError(name)
 
 
-def _bench_trial(task):
-    """One benchmark trial: build its problem from its own stream and run
-    every BENCH_SOLVERS solver on it. Returns the true support size and one
+def _bench_trial(rng, m, n, p, sigma_on, sigma_off, sigma_nu):
+    """One benchmark trial: build its problem from rng and run every
+    BENCH_SOLVERS solver on it. Returns the true support size and one
     (nmse, support found, seconds) per solver."""
-    seed, stream, m, n, p, sigma_on, sigma_off, sigma_nu = task
-    problem = sca.bernoulli_gaussian_problem(
-        m, n, RandomSource(seed, stream=stream), p=p, sigma_on=sigma_on,
-        sigma_off=sigma_off, sigma_noise=sigma_nu,
-    )
+    problem = sca.bernoulli_gaussian_problem(m, n, rng, p=p, sigma_on=sigma_on,
+                                             sigma_off=sigma_off, sigma_noise=sigma_nu)
     truth = problem.true_source
     true_support = set(np.flatnonzero(np.abs(truth) > 10 * sigma_off))
     outcomes = []
@@ -449,30 +395,26 @@ def _bench_trial(task):
 
 
 def _bench_rows(n_grid, m_of_n, sigma_grid, trials, seed, p, sigma_on, sigma_off):
-    """One row per (n, sigma, solver). The trials of the whole grid are
-    solved by _map_trials and summed in (n, sigma, trial) order, so the
-    sums are the same bits as a serial run's."""
-    points = [(n, m_of_n(n), sigma_nu, (n_index * 64 + s_index) * 10_000)
-              for n_index, n in enumerate(n_grid)
-              for s_index, sigma_nu in enumerate(sigma_grid)]
-    results = iter(_map_trials(_bench_trial, [
-        (seed, base + t, m, n, p, sigma_on, sigma_off, sigma_nu)
-        for n, m, sigma_nu, base in points for t in range(trials)
-    ]))
+    """One row per (n, sigma, solver), each point's trials summed in trial
+    order."""
     rows = []
-    for n, m, sigma_nu, _ in points:
-        sums = [[0.0, 0, 0.0] for _ in BENCH_SOLVERS]  # nmse, support found, seconds
-        k_true_total = 0
-        for k_true, outcomes in itertools.islice(results, trials):
-            k_true_total += k_true
-            for total, outcome in zip(sums, outcomes):
-                for j, value in enumerate(outcome):
-                    total[j] += value
-        rows.extend(
-            (name, n, m, round(k_true_total / trials, 2), sigma_nu, seed,
-             ok / trials, mse / trials, secs / trials)
-            for name, (mse, ok, secs) in zip(BENCH_SOLVERS, sums)
-        )
+    for n_index, n in enumerate(n_grid):
+        m = m_of_n(n)
+        for s_index, sigma_nu in enumerate(sigma_grid):
+            sums = [[0.0, 0, 0.0] for _ in BENCH_SOLVERS]  # nmse, support found, seconds
+            k_true_total = 0
+            for t in range(trials):
+                rng = RandomSource(seed, stream=(n_index * 64 + s_index) * 10_000 + t)
+                k_true, outcomes = _bench_trial(rng, m, n, p, sigma_on, sigma_off, sigma_nu)
+                k_true_total += k_true
+                for total, outcome in zip(sums, outcomes):
+                    for j, value in enumerate(outcome):
+                        total[j] += value
+            rows.extend(
+                (name, n, m, round(k_true_total / trials, 2), sigma_nu, seed,
+                 ok / trials, mse / trials, secs / trials)
+                for name, (mse, ok, secs) in zip(BENCH_SOLVERS, sums)
+            )
     return rows
 
 
@@ -683,16 +625,21 @@ def resolve_config(spec):
     return definition, config, trials
 
 
-def _environment(blas, workers):
+def _environment(blas_count):
     """The manifest's environment block: the BLAS thread count the runner
-    ran at (None: numpy's OpenBLAS not found, count not set), the most
-    trial worker processes it used, the usable CPUs, the thread variables
-    and the versions."""
+    ran at (None: numpy's OpenBLAS not found, count not set), the BLAS numpy
+    was built with (None when numpy does not say), the usable CPUs, the
+    thread variables and the versions."""
     import scipy  # no runner needs it; the bare package import loads no BLAS
 
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = None
     return {
-        "blas_threads": blas,
-        "trial_workers": workers,
+        "blas_threads": blas_count,
+        "blas": blas,
         "nproc": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count()),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
@@ -710,13 +657,8 @@ def run_experiment(spec):
     core.blas_threads); the caller's thread count is restored afterwards."""
     definition, config, trials = resolve_config(spec)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    token = _pool_workers.set(1)
-    try:
-        with blas_threads(1) as blas:
-            outputs = definition.runner(config, spec.seed, trials)
-        environment = _environment(blas, _pool_workers.get())
-    finally:
-        _pool_workers.reset(token)
+    with blas_threads(1) as blas:
+        outputs = definition.runner(config, spec.seed, trials)
     os.makedirs(spec.out_dir, exist_ok=True)
     digests = {}
     for filename, (header, rows) in outputs.items():
@@ -732,7 +674,7 @@ def run_experiment(spec):
         started=started,
         finished=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         outputs=digests,
-        environment=environment,
+        environment=_environment(blas),
     )
     manifest_path = os.path.join(spec.out_dir, f"{spec.experiment_id}_manifest.json")
     with open(manifest_path, "w") as fh:

@@ -321,6 +321,24 @@ class TestConvDecoding:
         assert set(positions).issubset(set(detected))
         assert snr_db(x, est) > 40
 
+    def test_impulsive_converged_only_when_the_impulses_explain_the_parity_image(self):
+        # converged: the last misfit is at most 1e-7 ||received||. No impulses
+        # (a noise image at roundoff) and three impulses are corrected exactly;
+        # thirty are more than this rate-1/2 code corrects in 110 samples.
+        code = ConvCode(EX_TAPS_1, EX_TAPS_2)
+        streams = []
+        for t, count in enumerate((0, 3, 30)):
+            rng = RandomSource(63, stream=t)
+            y = conv_encode(rng.uniform(-1.0, 1.0, 50), code)
+            positions = rng.choice(y.size, size=count, replace=False)
+            y[positions] += 5.0 * np.std(y) * rng.standard_normal(count)
+            streams.append(y)
+        _, _, reports = conv_impulsive_decode(np.array(streams), code)
+        assert [report.converged for report in reports] == [True, True, False]
+        for stream, report in zip(streams, reports):
+            assert conv_impulsive_decode(stream, code)[-1].converged is report.converged
+            assert bool(report.residuals[-1] <= 1e-7 * np.linalg.norm(stream)) is report.converged
+
 
 class TestStackedImpulsiveDecode:
     """A (T, L) stack decodes each row exactly as a solo call would."""

@@ -8,10 +8,8 @@ import json
 import math
 import os
 import pkgutil
-import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ import pytest
 import sparsekit
 from sparsekit import core, experiments
 from sparsekit.cli import main as cli_main
-from sparsekit.core import CapacityError, blas_threads
+from sparsekit.core import RandomSource, blas_threads
 from sparsekit.experiments import (
     REGISTRY,
     ExperimentSpec,
@@ -138,73 +136,11 @@ class TestRunExperiment:
         assert {r[0] for r in errors[1:]} == {"prony", "pisarenko", "music"}
 
 
-def _cpus(monkeypatch, count):
-    """Make _trial_workers see count usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _worker_state(task):
-    get_threads = core._openblas()[1]
-    return os.getpid(), get_threads()
-
-
-def _fail_on_two(task):
-    if task == 2:
-        raise CapacityError("task 2")
-    return task
-
-
-def _gone(pid):
-    """True once pid is no longer a running process (a zombie counts as gone)."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
-    except (FileNotFoundError, ProcessLookupError):
-        return True
-
-
-def _no_children_left():
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-_PARKED_WORKERS = """
-import os, sys, time
-sys.path.insert(0, {src!r})
-from sparsekit import experiments
-os.sched_getaffinity = lambda pid: {{0, 1}}
-
-def park(path):
-    with open(path + ".tmp", "w") as fh:
-        fh.write(str(os.getpid()))
-    os.replace(path + ".tmp", path)
-    time.sleep(600)
-
-experiments._map_trials(park, [os.path.join({folder!r}, f"worker{{i}}") for i in range(2)])
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="trials fan out on Linux only")
 class TestTrialFanOut:
-    @pytest.mark.parametrize("experiment_id,trials", [("fig31", 3), ("fig32", 2)])
-    def test_pool_and_serial_runs_write_the_same_csv(self, tmp_path, monkeypatch,
-                                                     experiment_id, trials):
-        tables, workers = [], []
-        for cpus in (2, 1):
-            _cpus(monkeypatch, cpus)
-            out = tmp_path / str(cpus)
-            manifest = run_experiment(ExperimentSpec(experiment_id, seed=11, trials=trials,
-                                                     out_dir=str(out)))
-            tables.append([row[:-1] for row in read_csv(out / f"{experiment_id}.csv")])
-            workers.append(manifest.environment["trial_workers"])
-        assert tables[0] == tables[1]
-        assert workers == [2, 1]
+    """fig31 and fig32 spread their solves over an (n, sigma, trial) grid,
+    solved in grid order in the calling process."""
 
-    def test_rows_sum_the_trials_in_grid_order(self, monkeypatch):
-        _cpus(monkeypatch, 2)
+    def test_rows_sum_the_trials_in_grid_order(self):
         n_grid, sigma_grid, trials, seed = [20, 24], [0.01, 0.1], 3, 4
         rows = experiments._bench_rows(n_grid, lambda n: n // 2, sigma_grid, trials, seed,
                                        0.1, 1.0, 0.01)
@@ -213,9 +149,9 @@ class TestTrialFanOut:
             for s_index, sigma_nu in enumerate(sigma_grid):
                 mse, ok, k_true = [0.0] * 5, [0] * 5, 0
                 for t in range(trials):
-                    task = (seed, (n_index * 64 + s_index) * 10_000 + t, n // 2, n,
-                            0.1, 1.0, 0.01, sigma_nu)
-                    k, outcomes = experiments._bench_trial(task)
+                    rng = RandomSource(seed, stream=(n_index * 64 + s_index) * 10_000 + t)
+                    k, outcomes = experiments._bench_trial(rng, n // 2, n, 0.1, 1.0, 0.01,
+                                                           sigma_nu)
                     k_true += k
                     for i, (nmse, found, _) in enumerate(outcomes):
                         mse[i] += nmse
@@ -225,56 +161,24 @@ class TestTrialFanOut:
                              for i, name in enumerate(experiments.BENCH_SOLVERS)]
         assert [row[:-1] for row in rows] == expected
 
-    def test_pool_workers_run_at_one_blas_thread(self, monkeypatch):
-        if core._openblas() is None:
-            pytest.skip("numpy's OpenBLAS not found")
-        _cpus(monkeypatch, 2)
-        with blas_threads(2), blas_threads(1):
-            states = experiments._map_trials(_worker_state, [0, 1, 2, 3])
-        assert all(pid != os.getpid() for pid, _ in states)
-        assert [threads for _, threads in states] == [1, 1, 1, 1]
+    @pytest.mark.parametrize("experiment_id,overrides", [
+        ("fig31", {"sigma_grid": [0.01, 0.1], "n": 20, "m": 10}),
+        ("fig32", {"n_grid": [16, 24]}),
+    ], ids=["fig31", "fig32"])
+    def test_every_solve_runs_in_the_calling_process(self, tmp_path, monkeypatch,
+                                                     experiment_id, overrides):
+        pids, solve = [], experiments._bench_solve
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_a_failing_trial_raises_its_own_error(self, monkeypatch, cpus):
-        _cpus(monkeypatch, cpus)
-        assert experiments._map_trials(_fail_on_two, [0, 1]) == [0, 1]
-        with pytest.raises(CapacityError, match="task 2"):
-            experiments._map_trials(_fail_on_two, list(range(6)))
-        assert _no_children_left()
+        def recording_solve(name, problem):
+            pids.append(os.getpid())
+            return solve(name, problem)
 
-    def test_no_child_process_left_after_run_experiment(self, tmp_path, monkeypatch):
-        _cpus(monkeypatch, 2)
-        manifest = run_experiment(ExperimentSpec(
-            "fig31", seed=1, trials=2, out_dir=str(tmp_path),
-            overrides={"sigma_grid": [0.01, 0.1], "n": 20, "m": 10},
-        ))
-        assert manifest.environment["trial_workers"] == 2
-        assert _no_children_left()
-
-    def test_workers_die_with_a_killed_parent(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(sparsekit.__file__))
-        script = _PARKED_WORKERS.format(src=src, folder=str(tmp_path))
-        parent = subprocess.Popen([sys.executable, "-c", script])
-        pids = []
-        try:
-            paths = [tmp_path / f"worker{i}" for i in range(2)]
-            deadline = time.monotonic() + 60
-            while not all(p.exists() for p in paths) and parent.poll() is None:
-                assert time.monotonic() < deadline, "the workers did not start"
-                time.sleep(0.05)
-            pids = [int(p.read_text()) for p in paths]
-            parent.kill()
-            parent.wait()
-            deadline = time.monotonic() + 10
-            while not all(map(_gone, pids)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert [pid for pid in pids if not _gone(pid)] == []
-        finally:
-            parent.kill()
-            parent.wait()
-            for pid in pids:
-                if not _gone(pid):
-                    os.kill(pid, signal.SIGKILL)
+        monkeypatch.setattr(experiments, "_bench_solve", recording_solve)
+        run_experiment(ExperimentSpec(experiment_id, seed=11, trials=2, out_dir=str(tmp_path),
+                                      overrides=overrides))
+        rows = read_csv(tmp_path / f"{experiment_id}.csv")[1:]
+        assert len(rows) == 2 * len(experiments.BENCH_SOLVERS)
+        assert pids == [os.getpid()] * (2 * len(rows))
 
 
 def test_manifest_records_the_environment(tmp_path):
@@ -283,11 +187,22 @@ def test_manifest_records_the_environment(tmp_path):
     with open(tmp_path / "fig4_manifest.json") as fh:
         environment = json.load(fh)["environment"]
     assert environment == manifest.environment
-    assert set(environment) == {"blas_threads", "trial_workers", "nproc", "OMP_NUM_THREADS",
+    assert set(environment) == {"blas_threads", "blas", "nproc", "OMP_NUM_THREADS",
                                 "OPENBLAS_NUM_THREADS", "python", "numpy", "scipy"}
     assert environment["blas_threads"] == (None if core._openblas() is None else 1)
-    assert environment["trial_workers"] == 1
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment["blas"] == f"{blas['name']} {blas['version']}"
     assert environment["numpy"] == np.__version__
+
+
+def test_manifest_blas_is_null_when_numpy_does_not_name_it(tmp_path, monkeypatch):
+    def old_show_config():  # numpy before 1.26 takes no mode
+        return None
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    manifest = run_experiment(ExperimentSpec("fig4", seed=7, trials=1, out_dir=str(tmp_path),
+                                             overrides={"iterations": 2}))
+    assert manifest.environment["blas"] is None
 
 
 def test_run_experiment_restores_the_callers_blas_threads(tmp_path):
@@ -400,17 +315,26 @@ def test_cli_and_harness_import_without_scipy_fft():
     assert out.stdout.strip() == "False"
 
 
-def test_pool_modules_load_only_when_trials_fan_out(tmp_path):
-    # multiprocessing and concurrent.futures add about 1 MB to the RSS of a
-    # process that never starts a pool
-    src = os.path.dirname(os.path.dirname(sparsekit.__file__))
-    probe = ("import sys, sparsekit.cli, sparsekit.experiments as e; "
-             f"e.run_experiment(e.ExperimentSpec('fig4', trials=1, out_dir={str(tmp_path)!r}, "
-             "overrides={'iterations': 2})); "
-             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+def test_no_module_starts_a_process():
+    """Every runner solves in the calling process, where a tracer and the
+    process's own peak RSS see its work: no module imports multiprocessing
+    or concurrent.futures, or names fork or prctl."""
+    sites = []
+    for module in pkgutil.iter_modules(sparsekit.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"sparsekit.{module.name}")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if any(name.startswith(("multiprocessing", "concurrent"))
+                   or name in ("fork", "prctl") for name in names):
+                sites.append(f"{module.name}:{node.lineno}")
+    assert sites == []
 
 
 class _ReadRecorder(dict):
