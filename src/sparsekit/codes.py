@@ -23,7 +23,9 @@ from .core import (
     pseudo_inverse_solve,
     read_samples,
     sorted_dft,
+    _row_dots,
     _row_norms,
+    _sorted_dft,
     _unitary_dft,
 )
 from .sampling import conjugate_gradient
@@ -64,13 +66,17 @@ class DftBlockCode:
         return np.concatenate([np.arange(low), np.arange(self.n - (self.l - low), self.n)])
 
     def encode(self, message):
-        values = as_values(message)
-        if values.size != self.l:
-            raise ValueError(f"message length {values.size} != l = {self.l}")
-        spectrum = _unitary_dft(values)
-        placed = np.zeros(self.n, dtype=np.complex128)
-        placed[self._message_bins()] = spectrum
-        return sorted_dft(placed, self.q, inverse=True)
+        """The codeword of message; a (T, l) stack of messages encodes row
+        by row into a (T, n) stack, each row bit for bit its own codeword."""
+        if np.ndim(message) == 2:
+            values = np.asarray(message, dtype=np.complex128)
+        else:
+            values = as_values(message)
+        if values.shape[-1] != self.l:
+            raise ValueError(f"message length {values.shape[-1]} != l = {self.l}")
+        placed = np.zeros(values.shape[:-1] + (self.n,), dtype=np.complex128)
+        placed[..., self._message_bins()] = _unitary_dft(values)
+        return _sorted_dft(placed, self.q, inverse=True)
 
     def decode(self, codeword):
         values = as_values(codeword)
@@ -86,42 +92,56 @@ def _elp_coefficients(positions, n):
 
     Evaluates H(z) = prod (z - exp(2pi j pos/n)) on the n-point unit-circle
     grid and reads the coefficients off an inverse FFT, which is cheaper and
-    better behaved than symbolic expansion for large k.
+    better behaved than symbolic expansion for large k. A (T, k) stack of
+    positions gives a (T, k + 1) stack of locators.
     """
-    k = len(positions)
+    positions = np.asarray(positions)
+    k = positions.shape[-1]
     grid = np.exp(2j * np.pi * np.arange(n) / n)
-    roots = np.exp(2j * np.pi * np.asarray(positions) / n)
-    h_vals = np.ones(n, dtype=np.complex128)
-    for root in roots:
-        h_vals *= grid - root
+    roots = np.exp(2j * np.pi * positions / n)
+    h_vals = np.ones(positions.shape[:-1] + (n,), dtype=np.complex128)
+    for root in np.moveaxis(roots, -1, 0):
+        h_vals *= grid - root[..., None]
     padded = np.fft.ifft(h_vals * grid ** (-k))
-    return padded[: k + 1]
+    return padded[..., : k + 1]
+
+
+_BLOWN_UP = ("locator recursion blew up; re-encode with a sorted DFT (q > 1) "
+             "to break up the burst")
 
 
 def _fill_by_recursion(syndrome, h, theta_mask, norm_scale):
-    """Complete a locator-annihilated spectrum from its syndrome values.
+    """Complete locator-annihilated spectra from their syndrome values.
 
     The forward-kernel annihilation identity sum_t h_t E[r+t] = 0 gives
     E[r] = -(1/h_0) sum_{t>=1} h_t E[r+t], walked downward from the
     syndrome run so every needed value is already known; index arithmetic
-    is mod n.
+    is mod n. Each row of the (T, n) syndrome stack has its row of the
+    (T, k + 1) locators h and of norm_scale. A row whose recursion blows up
+    (a value above 1e12 norm_scale) stops there. Returns the (T, n) spectra,
+    zero on the rows that blew up, and the boolean mask of those rows.
     """
     n = theta_mask.size
-    k = h.size - 1
+    k = h.shape[1] - 1
     spectrum = np.where(theta_mask, syndrome, 0.0)
+    filled = np.zeros_like(spectrum)
+    blown = np.zeros(len(spectrum), dtype=bool)
     start = int(np.flatnonzero(theta_mask)[0])
-    tail = h[1:]  # h_1 ... h_k paired with E[r+1] ... E[r+k]
-    limit = 1e12 * max(norm_scale, 1e-300)
+    tail, lead = h[:, 1:], h[:, 0]  # h_1 ... h_k paired with E[r+1] ... E[r+k]
+    limit = 1e12 * np.maximum(norm_scale, 1e-300)
+    live = np.arange(len(spectrum))  # stack rows of the spectra still walked
     for step in range(n - int(theta_mask.sum())):
         r = (start - 1 - step) % n
-        window = spectrum[(r + 1 + np.arange(k)) % n]
-        spectrum[r] = -(tail @ window) / h[0]
-        if abs(spectrum[r]) > limit:
-            raise InstabilityError(
-                "locator recursion blew up; re-encode with a sorted DFT (q > 1) "
-                "to break up the burst"
-            )
-    return spectrum
+        # a contiguous window: a strided dot sums in another order
+        window = np.ascontiguousarray(spectrum[:, (r + 1 + np.arange(k)) % n])
+        spectrum[:, r] = -_row_dots(tail, window) / lead
+        over = np.abs(spectrum[:, r]) > limit
+        if np.count_nonzero(over):
+            blown[live[over]] = True
+            live, spectrum, tail, lead, limit = (
+                part[~over] for part in (live, spectrum, tail, lead, limit))
+    filled[live] = spectrum
+    return filled, blown
 
 
 def elp_erasure_decode(received, erasures, code):
@@ -131,29 +151,51 @@ def elp_erasure_decode(received, erasures, code):
     retained one raises ValueError. Works in the code's transform domain
     (DFT or sorted DFT), where the known syndrome bins pin the erasure
     spectrum and the recursion extends it to all bins. Returns the repaired
-    codeword.
+    codeword; a recursion that blows up raises InstabilityError.
+
+    received may also be a (T, n) stack with a list of T erasure sets of one
+    size; an erasure-set count other than T, or mixed sizes, raise
+    ValueError. Each repaired row equals its own decode bit for bit. The
+    call then returns a (T, n) array and a list of T reports, each
+    converged unless its row's recursion blew up. Such a row is not
+    repaired: it holds the received samples with its erasures read as zero,
+    and its report carries InstabilityError's message as its flag. Every
+    report's wall_time spans the whole stack.
     """
-    values = as_values(received)
+    stacked = np.ndim(getattr(received, "values", received)) == 2
+    if stacked:
+        values = np.asarray(received, dtype=np.complex128)
+    else:
+        values, erasures = as_values(received)[None], [erasures]
     n = code.n
-    if values.size != n:
-        raise ValueError(f"received length {values.size} != n = {n}")
-    values = read_samples(values, erasures.mask())
-    k = len(erasures)
+    if values.shape[1] != n:
+        raise ValueError(f"received length {values.shape[1]} != n = {n}")
+    if len(erasures) != len(values):
+        raise ValueError("a stack needs one erasure set per row")
+    k = len(erasures[0])
+    if any(len(erased) != k for erased in erasures):
+        raise ValueError("every row of a stack must have the same number of erasures")
+    values = read_samples(values, np.array([erased.mask() for erased in erasures]))
     if k > code.p:
         raise CapacityError(f"{k} erasures exceed the capacity p = {code.p}")
-    if k == 0:
-        return values.copy()
-
-    transformed = sorted_dft(values, code.q)
-    theta_mask = code.theta.mask()
-    # erasure positions as seen by the sorted-DFT kernel
-    positions = (np.asarray(erasures.indices) * code.q) % n
-    h = _elp_coefficients(positions, n)
-    error_spectrum = _fill_by_recursion(
-        -transformed, h, theta_mask, float(np.linalg.norm(transformed))
-    )
-    repaired_spectrum = transformed + error_spectrum
-    return sorted_dft(repaired_spectrum, code.q, inverse=True)
+    reports = [SolverReport(solver="elp-erasure", converged=True) for _ in values]
+    repaired = values.copy()
+    if k:
+        transformed = _sorted_dft(values, code.q)
+        # erasure positions as seen by the sorted-DFT kernel
+        positions = (np.array([erased.indices for erased in erasures]) * code.q) % n
+        error_spectrum, blown = _fill_by_recursion(
+            -transformed, _elp_coefficients(positions, n), code.theta.mask(),
+            _row_norms(transformed))
+        if blown[0] and not stacked:
+            raise InstabilityError(_BLOWN_UP)
+        repaired[~blown] = _sorted_dft(transformed + error_spectrum, code.q, inverse=True)[~blown]
+        for row in np.flatnonzero(blown):
+            reports[row].converged = False
+            reports[row].flags.append(_BLOWN_UP)
+    for report in reports:
+        report._finish()
+    return (repaired, reports) if stacked else repaired[0]
 
 
 def elp_impulsive_decode(received, code):
@@ -204,9 +246,12 @@ def elp_impulsive_decode(received, code):
             f"detected {time_positions.size} impulses > capacity {k}: likely overrun"
         )
 
-    h_exact = _elp_coefficients((time_positions * code.q) % n, n)
-    error_spectrum = _fill_by_recursion(transformed, h_exact, code.theta.mask(), scale)
-    impulses = sorted_dft(error_spectrum, code.q, inverse=True)
+    h_exact = _elp_coefficients((time_positions[None] * code.q) % n, n)
+    error_spectrum, blown = _fill_by_recursion(transformed[None], h_exact, code.theta.mask(),
+                                               np.array([scale]))
+    if blown[0]:
+        raise InstabilityError(_BLOWN_UP)
+    impulses = sorted_dft(error_spectrum[0], code.q, inverse=True)
     clean = values - impulses
     return clean, SupportSet(time_positions, n), impulses[time_positions], report._finish()
 
@@ -305,6 +350,12 @@ def _conv_operators(h1, h2, input_length):
     return g, projector, None
 
 
+def _matvecs(matrix, v):
+    """matrix @ v[i] for each row i, one gemv per row as the 1-D product
+    runs it."""
+    return np.matmul(matrix, v[:, :, None])[:, :, 0]
+
+
 def conv_erasure_decode(received, erasures, code, max_iters=200):
     """Recover the encoder input from an erased output stream.
 
@@ -312,24 +363,40 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     conjugate gradients (residual 1e-10); above-capacity erasure rates show
     up as a non-converged report, not an exception. Erased samples are
     ignored; a non-finite retained one raises ValueError.
+
+    received may also be a (T, L) stack of streams with a list of T erasure
+    sets; an erasure-set count other than T raises ValueError. The rows run
+    through one stacked CG (see sampling.conjugate_gradient), each equal to
+    its own decode bit for bit, and the call returns a (T, input_length)
+    array of estimates and a list of T reports.
     """
-    y = np.asarray(received, dtype=np.float64).reshape(-1)
-    if y.size % 2:
+    y = np.asarray(received, dtype=np.float64)
+    if y.ndim > 2:
+        raise ValueError("received must be one stream or a (T, L) stack of streams")
+    stacked = y.ndim == 2
+    if not stacked:
+        y, erasures = y.reshape(1, -1), [erasures]
+    if len(erasures) != len(y):
+        raise ValueError("a stack needs one erasure set per row")
+    length = y.shape[1]
+    if length % 2:
         raise ValueError("received stream must have even length (rate 1/2)")
-    input_length = y.size // 2 - code.taps + 1
+    input_length = length // 2 - code.taps + 1
     g, _, _ = _conv_operators(tuple(code.h1), tuple(code.h2), input_length)
-    keep = ~erasures.mask() if len(erasures) else np.ones(y.size, dtype=bool)
+    keep = np.array([~erased.mask() if len(erased) else np.ones(length, dtype=bool)
+                     for erased in erasures])
     y = read_samples(y, ~keep)
 
-    def normal_op(v):
-        return g.T @ (keep * (g @ v))
+    def normal_op(v, rows):
+        return _matvecs(g.T, keep[rows] * _matvecs(g, v))
 
-    rhs = g.T @ (keep * y)
-    estimate, report = conjugate_gradient(normal_op, rhs, max_iters=max_iters, eps=1e-10)
-    report.solver = "conv-erasure-cg"
-    if len(erasures) > y.size // 2:
-        report.flags.append("erasure rate above capacity 1/2")
-    return estimate.real, report
+    estimates, reports = conjugate_gradient(normal_op, _matvecs(g.T, keep * y),
+                                            max_iters=max_iters, eps=1e-10)
+    for erased, report in zip(erasures, reports):
+        report.solver = "conv-erasure-cg"
+        if len(erased) > length // 2:
+            report.flags.append("erasure rate above capacity 1/2")
+    return (estimates, reports) if stacked else (estimates[0], reports[0])
 
 
 def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
@@ -337,8 +404,10 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
 
     Projects the received stream onto the parity space (which sees only the
     noise), runs max_iters relaxed hard-thresholding iterations at the
-    decaying level beta*exp(-alpha*i), beta the peak of that noise image,
-    to sparsify the noise estimate, and least-squares decodes the cleaned
+    decaying level beta*exp(-alpha*i), beta the peak of that noise image
+    floored at 1e-7 ||received|| (an impulse-free stream's noise image is
+    roundoff, which the schedule must not threshold into impulses), to
+    sparsify the noise estimate, and least-squares decodes the cleaned
     stream. A non-finite sample raises ValueError. Returns (input estimate,
     impulse estimate, report). The report has converged when the last misfit
     ||noise image - projector nu|| is at most 1e-7 ||received||: the impulse
@@ -363,13 +432,10 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
     if projector is None:
         raise NumericError(problem)
 
-    def project(v):
-        # one gemv per row, as projector @ v[row] would run it
-        return np.matmul(projector, v[:, :, None])[:, :, 0]
-
     reports = [SolverReport(solver="conv-impulsive-imat") for _ in stack]
-    noise_image = project(stack)
-    beta = np.maximum(np.max(np.abs(noise_image), axis=1), 1e-30)[:, None]
+    noise_image = _matvecs(projector, stack)
+    tolerances = 1e-7 * _row_norms(stack)
+    beta = np.maximum(np.max(np.abs(noise_image), axis=1), tolerances)[:, None]
     nu = np.zeros_like(stack)
     misfit = noise_image  # noise_image - projector @ nu, kept for the next blend
     norms = []
@@ -377,9 +443,8 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
         blended = nu + relax * misfit
         threshold = beta * math.exp(-alpha * i)
         nu = np.where(np.abs(blended) > threshold, blended, 0.0)
-        misfit = noise_image - project(nu)
+        misfit = noise_image - _matvecs(projector, nu)
         norms.append(_row_norms(misfit))
-    tolerances = 1e-7 * _row_norms(stack)
     estimates = np.empty((stack.shape[0], input_length))
     for row, report in enumerate(reports):
         estimates[row], *_ = np.linalg.lstsq(g, stack[row] - nu[row], rcond=None)

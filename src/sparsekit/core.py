@@ -40,12 +40,14 @@ def as_values(signal):
 
 def read_samples(values, erased=None, what="retained samples"):
     """The samples a solver reads: entries under the boolean mask erased
-    read as zero, and a non-finite retained sample raises ValueError. Not
+    read as zero, and a non-finite retained sample raises ValueError, which
+    names the first failing row of a (T, n) stack (see _stack_row). Not
     part of as_values, so snr_db still scores an overflowed iterate -inf."""
     if erased is not None:
         values = np.where(erased, 0.0, values)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} must be finite")
+    nonfinite = ~np.all(np.isfinite(values), axis=-1)
+    if np.any(nonfinite):
+        raise ValueError(f"{what} must be finite{_stack_row(nonfinite)}")
     return values
 
 
@@ -169,11 +171,23 @@ def _squared_errors(ref, est):
         return (np.abs(ref - est) ** 2).sum(axis=-1)  # np.sum's reduction, minus its dispatch
 
 
+def _row_dots(a, b):
+    """a[i] @ b[i] for each row i along the last axis, bit for bit: one BLAS
+    dot per row, with the rows' strides kept (a strided dot sums in another
+    order)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _row_norms(v):
-    """np.linalg.norm of each row of v, bit for bit: the squares of each
-    real part are summed by one BLAS dot per row, as the 1-D norm sums them."""
-    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    return np.sqrt(sum(np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0] for p in parts))
+    """np.linalg.norm of each row of v, bit for bit: the squares of the real
+    and imaginary parts are each summed by one strided BLAS dot per row, as
+    the 1-D norm sums them."""
+    if not np.iscomplexobj(v):
+        return np.sqrt(_row_dots(v, v))
+    v = np.ascontiguousarray(v)
+    parts = v.view(v.real.dtype).reshape(len(v), -1, 2).swapaxes(1, 2)  # (T, 2, n)
+    squares = _row_dots(parts, parts)
+    return np.sqrt(squares[:, 0] + squares[:, 1])
 
 
 def _snr_db(ref_energy, err):
@@ -303,19 +317,22 @@ def sorted_dft(signal, q, inverse=False):
     spectral interleaver: consecutive indices on one side map to a spread
     pattern on the other, which breaks up bursts.
     """
-    x = as_values(signal)
-    n = x.size
+    return _wrap_like(signal, _sorted_dft(as_values(signal), q, inverse))
+
+
+def _sorted_dft(x, q, inverse=False):
+    """sorted_dft of the complex array x along its last axis; each row of a
+    stack equals its own transform bit for bit."""
+    n = x.shape[-1]
     q = int(q)
     if math.gcd(q, n) != 1:
         raise ValueError(f"q={q} must be relatively prime to n={n}")
     perm = (np.arange(n) * q) % n
     if inverse:
-        spectrum = np.empty(n, dtype=np.complex128)
-        spectrum[perm] = x
-        out = _unitary_dft(spectrum, inverse=True)
-    else:
-        out = _unitary_dft(x)[perm]
-    return _wrap_like(signal, out)
+        spectrum = np.empty(x.shape, dtype=np.complex128)
+        spectrum[..., perm] = x
+        return _unitary_dft(spectrum, inverse=True)
+    return _unitary_dft(x)[..., perm]
 
 
 def pseudo_inverse_solve(matrix, rhs):
@@ -340,9 +357,10 @@ def pseudo_inverse_solve(matrix, rhs):
 
 
 def _stack_row(failing):
-    """'' for the 0-d check of one matrix; for a stack's per-row check,
-    ' in stack row j', j the first failing row."""
-    return f" in stack row {np.flatnonzero(failing)[0]}" if np.ndim(failing) else ""
+    """'' for the 0-d check of one matrix, and for a one-row stack (a
+    one-signal call solved as a stack); for the per-row check of a taller
+    stack, ' in stack row j', j the first failing row."""
+    return f" in stack row {np.flatnonzero(failing)[0]}" if np.size(failing) > 1 else ""
 
 
 def hermitian_eig(matrix):
@@ -351,7 +369,8 @@ def hermitian_eig(matrix):
     The input is symmetrized internally; it must be finite and Hermitian
     to 1e-10 relative to its norm. A (T, n, n) stack is decomposed matrix
     by matrix, each checked on its own, into (T, n) eigenvalues and
-    (T, n, n) eigenvectors; the error names the first failing row.
+    (T, n, n) eigenvectors; the error names the first failing row (see
+    _stack_row).
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:

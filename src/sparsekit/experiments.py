@@ -70,22 +70,24 @@ def _sparse_time_instance(n, k, m, rng):
 
 
 def run_fig4(params, seed, trials):
-    """SNR vs iteration for plain/Chebyshev/CG on a random-sampled bandpass signal."""
+    """SNR vs iteration for plain/Chebyshev/CG on a random-sampled bandpass signal.
+
+    The trials draw from their own streams, in order, and each solver
+    solves them as one stack."""
     n = params["n"]
     iters = params["iterations"]
     band = np.arange(params["band_start"], params["band_stop"])
     m = int(round(params["osr"] * band.size))
     support = SupportSet(band, n)
-    traces = {"plain": [], "chebyshev": [], "cg": []}
-    for t in range(trials):
-        rng = RandomSource(seed, stream=t + 1)
-        x, observed, times = _sampled_instance(n, band, m, rng)
-        for name, solver in (("plain", sampling.iterative_reconstruct),
-                             ("chebyshev", sampling.chebyshev_accelerate),
-                             ("cg", sampling.cg_accelerate)):
-            _, rep = solver(observed, times, support, max_iters=iters, eps=1e-300, reference=x)
-            traces[name].append(rep.snrs)
-    med = {k: _median_trace(v, iters) for k, v in traces.items()}
+    signals, observed, times = zip(*(_sampled_instance(n, band, m, RandomSource(seed, stream=t + 1))
+                                     for t in range(trials)))
+    med = {}
+    for name, solver in (("plain", sampling.iterative_reconstruct),
+                         ("chebyshev", sampling.chebyshev_accelerate),
+                         ("cg", sampling.cg_accelerate)):
+        _, reports = solver(np.array(observed), times, support, max_iters=iters, eps=1e-300,
+                            reference=np.array(signals))
+        med[name] = _median_trace([rep.snrs for rep in reports], iters)
     rows = [
         (i + 1, med["plain"][i], med["chebyshev"][i], med["cg"][i])
         for i in range(iters)
@@ -177,7 +179,11 @@ def run_fig7(params, seed, trials):
 
 
 def run_fig10(params, seed, trials):
-    """Block-code erasure recovery: bursts and scattered losses, DFT vs SDFT."""
+    """Block-code erasure recovery: bursts and scattered losses, DFT vs SDFT.
+
+    The trials of one erasure count draw from their own streams, in order,
+    and each code decodes them as one stack; a decode whose recursion blew
+    up scores -inf."""
     l, p, q = params["l"], params["p"], params["sdft_q"]
     n = l + p
     dft_code = codes.DftBlockCode(l=l, p=p, q=1)
@@ -187,37 +193,42 @@ def run_fig10(params, seed, trials):
         sizes = range(1, p + 1) if kind == "burst" else range(1, params["scatter_max"] + 1)
         base = 0 if kind == "burst" else 500_000
         for size in sizes:
-            snrs = {1: [], q: []}
+            messages, erasures = [], []
             for t in range(trials):
                 rng = RandomSource(seed, stream=base + size * 1000 + t)
-                msg = rng.standard_normal(l)
+                messages.append(rng.standard_normal(l))
                 if kind == "burst":
                     positions = np.arange(1, size + 1)
                 else:
                     positions = np.sort(rng.choice(n, size=size, replace=False))
-                erasures = SupportSet(positions, n)
-                for code in (dft_code, sdft_code):
-                    codeword = code.encode(msg)
-                    received = codeword.copy()
-                    received[positions] = 0.0
-                    try:
-                        repaired = codes.elp_erasure_decode(received, erasures, code)
-                        snrs[code.q].append(min(snr_db(codeword, repaired), 300.0))
-                    except codes.InstabilityError:
-                        snrs[code.q].append(-math.inf)
-            rows.append((kind, size, float(np.median(snrs[1])), float(np.median(snrs[q]))))
+                erasures.append(SupportSet(positions, n))
+            medians = {}
+            for code in (dft_code, sdft_code):
+                codewords = code.encode(np.array(messages))
+                received = codewords.copy()
+                for row, erased in zip(received, erasures):
+                    row[erased.indices] = 0.0
+                repaired, reports = codes.elp_erasure_decode(received, erasures, code)
+                medians[code.q] = float(np.median([
+                    min(snr_db(codeword, estimate), 300.0) if report.converged else -math.inf
+                    for codeword, estimate, report in zip(codewords, repaired, reports)
+                ]))
+            rows.append((kind, size, medians[1], medians[q]))
     return {
         "fig10.csv": (["kind", "erasures", "snr_dft_db", "snr_sdft_db"], rows)
     }
 
 
 def run_fig15(params, seed, trials):
-    """Convolutional erasure decoding SNR vs relative erasure rate."""
+    """Convolutional erasure decoding SNR vs relative erasure rate.
+
+    The trials of one rate draw from their own streams, in order, and are
+    decoded as one stack."""
     code = codes.ConvCode(params["taps1"], params["taps2"])
     length = params["input_length"]
     rows = []
     for rate in params["rates"]:
-        values = []
+        inputs, received, erasures = [], [], []
         for t in range(trials):
             rng = RandomSource(seed, stream=int(rate * 1000) * 100 + t)
             x = rng.uniform(-1.0, 1.0, length)
@@ -225,13 +236,13 @@ def run_fig15(params, seed, trials):
             capacity = y.size // 2
             count = int(rate * capacity)
             positions = np.sort(rng.choice(y.size, size=count, replace=False))
-            received = y.copy()
-            received[positions] = 0.0
-            est, _ = codes.conv_erasure_decode(
-                received, SupportSet(positions, y.size), code,
-                max_iters=params["cg_iterations"],
-            )
-            values.append(min(snr_db(x, est), 300.0))
+            y[positions] = 0.0
+            inputs.append(x)
+            received.append(y)
+            erasures.append(SupportSet(positions, y.size))
+        estimates, _ = codes.conv_erasure_decode(np.array(received), erasures, code,
+                                                 max_iters=params["cg_iterations"])
+        values = [min(snr_db(x, est), 300.0) for x, est in zip(inputs, estimates)]
         rows.append((rate, float(np.mean(values))))
     return {"fig15.csv": (["relative_rate", "snr_db"], rows)}
 

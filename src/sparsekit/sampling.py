@@ -20,39 +20,60 @@ from .core import (
     polynomial_roots,
     read_samples,
     _annihilating_filter,
+    _row_dots,
     _row_norms,
     _snr_db,
     _squared_errors,
+    _stack_row,
     _unitary_dft,
 )
 
 
+def _as_stack(observed, sample_times, reference):
+    """(stacked, observed, sample_times, reference) with one signal, its
+    sample_times and reference made a one-row stack. A (T, n) stack passes
+    as it is; a sample_times or reference count other than T raises
+    ValueError."""
+    if np.ndim(getattr(observed, "values", observed)) != 2:
+        return False, [observed], [sample_times], None if reference is None else [reference]
+    if len(sample_times) != len(observed):
+        raise ValueError("a stack needs one sample_times per row")
+    if reference is not None and len(reference) != len(observed):
+        raise ValueError(f"need one reference per row: got {len(reference)} for {len(observed)} rows")
+    return True, observed, sample_times, reference
+
+
 def _retained_samples(observed, sample_times):
-    """The observed vector with its erased samples read as zero, and the
-    boolean mask of the retained sample_times. A non-finite retained sample,
-    or no retained sample at all, raises ValueError."""
-    x_obs = as_values(observed)
-    if sample_times.n != x_obs.size:
+    """The (T, n) stack of observed rows with their erased samples read as
+    zero, the (T, n) masks of the retained sample_times, and the one sample
+    count m of every row. Mixed sample counts, no retained sample, or a
+    non-finite retained sample raise ValueError; a stack's error names its
+    row."""
+    x_obs = np.array([as_values(row) for row in observed])
+    if any(times.n != x_obs.shape[1] for times in sample_times):
         raise ValueError("ambient lengths must match the signal length")
-    if len(sample_times) == 0:
+    if any(len(times) == 0 for times in sample_times):
         raise ValueError("need at least one retained sample")
-    smask = sample_times.mask()
-    return read_samples(x_obs, ~smask), smask
+    m = len(sample_times[0])
+    if any(len(times) != m for times in sample_times):
+        raise ValueError("every row of a stack must retain the same number of samples")
+    smask = np.array([times.mask() for times in sample_times])
+    return read_samples(x_obs, ~smask), smask, m
 
 
 def _masked_system(observed, sample_times, freq_support):
     """Checked samples and the density-compensated masked operator.
 
-    apply_ps(z) keeps the retained time samples of z, scales them by n/m so
-    a uniform Nyquist sampling is recovered in one projection, and projects
-    onto the frequency support. Returns (x_obs, smask, apply_ps,
-    apply_ps(x_obs)); see _retained_samples for x_obs and smask.
+    apply_ps(z, rows) keeps the retained time samples of each row of z (the
+    rows of the stack listed in rows), scales them by n/m so a uniform
+    Nyquist sampling is recovered in one projection, and projects onto the
+    frequency support. Returns (x_obs, smask, m, apply_ps, apply_ps(x_obs));
+    see _retained_samples for x_obs, smask and m.
     """
-    x_obs, smask = _retained_samples(observed, sample_times)
-    n = x_obs.size
+    x_obs, smask, m = _retained_samples(observed, sample_times)
+    n = x_obs.shape[1]
     if freq_support.n != n:
         raise ValueError("ambient lengths must match the signal length")
-    m = len(sample_times)
     t = len(freq_support)
     if t > m:
         raise ValueError(
@@ -61,35 +82,32 @@ def _masked_system(observed, sample_times, freq_support):
     outside = ~freq_support.mask()
     comp = n / m
 
-    def apply_ps(z):
-        spectrum = _unitary_dft(np.where(smask, z, 0.0) * comp)
-        spectrum[outside] = 0.0
+    def apply_ps(z, rows):
+        spectrum = _unitary_dft(np.where(smask[rows], z, 0.0) * comp)
+        spectrum[:, outside] = 0.0
         return _unitary_dft(spectrum, inverse=True)
 
-    return x_obs, smask, apply_ps, apply_ps(x_obs)
+    return x_obs, smask, m, apply_ps, apply_ps(x_obs, slice(None))
 
 
 def _snr_recorder(reports, references):
     """A callable record(estimates, rows) that appends, for each row i of
     estimates, its SNR against references[rows[i]] to reports[rows[i]].snrs,
     or does nothing without references; a reference count other than the
-    report count raises ValueError. Without rows, estimates is the one
-    report's 1-D estimate. ||ref||^2 is summed once per solve and each error
-    by its row sum, both by snr_db's expressions, so each SNR equals snr_db's."""
+    report count raises ValueError. ||ref||^2 is summed once per solve and
+    each error by its row sum, both by snr_db's expressions, so each SNR
+    equals snr_db's."""
     if references is None:
-        return lambda estimates, rows=None: None
+        return lambda estimates, rows: None
     refs = np.array([as_values(ref) for ref in references])
     if len(refs) != len(reports):
         raise ValueError(f"need one reference per row: got {len(refs)} for {len(reports)} rows")
     energies = [float(np.sum(np.abs(ref) ** 2)) for ref in refs]
 
-    def record(estimates, rows=None):
+    def record(estimates, rows):
         if refs.shape[-1] != estimates.shape[-1]:
             raise ValueError("reference and estimate lengths differ")
-        if rows is None:
-            rows, errors = (0,), [float(_squared_errors(refs[0], estimates))]
-        else:
-            errors = _squared_errors(refs[rows], estimates).tolist()
+        errors = _squared_errors(refs[rows], estimates).tolist()
         for row, error in zip(rows, errors):
             reports[row].snrs.append(_snr_db(energies[row], error))
 
@@ -105,10 +123,30 @@ def _masked_operator_matrix(sample_times, freq_support):
     return (n / times.size) * (basis.conj().T @ basis)
 
 
+def _frame_bounds(sample_times, freq_support):
+    """Arrays of the frame bounds (A, B), one per SupportSet in sample_times,
+    from one stacked eigvalsh."""
+    eigvals = np.linalg.eigvalsh(np.array([_masked_operator_matrix(times, freq_support)
+                                           for times in sample_times]))
+    return np.maximum(eigvals[:, 0], 1e-15), eigvals[:, -1]
+
+
 def estimate_frame_bounds(sample_times, freq_support):
     """Frame bounds (A, B) of the masked reconstruction operator."""
-    eigvals = np.linalg.eigvalsh(_masked_operator_matrix(sample_times, freq_support))
-    return float(max(eigvals[0], 1e-15)), float(eigvals[-1])
+    bound_a, bound_b = _frame_bounds([sample_times], freq_support)
+    return float(bound_a[0]), float(bound_b[0])
+
+
+_DIVERGED = "residual grew for 3 consecutive iterations"
+
+
+def _finish(estimates, reports, stacked):
+    """The stack's return value, or the one row's for a one-signal call;
+    each report counts one iteration per residual."""
+    for report in reports:
+        report.iterations = len(report.residuals)
+        report._finish()
+    return (estimates, reports) if stacked else (estimates[0], reports[0])
 
 
 def iterative_reconstruct(observed, sample_times, freq_support, max_iters=500, relax=1.0,
@@ -123,39 +161,61 @@ def iterative_reconstruct(observed, sample_times, freq_support, max_iters=500, r
     relax must lie in (0, 2) and eps be positive. Returns the estimate and
     a per-iteration report; divergence (three consecutive residual
     increases) is flagged, not fatal.
+
+    observed may also be a (T, n) stack with a list of T sample_times that
+    all retain the same number of samples, and reference then a (T, n)
+    stack; a sample_times count other than T, or mixed sample counts, raise
+    ValueError. Each row keeps its own stopping rule, flags and final
+    iterate, and equals its own solve bit for bit. The call then returns a
+    (T, n) array of estimates and a list of T reports; every report's
+    wall_time spans the whole stack.
     """
     if not 0.0 < relax < 2.0:
         raise ValueError("relaxation must lie in (0, 2)")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    x_obs, smask, apply_ps, b = _masked_system(observed, sample_times, freq_support)
+    stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
+    x_obs, smask, m, apply_ps, b = _masked_system(observed, sample_times, freq_support)
 
-    report = SolverReport(solver="iterative")
-    record_snr = _snr_recorder([report], None if reference is None else [reference])
-    x = np.zeros(x_obs.size, dtype=np.complex128)
-    diverged = False
-    grow_streak = 0
-    prev_resid = math.inf
+    reports = [SolverReport(solver="iterative") for _ in x_obs]
+    record_snr = _snr_recorder(reports, reference)
+    # the work arrays hold the running rows only; live maps them to stack rows
+    live = np.arange(len(reports))
+    obs, mask = x_obs, smask
+    x = np.zeros(x_obs.shape, dtype=np.complex128)
+    finals = np.empty_like(x)
+    grow_streak = np.zeros(live.size, dtype=int)
+    prev_resid = np.full(live.size, math.inf)
     for _ in range(max_iters):
-        x_new = x + relax * (b - apply_ps(x))
-        resid = float(np.linalg.norm((x_new - x_obs)[smask]))
-        report.iterations += 1
-        report.residuals.append(resid)
-        record_snr(x_new)
-        grow_streak = grow_streak + 1 if resid > prev_resid else 0
-        if grow_streak >= 3 and not diverged:
-            diverged = True
-            report.flags.append("residual grew for 3 consecutive iterations")
+        x_new = x + relax * (b - apply_ps(x, live))
+        resid = _row_norms((x_new - obs)[mask].reshape(-1, m))
+        for row, value in zip(live, resid.tolist()):
+            reports[row].residuals.append(value)
+        record_snr(x_new, live)
+        grow_streak = (grow_streak + 1) * (resid > prev_resid)
         prev_resid = resid
-        step = float(np.linalg.norm(x_new - x))
+        if np.count_nonzero(grow_streak == 3):  # cheaper than .any() on a few rows
+            for row in live[grow_streak == 3]:
+                if _DIVERGED not in reports[row].flags:
+                    reports[row].flags.append(_DIVERGED)
+        converged = _row_norms(x_new - x) < eps
         x = x_new
-        if step < eps:
-            report.converged = True
+        stopped = converged | ~(resid <= 1e100)  # or a residual above 1e100, or not finite
+        if not np.count_nonzero(stopped):
+            continue
+        for j in np.flatnonzero(stopped):
+            if converged[j]:
+                reports[live[j]].converged = True
+            else:
+                reports[live[j]].flags.append("iterate overflowed; stopping")
+        finals[live[stopped]] = x[stopped]
+        going = ~stopped
+        live, obs, mask, b, x, grow_streak, prev_resid = (
+            part[going] for part in (live, obs, mask, b, x, grow_streak, prev_resid))
+        if not live.size:
             break
-        if not math.isfinite(resid) or resid > 1e100:
-            report.flags.append("iterate overflowed; stopping")
-            break
-    return x, report._finish()
+    finals[live] = x
+    return _finish(finals, reports, stacked)
 
 
 def chebyshev_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10,
@@ -164,36 +224,49 @@ def chebyshev_accelerate(observed, sample_times, freq_support, max_iters=500, ep
 
     Uses the recursion lambda_n = (1 - rho^2 * lambda_{n-1} / 4)^-1 with
     rho = (B - A)/(B + A), the frame bounds (A, B) measured from the masked
-    operator by estimate_frame_bounds. Same fixed point and stopping rule
-    as iterative_reconstruct.
+    operator by estimate_frame_bounds. Same fixed point, stopping rule and
+    stack form as iterative_reconstruct.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    x_obs, smask, apply_ps, b = _masked_system(observed, sample_times, freq_support)
-    bound_a, bound_b = estimate_frame_bounds(sample_times, freq_support)
+    stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
+    x_obs, smask, m, apply_ps, b = _masked_system(observed, sample_times, freq_support)
+    bound_a, bound_b = _frame_bounds(sample_times, freq_support)
     rho = (bound_b - bound_a) / (bound_b + bound_a)
-    gain = 2.0 / (bound_a + bound_b)
+    gain = (2.0 / (bound_a + bound_b))[:, None]
 
-    report = SolverReport(solver="chebyshev")
-    record_snr = _snr_recorder([report], None if reference is None else [reference])
-    lam = 2.0
-    x_prev = np.zeros(x_obs.size, dtype=np.complex128)
+    reports = [SolverReport(solver="chebyshev") for _ in x_obs]
+    record_snr = _snr_recorder(reports, reference)
+    live = np.arange(len(reports))
+    obs, mask = x_obs, smask
+    lam = np.full(live.size, 2.0)
+    x_prev = np.zeros(x_obs.shape, dtype=np.complex128)
     x_cur = gain * b
-    report.iterations = 1
-    report.residuals.append(float(np.linalg.norm((x_cur - x_obs)[smask])))
-    record_snr(x_cur)
+    finals = np.empty_like(x_cur)
+    resid = _row_norms((x_cur - obs)[mask].reshape(-1, m))
+    for row, value in zip(live, resid.tolist()):
+        reports[row].residuals.append(value)
+    record_snr(x_cur, live)
     for _ in range(max_iters - 1):
         lam = 1.0 / (1.0 - 0.25 * rho * rho * lam)
-        x_next = x_prev + lam * (x_cur - x_prev + gain * (b - apply_ps(x_cur)))
-        report.iterations += 1
-        report.residuals.append(float(np.linalg.norm((x_next - x_obs)[smask])))
-        record_snr(x_next)
-        step = float(np.linalg.norm(x_next - x_cur))
+        x_next = x_prev + lam[:, None] * (x_cur - x_prev + gain * (b - apply_ps(x_cur, live)))
+        resid = _row_norms((x_next - obs)[mask].reshape(-1, m))
+        for row, value in zip(live, resid.tolist()):
+            reports[row].residuals.append(value)
+        record_snr(x_next, live)
+        converged = _row_norms(x_next - x_cur) < eps
         x_prev, x_cur = x_cur, x_next
-        if step < eps:
-            report.converged = True
-            break
-    return x_cur, report._finish()
+        if np.count_nonzero(converged):
+            for j in np.flatnonzero(converged):
+                reports[live[j]].converged = True
+            finals[live[converged]] = x_cur[converged]
+            going = ~converged
+            live, obs, mask, b, rho, gain, lam, x_prev, x_cur = (
+                part[going] for part in (live, obs, mask, b, rho, gain, lam, x_prev, x_cur))
+            if not live.size:
+                break
+    finals[live] = x_cur
+    return _finish(finals, reports, stacked)
 
 
 def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
@@ -203,54 +276,89 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
     curvature inner product (flagged; best iterate returned). A residual
     norm or curvature that is no longer finite (its squares overflowed)
     raises NumericError.
+
+    rhs may also be a (T, N) stack, and reference then a (T, N) stack. Then
+    apply_op(p, rows) receives the search directions of the rows still
+    running, one per row, with their stack rows, and returns the operator
+    applied to each row. Each row keeps its own stopping rule and final
+    iterate, and equals its own solve bit for bit; a NumericError names its
+    stack row. The call returns a (T, N) array of estimates and a list of T
+    reports; every report's wall_time spans the whole stack.
     """
+    stacked = np.ndim(rhs) == 2
+    op = apply_op if stacked else (lambda p, rows: apply_op(p[0])[None])
+    if not stacked:
+        rhs, reference = rhs[None], None if reference is None else [reference]
+    reports = [SolverReport(solver="cg") for _ in rhs]
+    record_snr = _snr_recorder(reports, reference)
 
-    def residual_norm(v):
-        norm = float(np.linalg.norm(v))
-        if not math.isfinite(norm):
-            raise NumericError("CG residual norm is not finite: its squares overflowed")
-        return norm
+    def check_finite(values, rows, what):
+        if np.count_nonzero(np.isfinite(values)) == values.size:
+            return values
+        failing = np.zeros(len(reports), dtype=bool)
+        failing[rows[~np.isfinite(values)]] = True
+        raise NumericError(what.format(_stack_row(failing)))
 
+    def vdots(a, b):
+        # np.vdot(a[i], b[i]): the plain dot of the conjugate sums the same products
+        return _row_dots(a.conj(), b)
+
+    live = np.arange(len(reports))
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = rhs.copy()
-    report = SolverReport(solver="cg")
-    record_snr = _snr_recorder([report], None if reference is None else [reference])
+    finals = np.empty_like(x)
+    norm_error = "CG residual norm is not finite{}: its squares overflowed"
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = rhs_scale = residual_norm(rhs)
+        residual = check_finite(_row_norms(rhs), live, norm_error)
+        tol = eps * np.maximum(residual, 1.0)
         for _ in range(max_iters):
-            if residual < eps * max(rhs_scale, 1.0):
-                report.converged = True
-                break
-            op_p = apply_op(p)
-            denom = np.vdot(p, op_p)
-            if not np.isfinite(denom):
-                raise NumericError("CG curvature inner product is not finite: it overflowed")
-            if abs(denom) <= 1e-300:
-                report.flags.append("curvature inner product vanished")
-                break
-            lam = np.vdot(p, r) / denom
+            converged = residual < tol
+            if np.count_nonzero(converged):
+                for j in np.flatnonzero(converged):
+                    reports[live[j]].converged = True
+                finals[live[converged]] = x[converged]
+                live, x, r, p, tol, residual = (
+                    part[~converged] for part in (live, x, r, p, tol, residual))
+                if not live.size:
+                    break
+            op_p = op(p, live)
+            denom = check_finite(vdots(p, op_p), live,
+                                 "CG curvature inner product is not finite{}: it overflowed")
+            vanished = np.abs(denom) <= 1e-300
+            if np.count_nonzero(vanished):
+                for j in np.flatnonzero(vanished):
+                    reports[live[j]].flags.append("curvature inner product vanished")
+                finals[live[vanished]] = x[vanished]
+                live, x, r, p, tol, residual, op_p, denom = (
+                    part[~vanished] for part in (live, x, r, p, tol, residual, op_p, denom))
+                if not live.size:
+                    break
+            lam = (vdots(p, r) / denom)[:, None]
             x = x + lam * p
             r = r - lam * op_p
-            residual = residual_norm(r)
-            report.iterations += 1
-            report.residuals.append(residual)
-            record_snr(x)
-            lam_prime = np.vdot(op_p, r) / denom
+            residual = check_finite(_row_norms(r), live, norm_error)
+            for row, value in zip(live, residual.tolist()):
+                reports[row].residuals.append(value)
+            record_snr(x, live)
+            lam_prime = (vdots(op_p, r) / denom)[:, None]
             p = r - lam_prime * p
-        else:
-            report.converged = residual < eps * max(rhs_scale, 1.0)
-    return x, report._finish()
+        for j in np.flatnonzero(residual < tol):
+            reports[live[j]].converged = True
+    finals[live] = x
+    return _finish(finals, reports, stacked)
 
 
 def cg_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10,
                   reference=None):
     """Conjugate-gradient solve of the masked reconstruction problem; eps
-    must be positive."""
+    must be positive. Takes a stack as iterative_reconstruct does."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    _, _, apply_ps, b = _masked_system(observed, sample_times, freq_support)
-    return conjugate_gradient(apply_ps, b, max_iters=max_iters, eps=eps, reference=reference)
+    stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
+    _, _, _, apply_ps, b = _masked_system(observed, sample_times, freq_support)
+    estimates, reports = conjugate_gradient(apply_ps, b, max_iters, eps, reference)
+    return (estimates, reports) if stacked else (estimates[0], reports[0])
 
 
 def _to_sparse_domain(z, transform):
@@ -300,17 +408,8 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    stacked = np.ndim(getattr(observed, "values", observed)) == 2
-    if not stacked:
-        observed, sample_times = [observed], [sample_times]
-        reference = None if reference is None else [reference]
-    if len(sample_times) != len(observed):
-        raise ValueError("a stack needs one sample_times per row")
-    x_obs, smask = (np.array(parts) for parts in
-                    zip(*map(_retained_samples, observed, sample_times)))
-    m = len(sample_times[0])
-    if any(len(times) != m for times in sample_times):
-        raise ValueError("every row of a stack must retain the same number of samples")
+    stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
+    x_obs, smask, m = _retained_samples(observed, sample_times)
     if transform == "dct":
         x_obs = x_obs.real.astype(np.float64)
     n = x_obs.shape[1]

@@ -340,6 +340,20 @@ class TestConvDecoding:
             assert bool(report.residuals[-1] <= 1e-7 * np.linalg.norm(stream)) is report.converged
 
 
+    def test_impulsive_clean_stream_detects_no_impulses(self):
+        # an impulse-free stream's noise image is roundoff; beta, floored at
+        # 1e-7 ||received||, keeps the schedule from thresholding it into impulses
+        code = ConvCode(EX_TAPS_1, EX_TAPS_2)  # fig17's code
+        clean = conv_encode(RandomSource(63).uniform(-1.0, 1.0, 50), code)
+        impulsive = clean.copy()
+        impulsive[[21, 64]] += 5.0
+        _, nu, _ = conv_impulsive_decode(clean, code)
+        assert np.count_nonzero(nu) == 0
+        _, nus, _ = conv_impulsive_decode(np.array([clean, impulsive, clean]), code)
+        assert np.count_nonzero(nus[[0, 2]]) == 0
+        assert set(np.flatnonzero(np.abs(nus[1]) > 1e-3 * np.max(np.abs(nus[1])))) == {21, 64}
+
+
 class TestStackedImpulsiveDecode:
     """A (T, L) stack decodes each row exactly as a solo call would."""
 
@@ -363,7 +377,7 @@ class TestStackedImpulsiveDecode:
         h = conv_parity_check(code, input_length)
         projector = h @ np.linalg.solve(h.T @ h, h.T)
         noise_image = projector @ y
-        beta = max(float(np.max(np.abs(noise_image))), 1e-30)
+        beta = max(float(np.max(np.abs(noise_image))), 1e-7 * float(np.linalg.norm(y)))
         nu, misfit, residuals = np.zeros_like(y), noise_image, []
         for i in range(1, max_iters + 1):
             blended = nu + relax * misfit
