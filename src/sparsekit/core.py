@@ -390,27 +390,57 @@ def hermitian_eig(matrix):
 
 
 def polynomial_roots(coefficients):
-    """Roots of sum_i h_i z^(k-i) via the companion matrix.
+    """Roots of sum_i h_i z^(k-i) via the companion matrix, as np.roots
+    finds them.
 
-    coefficients[0] multiplies z^k and must be nonzero.
+    coefficients[0] multiplies z^k and must be nonzero, and every
+    coefficient must be finite. One polynomial is rooted by np.roots. A
+    (T, k+1) stack gives (T, k) complex roots, each row equal to its own
+    call bit for bit: the rows' companion matrices are built as np.roots
+    builds them and share one eigvals call, while a row whose trailing
+    coefficients vanish (np.roots shrinks its companion and appends the
+    zero roots) is rooted by np.roots on its own. Errors name the first
+    failing row of a stack (see _stack_row).
     """
-    h = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
-    if h.size < 2:
+    h = np.asarray(coefficients, dtype=np.complex128)
+    if h.ndim not in (1, 2):
+        raise ValueError("coefficients must be one polynomial or a stack of them")
+    rows = h.reshape(-1, h.shape[-1])
+    if rows.shape[1] < 2:
         raise ValueError("need a polynomial of degree >= 1")
-    if h[0] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    return np.roots(h)
+    nonfinite = ~np.isfinite(rows).all(axis=1)
+    if nonfinite.any():
+        raise ValueError(f"coefficients must be finite{_stack_row(nonfinite)}")
+    vanishing = rows[:, 0] == 0
+    if vanishing.any():
+        raise ValueError(f"leading coefficient must be nonzero{_stack_row(vanishing)}")
+    if h.ndim == 1:
+        return np.roots(h)
+    k = h.shape[1] - 1
+    companion = np.zeros((len(h), k, k), dtype=np.complex128)
+    companion[:, 1:, :-1] = np.eye(k - 1)
+    companion[:, 0, :] = -h[:, 1:] / h[:, :1]
+    roots = np.linalg.eigvals(companion)
+    for row in np.flatnonzero(h[:, -1] == 0):
+        roots[row] = np.roots(h[row])
+    return roots
 
 
 def _annihilating_filter(values, k):
     """Monic [1, h_1, ..., h_k] with x[r] + sum_j h_j x[r-j] = 0 for
     r = k..2k-1, x the first 2k of values: Prony's locator, the FRI
     annihilating filter. k < 1, a non-finite value or a recursion with
-    cond > 1e12 (fewer than k effective terms) raises ValueError."""
+    cond > 1e12 (fewer than k effective terms) raises ValueError. A (T, n)
+    stack of values gives (T, k+1) filters, each row equal to its own call,
+    from one stacked cond check and one stacked solve; errors name the
+    first failing row."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     x = read_samples(values, what="annihilated values")
-    rows = np.lib.stride_tricks.sliding_window_view(x[: 2 * k - 1], k)[:, ::-1]
-    if np.linalg.cond(rows) > 1e12:
-        raise ValueError("degenerate recursion: fewer than k effective terms")
-    return np.concatenate(([1.0 + 0j], np.linalg.solve(rows, -x[k : 2 * k])))
+    rows = np.lib.stride_tricks.sliding_window_view(x[..., : 2 * k - 1], k, axis=-1)[..., ::-1]
+    degenerate = np.linalg.cond(rows) > 1e12
+    if np.any(degenerate):
+        raise ValueError(f"degenerate recursion: fewer than k effective terms"
+                         f"{_stack_row(degenerate)}")
+    taps = np.linalg.solve(rows, -x[..., k : 2 * k, None])[..., 0]
+    return np.concatenate((np.ones(x.shape[:-1] + (1,), dtype=np.complex128), taps), axis=-1)

@@ -9,6 +9,7 @@ and output digests so any artifact can be regenerated byte-for-byte
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -40,6 +41,31 @@ class RunManifest:
     finished: str
     outputs: dict  # filename -> sha256 of contents
     environment: dict  # what the runner ran on; see _environment
+
+
+class _StreamLedger:
+    """The RandomSources of one run, each stream claimed by one grid point.
+
+    A runner claims the streams of each grid point under a label naming
+    that point. Two points that claim one stream would share their draws,
+    so the second claim raises ValueError naming both; points that share
+    draws on purpose claim under one label. A claim registers all its
+    streams at once, so a collision raises whether or not every trial
+    runs, and builds each source only as it is read.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+        self._owners = {}
+
+    def claim(self, label, streams):
+        """Sources for the streams of the grid point label, in order."""
+        streams = [int(stream) for stream in streams]
+        for stream in streams:
+            owner = self._owners.setdefault(stream, label)
+            if owner != label:
+                raise ValueError(f"grid points {owner} and {label} both draw stream {stream}")
+        return (RandomSource(self.seed, stream) for stream in streams)
 
 
 def _median_trace(traces, length):
@@ -79,8 +105,8 @@ def run_fig4(params, seed, trials):
     band = np.arange(params["band_start"], params["band_stop"])
     m = int(round(params["osr"] * band.size))
     support = SupportSet(band, n)
-    signals, observed, times = zip(*(_sampled_instance(n, band, m, RandomSource(seed, stream=t + 1))
-                                     for t in range(trials)))
+    sources = _StreamLedger(seed).claim("all trials", (t + 1 for t in range(trials)))
+    signals, observed, times = zip(*(_sampled_instance(n, band, m, rng) for rng in sources))
     med = {}
     for name, solver in (("plain", sampling.iterative_reconstruct),
                          ("chebyshev", sampling.chebyshev_accelerate),
@@ -98,12 +124,16 @@ def run_fig4(params, seed, trials):
 _STACK_BYTES = 128 * 1024  # one (rows, n) complex imat stack stays within this
 
 
+def _chunks(trials, rows):
+    """Consecutive trial ranges of rows trials each, the last one shorter."""
+    return [range(start, min(start + rows, trials)) for start in range(0, trials, rows)]
+
+
 def _stack_chunks(trials, n):
     """Consecutive trial ranges of at most _STACK_BYTES // (16 n) trials (at
     least one), each one imat stack: fig6's 60-row stack at n=256 raised the
     peak RSS by 6%, and a bounded chunk caps the stack's working set."""
-    rows = max(1, _STACK_BYTES // (16 * n))
-    return [range(start, min(start + rows, trials)) for start in range(0, trials, rows)]
+    return _chunks(trials, max(1, _STACK_BYTES // (16 * n)))
 
 
 def run_fig6(params, seed, trials):
@@ -114,14 +144,15 @@ def run_fig6(params, seed, trials):
     n, k = params["n"], params["k"]
     iters = params["iterations"]
     factors = params["rate_factors"]
+    ledger = _StreamLedger(seed)
     columns = {}
     for factor in factors:
         m = int(factor * k)
+        sources = ledger.claim(f"rate {factor}x", (1000 * factor + t for t in range(trials)))
         traces = []
         for chunk in _stack_chunks(trials, n):
             signals, observed, times = zip(*(
-                _sparse_time_instance(n, k, m, RandomSource(seed, stream=1000 * factor + t))
-                for t in chunk
+                _sparse_time_instance(n, k, m, rng) for rng in itertools.islice(sources, len(chunk))
             ))
             _, _, reports = sampling.imat(observed, times, alpha=params["alpha"],
                                           max_iters=iters, eps=1e-300, reference=signals)
@@ -156,6 +187,7 @@ def run_fig7(params, seed, trials):
     trial draws from its own stream."""
     n = params["n"]
     need = math.ceil(0.8 * trials)
+    ledger = _StreamLedger(seed)
     rows = []
     for k in params["k_values"]:
         target = int(round(k * math.log2(n / k)))
@@ -163,10 +195,11 @@ def run_fig7(params, seed, trials):
         m = max(2 * k, step)
         found = None
         while m <= n:
+            sources = ledger.claim(f"k={k}, m={m}",
+                                   (7_000_000 + 1000 * k + 17 * m + t for t in range(trials)))
             wins = losses = 0
             for chunk in _stack_chunks(trials, n):
-                won = _fig7_wins(n, k, m, (RandomSource(seed, stream=7_000_000 + 1000 * k + 17 * m + t)
-                                           for t in chunk))
+                won = _fig7_wins(n, k, m, itertools.islice(sources, len(chunk)))
                 wins, losses = wins + won, losses + len(chunk) - won
                 if wins >= need or losses > trials - need:
                     break  # the sample count is decided
@@ -188,14 +221,16 @@ def run_fig10(params, seed, trials):
     n = l + p
     dft_code = codes.DftBlockCode(l=l, p=p, q=1)
     sdft_code = codes.DftBlockCode(l=l, p=p, q=q)
+    ledger = _StreamLedger(seed)
     rows = []
     for kind in ("burst", "scattered"):
         sizes = range(1, p + 1) if kind == "burst" else range(1, params["scatter_max"] + 1)
         base = 0 if kind == "burst" else 500_000
         for size in sizes:
             messages, erasures = [], []
-            for t in range(trials):
-                rng = RandomSource(seed, stream=base + size * 1000 + t)
+            sources = ledger.claim(f"{size} {kind} erasures",
+                                   (base + size * 1000 + t for t in range(trials)))
+            for rng in sources:
                 messages.append(rng.standard_normal(l))
                 if kind == "burst":
                     positions = np.arange(1, size + 1)
@@ -226,11 +261,12 @@ def run_fig15(params, seed, trials):
     decoded as one stack."""
     code = codes.ConvCode(params["taps1"], params["taps2"])
     length = params["input_length"]
+    ledger = _StreamLedger(seed)
     rows = []
     for rate in params["rates"]:
         inputs, received, erasures = [], [], []
-        for t in range(trials):
-            rng = RandomSource(seed, stream=int(rate * 1000) * 100 + t)
+        sources = ledger.claim(f"rate {rate}", (int(rate * 1000) * 100 + t for t in range(trials)))
+        for rng in sources:
             x = rng.uniform(-1.0, 1.0, length)
             y = codes.conv_encode(x, code)
             capacity = y.size // 2
@@ -254,11 +290,13 @@ def run_fig17(params, seed, trials):
     decoded as one stack."""
     code = codes.ConvCode(params["taps1"], params["taps2"])
     length = params["input_length"]
+    ledger = _StreamLedger(seed)
     rows = []
     for ratio in params["variance_ratios"]:
         inputs, impulses, streams = [], [], []
-        for t in range(trials):
-            rng = RandomSource(seed, stream=int(ratio * 10) * 1000 + t)
+        sources = ledger.claim(f"ratio {ratio}",
+                               (int(ratio * 10) * 1000 + t for t in range(trials)))
+        for rng in sources:
             x = rng.uniform(-1.0, 1.0, length)
             y = codes.conv_encode(x, code)
             sigma_y = float(np.std(y))
@@ -296,43 +334,65 @@ def _fig18_noisy(clean, snr_db_value, rng):
 
 
 def _fig18_error(estimated, truth):
+    """Mean over the true tones of the wrapped distance to the nearest
+    estimate; 0.5 when nothing was estimated."""
     est = np.sort(np.asarray(estimated, dtype=float) % 1.0)
-    errors = []
-    for f in truth:
-        if est.size == 0:
-            errors.append(0.5)
-            continue
-        d = np.abs(est - f)
-        errors.append(float(np.min(np.minimum(d, 1.0 - d))))
-    return float(np.mean(errors))
+    if est.size == 0:
+        return 0.5
+    d = np.abs(est[:, None] - truth[None, :])
+    return float(np.mean(np.min(np.minimum(d, 1.0 - d), axis=0)))
+
+
+_FIG18_ROWS = 32
+_FIG18_BYTES = 512 * 1024  # a stack's series and pseudospectra stay within this
+
+
+def _fig18_chunks(trials, samples, grid_points):
+    """Consecutive trial ranges of at most _FIG18_ROWS trials, and of at most
+    _FIG18_BYTES // (16 samples + 8 grid_points): what a stack holds per row
+    is its complex series and its MUSIC pseudospectrum; its covariances and
+    eigenvectors add 32 p^2 bytes, 8 KiB at p = 16. The registry's sizes
+    give 16 rows. fig18 at 200 trials peaked 0.3 MiB above its one-row
+    allocation peak (tracemalloc) in 16-row stacks, and 0.8 MiB above in
+    32-row ones; a 32-row stack ran it 6% faster."""
+    rows = max(1, min(_FIG18_ROWS, _FIG18_BYTES // (16 * samples + 8 * grid_points)))
+    return _chunks(trials, rows)
 
 
 def run_fig18(params, seed, trials):
-    """Line-spectrum estimation accuracy of Prony, Pisarenko, and MUSIC."""
+    """Line-spectrum estimation accuracy of Prony, Pisarenko, and MUSIC.
+
+    The trials draw from their own streams, in order, and each method
+    solves them in consecutive stacks (see _fig18_chunks); the
+    pseudospectrum CSV is one more draw's MUSIC pseudospectrum."""
     m = params["samples"]
     snr = params["snr_db"]
+    dimension = params["music_dimension"]
     k = FIG18_TONES.k
+    truth = FIG18_TONES.frequencies
     grid = spectral.default_grid(params["grid_points"])
     clean = FIG18_TONES.synthesize(m)  # every trial shares the noiseless tones
+    ledger = _StreamLedger(seed)
+    sources = ledger.claim("trials", (t + 1 for t in range(trials)))
     errors = {"prony": [], "pisarenko": [], "music": []}
-    for t in range(trials):
-        rng = RandomSource(seed, stream=t + 1)
-        y = _fig18_noisy(clean, snr, rng)
-        model = spectral.prony(y[: 2 * k], k)
-        errors["prony"].append(_fig18_error(model.frequencies.real, FIG18_TONES.frequencies))
+    for chunk in _fig18_chunks(trials, m, grid.size):
+        y = np.array([_fig18_noisy(clean, snr, rng)
+                      for rng in itertools.islice(sources, len(chunk))])
+        models = spectral.prony(y[:, : 2 * k], k)
+        errors["prony"].extend(_fig18_error(model.frequencies.real, truth) for model in models)
         freqs, _, _ = spectral.pisarenko(spectral.sample_covariance(y, k + 1), k)
-        errors["pisarenko"].append(_fig18_error(freqs, FIG18_TONES.frequencies))
-        cov = spectral.sample_covariance(y, params["music_dimension"])
-        _, music_freqs, _ = spectral.music(cov, k, grid)
-        errors["music"].append(_fig18_error(music_freqs, FIG18_TONES.frequencies))
+        errors["pisarenko"].extend(_fig18_error(row, truth) for row in freqs)
+        covariance = spectral.sample_covariance(y, dimension)
+        del y  # MUSIC holds the stack's pseudospectra; the series need not stay alongside
+        _, peaks, _ = spectral.music(covariance, k, grid)
+        errors["music"].extend(_fig18_error(row, truth) for row in peaks)
     rows = [
         (name, float(np.median(vals)), float(np.mean(vals)))
         for name, vals in errors.items()
     ]
-    rng = RandomSource(seed, stream=0)
+    rng = next(ledger.claim("pseudospectrum", [0]))
     pseudo, _, _ = spectral.music(
-        spectral.sample_covariance(_fig18_noisy(clean, snr, rng), params["music_dimension"]),
-        k, grid,
+        spectral.sample_covariance(_fig18_noisy(clean, snr, rng), dimension), k, grid,
     )
     spectrum_rows = list(zip(grid, pseudo))
     return {
@@ -350,6 +410,7 @@ def run_fig20(params, seed, trials):
     from . import arrays
 
     n, k, m = params["sensors"], params["sources"], params["snapshots"]
+    ledger = _StreamLedger(seed)
     rows = []
     for snr in params["snr_grid_db"]:
         scenario = arrays.UlaScenario(
@@ -358,9 +419,9 @@ def run_fig20(params, seed, trials):
             source_cov=10 ** (snr / 10.0) * np.eye(k),
             noise_var=1.0, snapshots=m,
         )
-        streams = (RandomSource(seed, stream=int(snr) * 1000 + t + 100000) for t in range(trials))
+        sources = ledger.claim(f"{snr} dB", (int(snr) * 1000 + t + 100000 for t in range(trials)))
         covariance = arrays.snapshot_covariance(
-            arrays.simulate_snapshots(scenario, rng) for rng in streams
+            arrays.simulate_snapshots(scenario, rng) for rng in sources
         )
         k_hat = arrays.mdl_enumerate(covariance).estimated_k
         under, correct, over = (int(np.sum(hits)) for hits in (k_hat < k, k_hat == k, k_hat > k))
@@ -408,14 +469,16 @@ def _bench_trial(rng, m, n, p, sigma_on, sigma_off, sigma_nu):
 def _bench_rows(n_grid, m_of_n, sigma_grid, trials, seed, p, sigma_on, sigma_off):
     """One row per (n, sigma, solver), each point's trials summed in trial
     order."""
+    ledger = _StreamLedger(seed)
     rows = []
     for n_index, n in enumerate(n_grid):
         m = m_of_n(n)
         for s_index, sigma_nu in enumerate(sigma_grid):
             sums = [[0.0, 0, 0.0] for _ in BENCH_SOLVERS]  # nmse, support found, seconds
             k_true_total = 0
-            for t in range(trials):
-                rng = RandomSource(seed, stream=(n_index * 64 + s_index) * 10_000 + t)
+            sources = ledger.claim(f"n={n}, sigma_nu={sigma_nu}",
+                                   ((n_index * 64 + s_index) * 10_000 + t for t in range(trials)))
+            for rng in sources:
                 k_true, outcomes = _bench_trial(rng, m, n, p, sigma_on, sigma_off, sigma_nu)
                 k_true_total += k_true
                 for total, outcome in zip(sums, outcomes):
@@ -469,16 +532,20 @@ def ser_sweep(cfg, profile, cnr_grid, blocks, seed, doppler_rho=None,
     All estimators see the same received blocks (common random numbers), so
     SER ratios are far better conditioned than independent runs. Returns the
     symbol error count per (CNR, estimator); each CNR point decides
-    blocks * cfg.data_carriers.size symbols.
+    blocks * cfg.data_carriers.size symbols from its own streams (see
+    _StreamLedger). Each call claims its streams afresh, so fig40's calls,
+    one per drift rate, rerun the same blocks.
     """
     results = {(c, e): 0 for c in cnr_grid for e in estimators}
+    ledger = _StreamLedger(seed)
     dc = cfg.data_carriers
     static_truth = ofdm.channel_frequency_response(profile, cfg) if doppler_rho is None else None
     for cnr in cnr_grid:
         snr_linear = 10 ** (cnr / 10.0)
         channel = None if doppler_rho is None else ofdm.TimeVaryingChannel(profile, doppler_rho)
-        for b in range(blocks):
-            rng = RandomSource(seed, stream=int(cnr * 10) * 100_000 + b)
+        sources = ledger.claim(f"CNR {cnr} dB",
+                               (int(cnr * 10) * 100_000 + b for b in range(blocks)))
+        for rng in sources:
             current = channel.step(rng) if channel else profile
             data = rng.integers(0, cfg.symbols().size, dc.size)
             tx = ofdm.map_symbols(data, cfg)
@@ -511,7 +578,10 @@ def run_fig39(params, seed, trials):
 
 
 def run_fig40(params, seed, trials):
-    """MIMAT SER vs CNR under per-symbol tap-gain drift."""
+    """MIMAT SER vs CNR under per-symbol tap-gain drift.
+
+    Every drift rate sees the same blocks (common random numbers across
+    rates as well as estimators)."""
     cfg = _ofdm_config(params)
     profile = ofdm.brazil_d_like_profile()
     symbols = trials * cfg.data_carriers.size

@@ -319,9 +319,12 @@ def focuss(problem, iters=20):
 
     Each step factors (A W)' = Q R and takes the minimum-norm solution
     q = Q R^-T x. Unpivoted R does not reveal rank reliably, so whenever
-    min |r_ii| <= sqrt(eps) * max |r_ii| the step falls back to the SVD
-    least squares with its default cutoff; that covers weights that have
-    collapsed onto fewer than m sources (and a taller-than-wide A). The
+    min |r_ii| <= sqrt(eps) * max |r_ii| (weights that have collapsed onto
+    fewer than m sources), and for a taller-than-wide A, the step drops the
+    columns of A W whose norm is below the SVD least squares' default
+    cutoff and solves the rest by QR again: minimum-norm when they are at
+    least m, least squares when fewer. Only when that R fails the same test
+    does the step run the SVD least squares on the kept columns. The
     report is converged when the last iterate is feasible.
     """
     a, x = problem.mixing, problem.observation
@@ -345,12 +348,32 @@ def _min_norm_step(weighted, x):
     """Minimum-norm solution of weighted q = x; see focuss."""
     m, n = weighted.shape
     if m <= n:
-        q_factor, r_factor = np.linalg.qr(weighted.T)
-        diagonal = np.abs(np.diagonal(r_factor))
-        if diagonal.min() > FOCUSS_QR_CUTOFF * diagonal.max():
-            return q_factor @ np.linalg.solve(r_factor.T, x)
-    q, *_ = np.linalg.lstsq(weighted, x, rcond=None)
+        q = _qr_solve(weighted, x)
+        if q is not None:
+            return q
+    norms = np.linalg.norm(weighted, axis=0)
+    kept = norms > np.finfo(float).eps * max(m, n) * norms.max()  # lstsq's cutoff
+    q = np.zeros(n, dtype=np.result_type(weighted, x))
+    if np.any(kept):
+        step = _qr_solve(weighted[:, kept], x)
+        if step is None:
+            step, *_ = np.linalg.lstsq(weighted[:, kept], x, rcond=None)
+        q[kept] = step
     return q
+
+
+def _qr_solve(w, x):
+    """The minimum-norm solution Q R^-T x of w q = x from w' = Q R when w is
+    wide or square, the least-squares solution R^-1 Q' x from w = Q R when
+    it is tall; None when min |r_ii| <= FOCUSS_QR_CUTOFF * max |r_ii|."""
+    tall = w.shape[0] > w.shape[1]
+    q_factor, r_factor = np.linalg.qr(w if tall else w.T)
+    diagonal = np.abs(np.diagonal(r_factor))
+    if diagonal.min() <= FOCUSS_QR_CUTOFF * diagonal.max():
+        return None
+    if tall:
+        return np.linalg.solve(r_factor, q_factor.T @ x)
+    return q_factor @ np.linalg.solve(r_factor.T, x)
 
 
 IDE_START_FRACTIONS = (0.95, 0.8, 0.65, 0.5)

@@ -67,14 +67,30 @@ def periodogram(samples, sample_interval, grid):
     return np.abs(amplitude) ** 2 / (m * sample_interval)
 
 
+def _series(samples):
+    """The complex values of one series, or of a (T, m) stack of series."""
+    x = np.asarray(getattr(samples, "values", samples), dtype=np.complex128)
+    if x.ndim not in (1, 2) or (x.ndim == 2 and len(x) == 0):
+        raise ValueError("samples must be one series or a non-empty (T, m) stack of them")
+    return x
+
+
 def sample_covariance(samples, dimension):
-    """Covariance estimate of a 1-D series from forward sliding snapshot windows."""
-    x = as_values(samples)
+    """Covariance estimate of a 1-D series from forward sliding snapshot windows.
+
+    A (T, m) stack of series gives one estimate of T covariances, each equal
+    to its own call: a row's product is formed from that row's own window
+    view, so the windows of the stack are never copied together.
+    """
+    x = _series(samples)
     p = int(dimension)
-    if p < 1 or p > x.size:
+    if p < 1 or p > x.shape[-1]:
         raise ValueError("dimension must be in [1, len(samples)]")
-    windows = np.lib.stride_tricks.sliding_window_view(x, p)
-    return CovarianceEstimate(*_hermitian_product(windows.T))
+    matrices, counts = zip(*(
+        _hermitian_product(np.lib.stride_tricks.sliding_window_view(row, p).T)
+        for row in x.reshape(-1, x.shape[-1])
+    ))
+    return CovarianceEstimate(matrices[0] if x.ndim == 1 else np.array(matrices), counts[0])
 
 
 def _hermitian_product(snapshots):
@@ -93,9 +109,9 @@ class CovarianceEstimate:
     holding the matching unit eigenvectors as columns. The subspace
     estimators (Pisarenko, MUSIC, MDL) all read it from the covariance.
     matrix may also be a (T, n, n) stack of covariances that share the
-    snapshot count, for MDL; each matrix is checked on its own, and the
-    error names the first failing row. Pisarenko and MUSIC take one
-    covariance and reject a stack.
+    snapshot count; each matrix is checked on its own, and the error names
+    the first failing row. Every estimator that reads an estimate takes a
+    stack as well and answers row by row.
     """
 
     matrix: np.ndarray
@@ -119,13 +135,11 @@ class CovarianceEstimate:
         return self.matrix.shape[-1]
 
 
-def _one_covariance(cov):
-    """cov itself, for the estimators that take one CovarianceEstimate; any
-    other input raises TypeError, a stack ValueError."""
+def _covariance(cov):
+    """cov itself, for the estimators that read a CovarianceEstimate; any
+    other input raises TypeError."""
     if not isinstance(cov, CovarianceEstimate):
         raise TypeError(f"takes a CovarianceEstimate, not {type(cov).__name__}")
-    if cov.matrix.ndim != 2:
-        raise ValueError(f"takes one covariance, not a stack of shape {cov.matrix.shape}")
     return cov
 
 
@@ -145,20 +159,28 @@ def prony(samples, k):
 
     Solves the order-k linear recursion for the locator coefficients, roots
     the locator for z_i, then solves the Vandermonde system for the complex
-    weights. Noiseless-model method; no accuracy contract under noise.
+    weights. Noiseless-model method; no accuracy contract under noise. A
+    (T, n) stack of series gives a list of T models, each equal to its own
+    call: the recursions and the locator roots are solved as stacks.
     """
-    x = as_values(samples)
+    x = _series(samples)
     k = int(k)
-    if x.size < 2 * k:
+    if x.shape[-1] < 2 * k:
         raise ValueError(f"need at least {2 * k} samples")
-    x = x[: 2 * k]
-
+    x = x[..., : 2 * k]
     roots = polynomial_roots(_annihilating_filter(x, k))
+    if x.ndim == 1:
+        return _prony_model(x, roots)
+    return [_prony_model(row, row_roots) for row, row_roots in zip(x, roots)]
+
+
+def _prony_model(x, roots):
+    """The SpectralModel of the 2k samples x whose locator has the roots."""
     # z = exp(2pi j f); damping shows up as a negative imaginary part of f
     freqs = np.log(roots) / (2j * np.pi)
     freqs = np.where(np.abs(freqs.imag) < 1e-12, freqs.real % 1.0, freqs)
 
-    vand = roots[None, :] ** np.arange(2 * k)[:, None]
+    vand = roots[None, :] ** np.arange(x.size)[:, None]
     weights, *_ = np.linalg.lstsq(vand, x, rcond=None)
     order = np.argsort([f.real if np.iscomplexobj(freqs) else f for f in freqs])
     freqs, weights = np.asarray(freqs)[order], weights[order]
@@ -170,37 +192,46 @@ def prony(samples, k):
 def pisarenko(covariance, k):
     """Harmonic decomposition from the noise eigenvector of a (k+1) covariance.
 
-    covariance is one CovarianceEstimate of dimension k + 1, such as
+    covariance is a CovarianceEstimate of dimension k + 1, such as
     sample_covariance(samples, k + 1). The eigenvector of the smallest
     eigenvalue supplies the locator coefficients; its unit-circle root
     angles are the frequencies and the eigenvalue itself estimates the
     noise variance. Returns (frequencies, noise_variance, ambiguous) where
-    ambiguous flags a repeated smallest eigenvalue.
+    ambiguous flags a repeated smallest eigenvalue. A stack of T
+    covariances gives (T, k) frequencies, T noise variances and T flags,
+    each row equal to its own call; the locators are rooted as one stack.
     """
-    cov = _one_covariance(covariance)
+    cov = _covariance(covariance)
     if cov.dimension != k + 1:
         raise ValueError(f"covariance dimension {cov.dimension} != k + 1 = {k + 1}")
 
     eigvals, eigvecs = cov.eigvals, cov.eigvecs
-    sigma2 = float(eigvals[-1])
-    ambiguous = bool(
-        eigvals.size > 1 and abs(eigvals[-2] - eigvals[-1]) < 1e-10 * max(abs(eigvals[0]), 1.0)
-    )
-    locator = eigvecs[:, -1]
+    sigma2 = eigvals[..., -1]
+    ambiguous = np.zeros(sigma2.shape, dtype=bool)
+    if eigvals.shape[-1] > 1:
+        ambiguous = (np.abs(eigvals[..., -2] - eigvals[..., -1])
+                     < 1e-10 * np.maximum(np.abs(eigvals[..., 0]), 1.0))
+    locator = eigvecs[..., -1]
     roots = polynomial_roots(locator)
-    freqs = np.sort(_real_frequency(roots))
+    freqs = np.sort(_real_frequency(roots), axis=-1)
+    if freqs.ndim == 1:
+        return freqs, float(sigma2), bool(ambiguous)
     return freqs, sigma2, ambiguous
 
 
 def music(covariance, k, grid):
     """Pseudospectrum 1 / (e^H Pi_perp e) and its k largest separated peaks.
 
-    covariance is one CovarianceEstimate. Pi_perp projects onto the noise
+    covariance is a CovarianceEstimate. Pi_perp projects onto the noise
     subspace (eigenvectors beyond the k largest). Peaks are grid local
     maxima picked greedily with a two-bin minimum separation; a shortfall
-    is reported via the flag in the third return slot.
+    is reported via the flag in the third return slot. A stack of T
+    covariances gives a (T, g) pseudospectrum, a list of T peak arrays and
+    T shortfall flags, each row equal to its own call; the rows are
+    projected one at a time, so the working set stays one row's (m - k, g)
+    projection.
     """
-    covariance = _one_covariance(covariance)
+    covariance = _covariance(covariance)
     m = covariance.dimension
     k = int(k)
     if k >= m:
@@ -209,14 +240,20 @@ def music(covariance, k, grid):
     if grid.size == 0:
         raise ValueError("frequency grid must be non-empty")
 
-    noise_basis = covariance.eigvecs[:, k:]
-    projected = noise_basis.conj().T @ _steering(m, grid.tobytes())
-    denom = np.sum(np.abs(projected) ** 2, axis=0)
-    pseudospectrum = 1.0 / np.maximum(denom, 1e-300)
-
-    peaks = _pick_peaks(pseudospectrum, k, min_separation=2)
-    shortfall = len(peaks) < k
-    return pseudospectrum, np.sort(grid[peaks]), shortfall
+    steering = _steering(m, grid.tobytes())
+    bases = covariance.eigvecs.reshape(-1, m, m)
+    pseudospectrum = np.empty((len(bases), grid.size))
+    peaks, shortfall = [], np.zeros(len(bases), dtype=bool)
+    for row, basis in enumerate(bases):
+        projected = basis[:, k:].conj().T @ steering
+        denom = np.sum(np.abs(projected) ** 2, axis=0)
+        pseudospectrum[row] = 1.0 / np.maximum(denom, 1e-300)
+        chosen = _pick_peaks(pseudospectrum[row], k, min_separation=2)
+        peaks.append(np.sort(grid[chosen]))
+        shortfall[row] = len(chosen) < k
+    if covariance.matrix.ndim == 2:
+        return pseudospectrum[0], peaks[0], bool(shortfall[0])
+    return pseudospectrum, peaks, shortfall
 
 
 @functools.lru_cache(maxsize=1)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import sparsekit
-from sparsekit import core, experiments
+from sparsekit import core, experiments, spectral
 from sparsekit.cli import main as cli_main
 from sparsekit.core import RandomSource, blas_threads
 from sparsekit.experiments import (
@@ -134,6 +134,97 @@ class TestRunExperiment:
         assert len(rows) == 1 + 256
         errors = read_csv(tmp_path / "fig18_errors.csv")
         assert {r[0] for r in errors[1:]} == {"prony", "pisarenko", "music"}
+
+
+class TestFig18Stacks:
+    """fig18 solves its trials in consecutive stacks of at most 32 rows and
+    512 KiB of series and pseudospectra."""
+
+    def test_chunk_rows(self):
+        def heights(trials, samples, grid_points):
+            return [len(chunk) for chunk in experiments._fig18_chunks(trials, samples, grid_points)]
+
+        assert heights(200, 1024, 2048) == [16] * 12 + [8]  # the registry's sizes
+        assert heights(33, 1024, 256) == [28, 5]
+        assert heights(20, 4096, 2048) == [6, 6, 6, 2]  # 512 KiB of series and pseudospectra
+        assert heights(70, 64, 64) == [32, 32, 6]
+        assert heights(3, 10**6, 2048) == [1, 1, 1]
+        assert heights(0, 1024, 2048) == []
+
+    def test_errors_equal_one_trial_calls(self, tmp_path):
+        seed, trials, grid_points = 5, 33, 256  # two stacks: 28 rows and 5
+        run_experiment(ExperimentSpec("fig18", seed=seed, trials=trials, out_dir=str(tmp_path),
+                                      overrides={"grid_points": grid_points}))
+        params = REGISTRY["fig18"].defaults
+        tones, k = experiments.FIG18_TONES, experiments.FIG18_TONES.k
+        clean, grid = tones.synthesize(params["samples"]), spectral.default_grid(grid_points)
+        errors = {"prony": [], "pisarenko": [], "music": []}
+        for t in range(trials):
+            y = experiments._fig18_noisy(clean, params["snr_db"], RandomSource(seed, stream=t + 1))
+            estimates = {
+                "prony": spectral.prony(y[: 2 * k], k).frequencies.real,
+                "pisarenko": spectral.pisarenko(spectral.sample_covariance(y, k + 1), k)[0],
+                "music": spectral.music(
+                    spectral.sample_covariance(y, params["music_dimension"]), k, grid)[1],
+            }
+            for name, estimate in estimates.items():
+                errors[name].append(experiments._fig18_error(estimate, tones.frequencies))
+        expected = [["method", "median_freq_error", "mean_freq_error"]] + [
+            [name, repr(float(np.median(values))), repr(float(np.mean(values)))]
+            for name, values in errors.items()
+        ]
+        assert read_csv(tmp_path / "fig18_errors.csv") == expected
+
+
+class TestStreamLedger:
+    """Runners draw every trial from a stream that no other grid point of
+    the run draws; a shared stream raises before the second point starts."""
+
+    def test_a_stream_claimed_by_two_points_raises(self):
+        ledger = experiments._StreamLedger(3)
+        sources = list(ledger.claim("a", [1, 2]))
+        assert [(rng.seed, rng.stream) for rng in sources] == [(3, 1), (3, 2)]
+        assert sources[1].standard_normal() == RandomSource(3, 2).standard_normal()
+        next(ledger.claim("a", [2]))  # one point may draw a stream again
+        with pytest.raises(ValueError, match="^grid points a and b both draw stream 2$"):
+            ledger.claim("b", [3, 2])
+
+    def test_fig7_at_35_trials_raises(self, tmp_path):
+        # stream 7_000_000 + 1000 k + 17 m + t repeats 34 trials later at m + 2
+        with pytest.raises(ValueError, match="^grid points k=4, m=8 and k=4, m=10 both draw"
+                                             " stream 7004170$"):
+            run_experiment(ExperimentSpec("fig7", seed=11, trials=35, out_dir=str(tmp_path)))
+
+    def test_fig20_at_snr_points_that_truncate_alike_raises(self, tmp_path):
+        # int(snr) truncates both points to -2
+        with pytest.raises(ValueError, match="^grid points -2.5 dB and -2 dB both draw"
+                                             " stream 98000$"):
+            run_experiment(ExperimentSpec("fig20", seed=11, out_dir=str(tmp_path),
+                                          overrides={"snr_grid_db": [-2.5, -2]}))
+
+    @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
+    def test_registry_defaults_draw_distinct_streams(self, experiment_id, monkeypatch):
+        # a runner claims its streams whatever its solvers return, so the
+        # costly solves of fig31, fig32 (every BENCH_SOLVERS solve) and of
+        # fig39, fig40 (MIMAT) are stubbed; fig7, whose sample-count sweep
+        # depends on its outcomes, runs unstubbed
+        from sparsekit import ofdm
+
+        monkeypatch.setattr(experiments, "_bench_trial",
+                            lambda *args: (0, [(0.0, True, 0.0)] * len(experiments.BENCH_SOLVERS)))
+        monkeypatch.setattr(ofdm, "estimate_mimat",
+                            lambda rx, cfg, snr_linear: (None, ofdm.estimate_linear(rx, cfg), None))
+        claims = []
+        claim = experiments._StreamLedger.claim
+
+        def recording(ledger, label, streams):
+            claims.append(label)
+            return claim(ledger, label, streams)
+
+        monkeypatch.setattr(experiments._StreamLedger, "claim", recording)
+        definition = REGISTRY[experiment_id]
+        definition.runner(dict(definition.defaults), 11, definition.default_trials)
+        assert claims
 
 
 class TestTrialFanOut:

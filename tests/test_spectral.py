@@ -87,15 +87,31 @@ class TestCovarianceEstimate:
         with pytest.raises(ValueError, match="positive semidefinite"):
             CovarianceEstimate(np.diag([1.0, -0.5]), snapshots=10)
 
-    STACK = np.array([np.eye(4), 2 * np.eye(4)])  # two covariances, as MDL takes them
+    TONES = SpectralModel([0.12, 0.31, 0.7], [1.0, 0.8, 0.5], [0.0, 1.0, -2.0])
 
-    def test_music_rejects_a_stack(self):
-        with pytest.raises(ValueError, match="one covariance, not a stack"):
-            music(CovarianceEstimate(self.STACK, snapshots=10), 1, default_grid(64))
+    def test_music_takes_a_stack(self):
+        covariances = [exact_tone_covariance(self.TONES, 6, noise_variance=v)
+                       for v in (0.01, 1.0)]
+        grid = default_grid(64)
+        pseudospectrum, peaks, shortfall = music(
+            CovarianceEstimate(np.array([c.matrix for c in covariances]), snapshots=6), 3, grid)
+        assert pseudospectrum.shape == (2, 64) and len(peaks) == 2 and shortfall.shape == (2,)
+        for row, cov in enumerate(covariances):
+            solo = music(cov, 3, grid)
+            assert pseudospectrum[row].tobytes() == solo[0].tobytes()
+            assert peaks[row].tobytes() == solo[1].tobytes()
+            assert shortfall[row] == solo[2]
 
-    def test_pisarenko_rejects_a_stack(self):
-        with pytest.raises(ValueError, match="one covariance, not a stack"):
-            pisarenko(CovarianceEstimate(self.STACK, snapshots=10), 3)
+    def test_pisarenko_takes_a_stack(self):
+        covariances = [exact_tone_covariance(self.TONES, 4, noise_variance=v)
+                       for v in (0.01, 1.0)]
+        freqs, sigma2, ambiguous = pisarenko(
+            CovarianceEstimate(np.array([c.matrix for c in covariances]), snapshots=4), 3)
+        assert freqs.shape == (2, 3) and sigma2.shape == (2,) and ambiguous.dtype == bool
+        for row, cov in enumerate(covariances):
+            solo = pisarenko(cov, 3)
+            assert freqs[row].tobytes() == solo[0].tobytes()
+            assert (sigma2[row], ambiguous[row]) == solo[1:]
 
     def test_estimators_take_only_a_covariance_estimate(self):
         y = np.exp(2j * np.pi * 0.1 * np.arange(32))

@@ -2,8 +2,10 @@
 
 Covers the stack form of iterative_reconstruct, chebyshev_accelerate,
 cg_accelerate, conjugate_gradient, conv_erasure_decode and
-elp_erasure_decode. Examples are drawn deterministically
-(``derandomize=True``) and without a per-example deadline.
+elp_erasure_decode, and of the spectral estimators sample_covariance,
+prony, pisarenko and music with the polynomial_roots they share. Examples
+are drawn deterministically (``derandomize=True``) and without a
+per-example deadline.
 """
 
 import contextlib
@@ -21,13 +23,29 @@ from sparsekit.codes import (
     conv_erasure_decode,
     elp_erasure_decode,
 )
-from sparsekit.core import InstabilityError, NumericError, RandomSource, SupportSet
+from sparsekit.core import (
+    InstabilityError,
+    NumericError,
+    RandomSource,
+    SupportSet,
+    polynomial_roots,
+)
 from sparsekit.experiments import _sampled_instance
 from sparsekit.sampling import (
     cg_accelerate,
     chebyshev_accelerate,
     conjugate_gradient,
     iterative_reconstruct,
+)
+from sparsekit.spectral import (
+    CovarianceEstimate,
+    SpectralModel,
+    default_grid,
+    exact_tone_covariance,
+    music,
+    pisarenko,
+    prony,
+    sample_covariance,
 )
 
 STACK_SETTINGS = settings(derandomize=True, deadline=None, max_examples=12)
@@ -350,3 +368,161 @@ class TestStackErrorsNameTheRow:
             elp_erasure_decode(received, erasures, code)
         with pytest.raises(ValueError, match="finite$"):
             elp_erasure_decode(received[2], erasures[2], code)
+
+
+@st.composite
+def tone_stacks(draw):
+    """(series, k, dimension): a (T, m) stack of noisy draws of k tones, and
+    a covariance dimension above k."""
+    rows = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(2 * k + 2, 96))
+    dimension = draw(st.integers(k + 1, min(m, 16)))
+    rng = RandomSource(draw(st.integers(0, 10**6)))
+    tones = SpectralModel(rng.uniform(0.0, 1.0, k), rng.uniform(0.5, 2.0, k),
+                          rng.uniform(-3.0, 3.0, k))
+    noise = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    series = np.array([tones.synthesize(m) + rng.complex_normal(m, scale=noise)
+                       for _ in range(rows)])
+    return series, k, dimension
+
+
+class TestSpectralStacks:
+    """Each row of a stacked spectral call equals its one-series (or
+    one-covariance) call bit for bit, and the one-series call returns what
+    it returned before stacks existed: plain floats and bools, 1-D arrays."""
+
+    @STACK_SETTINGS
+    @given(tone_stacks())
+    def test_sample_covariance_rows(self, case):
+        series, _, dimension = case
+        stacked = sample_covariance(series, dimension)
+        assert stacked.matrix.shape == (len(series), dimension, dimension)
+        for row, x in enumerate(series):
+            solo = sample_covariance(x, dimension)
+            assert solo.matrix.shape == (dimension, dimension)
+            assert solo.snapshots == stacked.snapshots
+            for field in ("matrix", "eigvals", "eigvecs"):
+                assert getattr(stacked, field)[row].tobytes() == getattr(solo, field).tobytes()
+
+    @STACK_SETTINGS
+    @given(tone_stacks())
+    def test_prony_rows(self, case):
+        series, k, _ = case
+        models = prony(series, k)
+        assert isinstance(models, list) and len(models) == len(series)
+        for model, x in zip(models, series):
+            solo = prony(x, k)
+            assert isinstance(solo, SpectralModel)
+            for field in ("frequencies", "amplitudes", "phases"):
+                assert getattr(model, field).tobytes() == getattr(solo, field).tobytes()
+
+    @STACK_SETTINGS
+    @given(tone_stacks())
+    def test_pisarenko_rows(self, case):
+        series, k, _ = case
+        freqs, sigma2, ambiguous = pisarenko(sample_covariance(series, k + 1), k)
+        assert freqs.shape == (len(series), k)
+        for row, x in enumerate(series):
+            solo_freqs, solo_sigma2, solo_ambiguous = pisarenko(sample_covariance(x, k + 1), k)
+            assert type(solo_sigma2) is float and type(solo_ambiguous) is bool
+            assert freqs[row].tobytes() == solo_freqs.tobytes()
+            assert (sigma2[row], ambiguous[row]) == (solo_sigma2, solo_ambiguous)
+
+    @STACK_SETTINGS
+    @given(tone_stacks(), st.sampled_from([64, 256]))
+    def test_music_rows(self, case, points):
+        series, k, dimension = case
+        grid = default_grid(points)
+        pseudospectrum, peaks, shortfall = music(sample_covariance(series, dimension), k, grid)
+        assert pseudospectrum.shape == (len(series), points)
+        assert len(peaks) == len(series) and shortfall.shape == (len(series),)
+        for row, x in enumerate(series):
+            solo = music(sample_covariance(x, dimension), k, grid)
+            assert type(solo[2]) is bool
+            assert pseudospectrum[row].tobytes() == solo[0].tobytes()
+            assert peaks[row].tobytes() == solo[1].tobytes()
+            assert shortfall[row] == solo[2]
+
+
+@st.composite
+def polynomial_stacks(draw):
+    """(T, k+1) complex coefficients with nonzero leading terms; some rows
+    end in zero coefficients, and some are real."""
+    rows = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 7))
+    rng = RandomSource(draw(st.integers(0, 10**6)))
+    coefficients = rng.complex_normal((rows, k + 1))
+    for row in range(rows):
+        if draw(st.booleans()):
+            coefficients[row] = coefficients[row].real
+        zeros = draw(st.integers(0, k))
+        if zeros:
+            coefficients[row, -zeros:] = 0.0
+    return coefficients
+
+
+class TestPolynomialRootStacks:
+    @STACK_SETTINGS
+    @given(polynomial_stacks())
+    def test_rows_equal_np_roots(self, coefficients):
+        roots = polynomial_roots(coefficients)
+        assert roots.shape == (len(coefficients), coefficients.shape[1] - 1)
+        for row, h in enumerate(coefficients):
+            expected = np.roots(h)
+            assert roots[row].tobytes() == expected.astype(np.complex128).tobytes()
+            solo = polynomial_roots(h)
+            assert solo.dtype == expected.dtype and solo.tobytes() == expected.tobytes()
+
+    def test_trailing_zeros_append_zero_roots(self):
+        coefficients = np.array([[1.0, -3.0, 2.0, 0.0], [2.0, 1.0, 1.0, 1.0], [1.0, 0, 0, 0]])
+        roots = polynomial_roots(coefficients)
+        assert np.array_equal(np.sort_complex(roots[0]), [0.0, 1.0, 2.0])
+        assert np.array_equal(roots[2], [0.0, 0.0, 0.0])
+        assert roots[1].tobytes() == np.roots(coefficients[1].astype(complex)).tobytes()
+
+
+class TestSpectralStackErrorsNameTheRow:
+    def test_sample_covariance_non_finite_series(self):
+        series = np.ones((3, 20), dtype=complex)
+        series[2, 5] = np.nan
+        with pytest.raises(ValueError, match="must be finite in stack row 2$"):
+            sample_covariance(series, 4)
+        with pytest.raises(ValueError, match="must be finite$"):
+            sample_covariance(series[2], 4)
+
+    def test_prony_non_finite_series(self):
+        series = np.exp(2j * np.pi * 0.1 * np.arange(8)) * np.ones((3, 1))
+        series[1, 2] = np.inf
+        with pytest.raises(ValueError, match="annihilated values must be finite in stack row 1$"):
+            prony(series, 2)
+        with pytest.raises(ValueError, match="annihilated values must be finite$"):
+            prony(series[1], 2)
+
+    def test_prony_degenerate_recursion(self):
+        r = np.arange(8)
+        two_tones = np.exp(2j * np.pi * 0.1 * r) + np.exp(2j * np.pi * 0.3 * r)
+        series = np.array([two_tones, two_tones, np.exp(2j * np.pi * 0.2 * r)])
+        with pytest.raises(ValueError, match="fewer than k effective terms in stack row 2$"):
+            prony(series, 2)
+        with pytest.raises(ValueError, match="fewer than k effective terms$"):
+            prony(series[2], 2)
+
+    def test_polynomial_roots_leading_and_non_finite_coefficients(self):
+        coefficients = np.ones((3, 4), dtype=complex)
+        coefficients[1, 0] = 0.0
+        with pytest.raises(ValueError, match="leading coefficient must be nonzero in stack row 1$"):
+            polynomial_roots(coefficients)
+        coefficients[0, 2] = np.nan
+        with pytest.raises(ValueError, match="coefficients must be finite in stack row 0$"):
+            polynomial_roots(coefficients)
+        with pytest.raises(ValueError, match="coefficients must be finite$"):
+            polynomial_roots(coefficients[0])
+
+    def test_pisarenko_locator_without_a_leading_term(self):
+        # a diagonal covariance's noise eigenvector is a unit vector whose
+        # leading coefficient vanishes
+        tones = exact_tone_covariance(SpectralModel([0.1, 0.3], [1.0, 1.0], [0.0, 0.5]), 3, 0.1)
+        stack = np.array([tones.matrix, np.diag([3.0, 2.0, 1.0])])
+        with pytest.raises(ValueError, match="leading coefficient must be nonzero in stack row 1$"):
+            pisarenko(CovarianceEstimate(stack, snapshots=3), 2)
