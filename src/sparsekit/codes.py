@@ -23,12 +23,13 @@ from .core import (
     pseudo_inverse_solve,
     read_samples,
     sorted_dft,
+    _LiveRows,
     _row_dots,
     _row_norms,
     _sorted_dft,
     _unitary_dft,
 )
-from .sampling import conjugate_gradient
+from .sampling import _conjugate_gradient as conjugate_gradient  # stacked; reports named by the caller
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,24 +124,22 @@ def _fill_by_recursion(syndrome, h, theta_mask, norm_scale):
     """
     n = theta_mask.size
     k = h.shape[1] - 1
-    spectrum = np.where(theta_mask, syndrome, 0.0)
-    filled = np.zeros_like(spectrum)
-    blown = np.zeros(len(spectrum), dtype=bool)
     start = int(np.flatnonzero(theta_mask)[0])
-    tail, lead = h[:, 1:], h[:, 0]  # h_1 ... h_k paired with E[r+1] ... E[r+k]
-    limit = 1e12 * np.maximum(norm_scale, 1e-300)
-    live = np.arange(len(spectrum))  # stack rows of the spectra still walked
+    blown = np.zeros(len(h), dtype=bool)
+    # tail is h_1 ... h_k, paired with E[r+1] ... E[r+k]
+    run = _LiveRows(None, len(h), spectrum=np.where(theta_mask, syndrome, 0.0), tail=h[:, 1:],
+                    lead=h[:, 0], limit=1e12 * np.maximum(norm_scale, 1e-300))
     for step in range(n - int(theta_mask.sum())):
         r = (start - 1 - step) % n
         # a contiguous window: a strided dot sums in another order
-        window = np.ascontiguousarray(spectrum[:, (r + 1 + np.arange(k)) % n])
-        spectrum[:, r] = -_row_dots(tail, window) / lead
-        over = np.abs(spectrum[:, r]) > limit
+        window = np.ascontiguousarray(run.spectrum[:, (r + 1 + np.arange(k)) % n])
+        run.spectrum[:, r] = -_row_dots(run.tail, window) / run.lead
+        over = np.abs(run.spectrum[:, r]) > run.limit
         if np.count_nonzero(over):
-            blown[live[over]] = True
-            live, spectrum, tail, lead, limit = (
-                part[~over] for part in (live, spectrum, tail, lead, limit))
-    filled[live] = spectrum
+            blown[run.live[over]] = True
+            run.retire(over, run.spectrum)
+    filled = run.stop(run.spectrum)
+    filled[blown] = 0.0
     return filled, blown
 
 
@@ -390,10 +389,9 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     def normal_op(v, rows):
         return _matvecs(g.T, keep[rows] * _matvecs(g, v))
 
-    estimates, reports = conjugate_gradient(normal_op, _matvecs(g.T, keep * y),
-                                            max_iters=max_iters, eps=1e-10)
+    estimates, reports = conjugate_gradient(normal_op, _matvecs(g.T, keep * y), max_iters,
+                                            1e-10, None, "conv-erasure-cg")
     for erased, report in zip(erasures, reports):
-        report.solver = "conv-erasure-cg"
         if len(erased) > length // 2:
             report.flags.append("erasure rate above capacity 1/2")
     return (estimates, reports) if stacked else (estimates[0], reports[0])
@@ -432,27 +430,23 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
     if projector is None:
         raise NumericError(problem)
 
-    reports = [SolverReport(solver="conv-impulsive-imat") for _ in stack]
+    run = _LiveRows("conv-impulsive-imat", len(stack))
     noise_image = _matvecs(projector, stack)
     tolerances = 1e-7 * _row_norms(stack)
     beta = np.maximum(np.max(np.abs(noise_image), axis=1), tolerances)[:, None]
     nu = np.zeros_like(stack)
     misfit = noise_image  # noise_image - projector @ nu, kept for the next blend
-    norms = []
+    norms = np.full(len(stack), math.inf)  # no iteration: not converged
     for i in range(1, max_iters + 1):
         blended = nu + relax * misfit
         threshold = beta * math.exp(-alpha * i)
         nu = np.where(np.abs(blended) > threshold, blended, 0.0)
         misfit = noise_image - _matvecs(projector, nu)
-        norms.append(_row_norms(misfit))
-    estimates = np.empty((stack.shape[0], input_length))
-    for row, report in enumerate(reports):
-        estimates[row], *_ = np.linalg.lstsq(g, stack[row] - nu[row], rcond=None)
-        report.iterations = len(norms)
-        report.residuals = [float(norm[row]) for norm in norms]
-        report.converged = bool(norms) and report.residuals[-1] <= float(tolerances[row])
-    for report in reports:
-        report._finish()
+        norms = _row_norms(misfit)
+        run.record(norms)
+    run.stop(nu, norms <= tolerances)
+    estimates = np.array([np.linalg.lstsq(g, row, rcond=None)[0] for row in stack - nu])
+    reports = run.finish()
     if y.ndim < 2:
         return estimates[0], nu[0], reports[0]
     return estimates, nu, reports

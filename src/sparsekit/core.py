@@ -182,12 +182,11 @@ def _row_norms(v):
     """np.linalg.norm of each row of v, bit for bit: the squares of the real
     and imaginary parts are each summed by one strided BLAS dot per row, as
     the 1-D norm sums them."""
-    if not np.iscomplexobj(v):
+    if v.dtype.kind != "c":
         return np.sqrt(_row_dots(v, v))
-    v = np.ascontiguousarray(v)
-    parts = v.view(v.real.dtype).reshape(len(v), -1, 2).swapaxes(1, 2)  # (T, 2, n)
-    squares = _row_dots(parts, parts)
-    return np.sqrt(squares[:, 0] + squares[:, 1])
+    parts = np.ascontiguousarray(v).view(v.real.dtype).reshape(len(v), -1, 2).swapaxes(1, 2)
+    squares = np.matmul(parts[..., None, :], parts[..., :, None])  # (T, 2, 1, 1)
+    return np.sqrt(squares[:, 0, 0, 0] + squares[:, 1, 0, 0])
 
 
 def _snr_db(ref_energy, err):
@@ -256,6 +255,106 @@ class SolverReport:
         """Record the wall time since construction."""
         self.wall_time = time.perf_counter() - self.started
         return self
+
+
+class _LiveRows:
+    """The one driver of every stacked loop: the rows of a (T, ...) stack
+    that an iterative solver still runs, their histories and their reports.
+    A one-signal solve is a one-row stack on it.
+
+    The keyword arrays are the loop's work arrays, one row per stack row,
+    read and set as attributes; they hold the running rows only. live lists
+    the stack rows that run, and rows indexes a full-stack array by them:
+    slice(None) until a row stops, so that indexing gives a view, then live.
+    record() keeps each iteration's residuals, and squared errors against
+    the references, in an (iterations, 2, T) history that doubles when full;
+    retire() freezes stopped rows and drops them from the work arrays;
+    stop() freezes the rest and returns every row's final value; finish()
+    writes each report once, its snrs by snr_db's expression. Solver None
+    keeps no reports; a reference count other than T raises ValueError.
+    """
+
+    def __init__(self, solver, count, references=None, **work):
+        self.reports = [] if solver is None else [SolverReport(solver=solver) for _ in range(count)]
+        self.live = np.arange(count)
+        self.rows = slice(None)
+        self._work = list(work)
+        self.__dict__.update(work)
+        self._finals = self._refs = None
+        self._step = 0
+        self._ends = np.zeros(count, dtype=int)
+        self._history = np.empty((32, 2, count))
+        if references is not None:
+            self._refs = np.array([as_values(ref) for ref in references])
+            if len(self._refs) != count:
+                raise ValueError(f"need one reference per row: got {len(self._refs)} for {count} rows")
+            self._energies = [float(np.sum(np.abs(ref) ** 2)) for ref in self._refs]
+            self._work.append("_refs")
+
+    def record(self, residuals, estimates=None):
+        """Keep this iteration's residuals of the running rows, and the
+        squared errors of their estimates when there are references."""
+        step = self._step
+        if step == len(self._history):
+            self._history = np.concatenate((self._history, self._history))
+        self._history[step, 0, self.rows] = residuals
+        if self._refs is not None:
+            if self._refs.shape[-1] != estimates.shape[-1]:
+                raise ValueError("reference and estimate lengths differ")
+            self._history[step, 1, self.rows] = _squared_errors(self._refs, estimates)
+        self._step = step + 1
+
+    def _freeze(self, stopped, converged, flag, iterations):
+        rows = self.live[stopped]
+        self._ends[rows] = self._step if iterations is None else iterations[stopped]
+        if self.reports:
+            done = np.broadcast_to(converged, self.live.shape)[stopped]
+            for row, row_converged in zip(rows.tolist(), done.tolist()):
+                if row_converged:
+                    self.reports[row].converged = True
+                elif flag:
+                    self.reports[row].flags.append(flag)
+        return rows
+
+    def retire(self, stopped, values, converged=True, flag=None, iterations=None):
+        """Freeze the running rows under the mask stopped at their rows of
+        values and drop them from the work arrays. Each such row counts
+        iterations[j] iterations (those recorded so far when None), and is
+        converged where converged (a bool, or a mask over the running rows)
+        holds, else flagged with flag. Returns True once no row runs."""
+        if not np.count_nonzero(stopped):
+            return False
+        if self._finals is None:
+            self._finals = np.empty((len(self._ends),) + values.shape[1:], values.dtype)
+        self._finals[self._freeze(stopped, converged, flag, iterations)] = values[stopped]
+        going = ~stopped
+        self.live = self.rows = self.live[going]
+        for name in self._work:
+            setattr(self, name, getattr(self, name)[going])
+        return not self.live.size
+
+    def stop(self, values, converged=False, flag=None):
+        """Freeze the running rows at values, marked as retire() marks them,
+        and return the (T, ...) final values of every row: values itself
+        when no row stopped early."""
+        rows = self._freeze(slice(None), converged, flag, None)
+        if self._finals is None:
+            self._finals = values
+        else:
+            self._finals[rows] = values
+        return self._finals
+
+    def finish(self):
+        """Write each report's iterations and histories, stamp its wall
+        time, and return the reports."""
+        for row, report in enumerate(self.reports):
+            end = report.iterations = int(self._ends[row])
+            report.residuals = self._history[:end, 0, row].tolist()
+            if self._refs is not None:
+                report.snrs = [_snr_db(self._energies[row], error)
+                               for error in self._history[:end, 1, row].tolist()]
+            report._finish()
+        return self.reports
 
 
 @functools.cache

@@ -13,17 +13,15 @@ import numpy as np
 
 from .core import (
     NumericError,
-    SolverReport,
     SupportSet,
     as_values,
     detected_support,
     polynomial_roots,
     read_samples,
+    _LiveRows,
     _annihilating_filter,
     _row_dots,
     _row_norms,
-    _snr_db,
-    _squared_errors,
     _stack_row,
     _unitary_dft,
 )
@@ -64,8 +62,8 @@ def _retained_samples(observed, sample_times):
 def _masked_system(observed, sample_times, freq_support):
     """Checked samples and the density-compensated masked operator.
 
-    apply_ps(z, rows) keeps the retained time samples of each row of z (the
-    rows of the stack listed in rows), scales them by n/m so a uniform
+    apply_ps(z, rows) keeps the retained time samples of each row of z (rows
+    indexes the stack by z's rows), scales them by n/m so a uniform
     Nyquist sampling is recovered in one projection, and projects onto the
     frequency support. Returns (x_obs, smask, m, apply_ps, apply_ps(x_obs));
     see _retained_samples for x_obs, smask and m.
@@ -84,34 +82,10 @@ def _masked_system(observed, sample_times, freq_support):
 
     def apply_ps(z, rows):
         spectrum = _unitary_dft(np.where(smask[rows], z, 0.0) * comp)
-        spectrum[:, outside] = 0.0
+        np.copyto(spectrum, 0.0, where=outside)
         return _unitary_dft(spectrum, inverse=True)
 
     return x_obs, smask, m, apply_ps, apply_ps(x_obs, slice(None))
-
-
-def _snr_recorder(reports, references):
-    """A callable record(estimates, rows) that appends, for each row i of
-    estimates, its SNR against references[rows[i]] to reports[rows[i]].snrs,
-    or does nothing without references; a reference count other than the
-    report count raises ValueError. ||ref||^2 is summed once per solve and
-    each error by its row sum, both by snr_db's expressions, so each SNR
-    equals snr_db's."""
-    if references is None:
-        return lambda estimates, rows: None
-    refs = np.array([as_values(ref) for ref in references])
-    if len(refs) != len(reports):
-        raise ValueError(f"need one reference per row: got {len(refs)} for {len(reports)} rows")
-    energies = [float(np.sum(np.abs(ref) ** 2)) for ref in refs]
-
-    def record(estimates, rows):
-        if refs.shape[-1] != estimates.shape[-1]:
-            raise ValueError("reference and estimate lengths differ")
-        errors = _squared_errors(refs[rows], estimates).tolist()
-        for row, error in zip(rows, errors):
-            reports[row].snrs.append(_snr_db(energies[row], error))
-
-    return record
 
 
 def _masked_operator_matrix(sample_times, freq_support):
@@ -140,12 +114,8 @@ def estimate_frame_bounds(sample_times, freq_support):
 _DIVERGED = "residual grew for 3 consecutive iterations"
 
 
-def _finish(estimates, reports, stacked):
-    """The stack's return value, or the one row's for a one-signal call;
-    each report counts one iteration per residual."""
-    for report in reports:
-        report.iterations = len(report.residuals)
-        report._finish()
+def _unstack(estimates, reports, stacked):
+    """The stack's return value, or the one row's for a one-signal call."""
     return (estimates, reports) if stacked else (estimates[0], reports[0])
 
 
@@ -177,45 +147,27 @@ def iterative_reconstruct(observed, sample_times, freq_support, max_iters=500, r
     stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
     x_obs, smask, m, apply_ps, b = _masked_system(observed, sample_times, freq_support)
 
-    reports = [SolverReport(solver="iterative") for _ in x_obs]
-    record_snr = _snr_recorder(reports, reference)
-    # the work arrays hold the running rows only; live maps them to stack rows
-    live = np.arange(len(reports))
-    obs, mask = x_obs, smask
-    x = np.zeros(x_obs.shape, dtype=np.complex128)
-    finals = np.empty_like(x)
-    grow_streak = np.zeros(live.size, dtype=int)
-    prev_resid = np.full(live.size, math.inf)
+    count = len(x_obs)
+    run = _LiveRows("iterative", count, reference, obs=x_obs, mask=smask, b=b,
+                    x=np.zeros(x_obs.shape, dtype=np.complex128),
+                    grow_streak=np.zeros(count, dtype=int), prev_resid=np.full(count, math.inf))
     for _ in range(max_iters):
-        x_new = x + relax * (b - apply_ps(x, live))
-        resid = _row_norms((x_new - obs)[mask].reshape(-1, m))
-        for row, value in zip(live, resid.tolist()):
-            reports[row].residuals.append(value)
-        record_snr(x_new, live)
-        grow_streak = (grow_streak + 1) * (resid > prev_resid)
-        prev_resid = resid
-        if np.count_nonzero(grow_streak == 3):  # cheaper than .any() on a few rows
-            for row in live[grow_streak == 3]:
-                if _DIVERGED not in reports[row].flags:
-                    reports[row].flags.append(_DIVERGED)
-        converged = _row_norms(x_new - x) < eps
-        x = x_new
-        stopped = converged | ~(resid <= 1e100)  # or a residual above 1e100, or not finite
-        if not np.count_nonzero(stopped):
-            continue
-        for j in np.flatnonzero(stopped):
-            if converged[j]:
-                reports[live[j]].converged = True
-            else:
-                reports[live[j]].flags.append("iterate overflowed; stopping")
-        finals[live[stopped]] = x[stopped]
-        going = ~stopped
-        live, obs, mask, b, x, grow_streak, prev_resid = (
-            part[going] for part in (live, obs, mask, b, x, grow_streak, prev_resid))
-        if not live.size:
+        x_new = run.x + relax * (run.b - apply_ps(run.x, run.rows))
+        resid = _row_norms((x_new - run.obs)[run.mask].reshape(-1, m))
+        run.record(resid, x_new)
+        run.grow_streak = (run.grow_streak + 1) * (resid > run.prev_resid)
+        run.prev_resid = resid
+        if np.count_nonzero(run.grow_streak == 3):  # cheaper than .any() on a few rows
+            for row in run.live[run.grow_streak == 3]:
+                if _DIVERGED not in run.reports[row].flags:
+                    run.reports[row].flags.append(_DIVERGED)
+        converged = _row_norms(x_new - run.x) < eps
+        run.x = x_new
+        # a row also stops on a residual above 1e100, or not finite
+        if run.retire(converged | ~(resid <= 1e100), x_new, converged,
+                      "iterate overflowed; stopping"):
             break
-    finals[live] = x
-    return _finish(finals, reports, stacked)
+    return _unstack(run.stop(run.x), run.finish(), stacked)
 
 
 def chebyshev_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10,
@@ -232,41 +184,23 @@ def chebyshev_accelerate(observed, sample_times, freq_support, max_iters=500, ep
     stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
     x_obs, smask, m, apply_ps, b = _masked_system(observed, sample_times, freq_support)
     bound_a, bound_b = _frame_bounds(sample_times, freq_support)
-    rho = (bound_b - bound_a) / (bound_b + bound_a)
     gain = (2.0 / (bound_a + bound_b))[:, None]
 
-    reports = [SolverReport(solver="chebyshev") for _ in x_obs]
-    record_snr = _snr_recorder(reports, reference)
-    live = np.arange(len(reports))
-    obs, mask = x_obs, smask
-    lam = np.full(live.size, 2.0)
-    x_prev = np.zeros(x_obs.shape, dtype=np.complex128)
-    x_cur = gain * b
-    finals = np.empty_like(x_cur)
-    resid = _row_norms((x_cur - obs)[mask].reshape(-1, m))
-    for row, value in zip(live, resid.tolist()):
-        reports[row].residuals.append(value)
-    record_snr(x_cur, live)
+    run = _LiveRows("chebyshev", len(x_obs), reference, obs=x_obs, mask=smask, b=b,
+                    rho=(bound_b - bound_a) / (bound_b + bound_a), gain=gain,
+                    lam=np.full(len(x_obs), 2.0), x_prev=np.zeros(x_obs.shape, dtype=np.complex128),
+                    x_cur=gain * b)
+    run.record(_row_norms((run.x_cur - x_obs)[smask].reshape(-1, m)), run.x_cur)
     for _ in range(max_iters - 1):
-        lam = 1.0 / (1.0 - 0.25 * rho * rho * lam)
-        x_next = x_prev + lam[:, None] * (x_cur - x_prev + gain * (b - apply_ps(x_cur, live)))
-        resid = _row_norms((x_next - obs)[mask].reshape(-1, m))
-        for row, value in zip(live, resid.tolist()):
-            reports[row].residuals.append(value)
-        record_snr(x_next, live)
-        converged = _row_norms(x_next - x_cur) < eps
-        x_prev, x_cur = x_cur, x_next
-        if np.count_nonzero(converged):
-            for j in np.flatnonzero(converged):
-                reports[live[j]].converged = True
-            finals[live[converged]] = x_cur[converged]
-            going = ~converged
-            live, obs, mask, b, rho, gain, lam, x_prev, x_cur = (
-                part[going] for part in (live, obs, mask, b, rho, gain, lam, x_prev, x_cur))
-            if not live.size:
-                break
-    finals[live] = x_cur
-    return _finish(finals, reports, stacked)
+        run.lam = 1.0 / (1.0 - 0.25 * run.rho * run.rho * run.lam)
+        x_next = run.x_prev + run.lam[:, None] * (
+            run.x_cur - run.x_prev + run.gain * (run.b - apply_ps(run.x_cur, run.rows)))
+        run.record(_row_norms((x_next - run.obs)[run.mask].reshape(-1, m)), x_next)
+        converged = _row_norms(x_next - run.x_cur) < eps
+        run.x_prev, run.x_cur = run.x_cur, x_next
+        if run.retire(converged, x_next):
+            break
+    return _unstack(run.stop(run.x_cur), run.finish(), stacked)
 
 
 def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
@@ -279,23 +213,28 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
 
     rhs may also be a (T, N) stack, and reference then a (T, N) stack. Then
     apply_op(p, rows) receives the search directions of the rows still
-    running, one per row, with their stack rows, and returns the operator
-    applied to each row. Each row keeps its own stopping rule and final
-    iterate, and equals its own solve bit for bit; a NumericError names its
-    stack row. The call returns a (T, N) array of estimates and a list of T
-    reports; every report's wall_time spans the whole stack.
+    running, one per row, and rows, which indexes the stack by those rows
+    (slice(None) while every row runs); it returns the operator applied to
+    each row. Each row keeps its own stopping rule and final iterate, and
+    equals its own solve bit for bit; a NumericError names its stack row.
+    The call returns a (T, N) array of estimates and a list of T reports;
+    every report's wall_time spans the whole stack.
     """
-    stacked = np.ndim(rhs) == 2
-    op = apply_op if stacked else (lambda p, rows: apply_op(p[0])[None])
-    if not stacked:
-        rhs, reference = rhs[None], None if reference is None else [reference]
-    reports = [SolverReport(solver="cg") for _ in rhs]
-    record_snr = _snr_recorder(reports, reference)
+    if np.ndim(rhs) == 2:
+        return _conjugate_gradient(apply_op, rhs, max_iters, eps, reference, "cg")
+    estimates, reports = _conjugate_gradient(lambda p, rows: apply_op(p[0])[None], rhs[None],
+                                             max_iters, eps,
+                                             None if reference is None else [reference], "cg")
+    return estimates[0], reports[0]
+
+
+def _conjugate_gradient(apply_op, rhs, max_iters, eps, reference, solver):
+    """conjugate_gradient of a (T, N) stack, its reports named solver."""
 
     def check_finite(values, rows, what):
         if np.count_nonzero(np.isfinite(values)) == values.size:
             return values
-        failing = np.zeros(len(reports), dtype=bool)
+        failing = np.zeros(len(rhs), dtype=bool)
         failing[rows[~np.isfinite(values)]] = True
         raise NumericError(what.format(_stack_row(failing)))
 
@@ -303,50 +242,30 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
         # np.vdot(a[i], b[i]): the plain dot of the conjugate sums the same products
         return _row_dots(a.conj(), b)
 
-    live = np.arange(len(reports))
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = rhs.copy()
-    finals = np.empty_like(x)
     norm_error = "CG residual norm is not finite{}: its squares overflowed"
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = check_finite(_row_norms(rhs), live, norm_error)
-        tol = eps * np.maximum(residual, 1.0)
+        residual = check_finite(_row_norms(rhs), np.arange(len(rhs)), norm_error)
+        run = _LiveRows(solver, len(rhs), reference, x=np.zeros_like(rhs), r=rhs.copy(),
+                        p=rhs.copy(), residual=residual, tol=eps * np.maximum(residual, 1.0))
         for _ in range(max_iters):
-            converged = residual < tol
-            if np.count_nonzero(converged):
-                for j in np.flatnonzero(converged):
-                    reports[live[j]].converged = True
-                finals[live[converged]] = x[converged]
-                live, x, r, p, tol, residual = (
-                    part[~converged] for part in (live, x, r, p, tol, residual))
-                if not live.size:
-                    break
-            op_p = op(p, live)
-            denom = check_finite(vdots(p, op_p), live,
+            if run.retire(run.residual < run.tol, run.x):
+                break
+            op_p = apply_op(run.p, run.rows)
+            denom = check_finite(vdots(run.p, op_p), run.live,
                                  "CG curvature inner product is not finite{}: it overflowed")
             vanished = np.abs(denom) <= 1e-300
             if np.count_nonzero(vanished):
-                for j in np.flatnonzero(vanished):
-                    reports[live[j]].flags.append("curvature inner product vanished")
-                finals[live[vanished]] = x[vanished]
-                live, x, r, p, tol, residual, op_p, denom = (
-                    part[~vanished] for part in (live, x, r, p, tol, residual, op_p, denom))
-                if not live.size:
+                op_p, denom = op_p[~vanished], denom[~vanished]
+                if run.retire(vanished, run.x, False, "curvature inner product vanished"):
                     break
-            lam = (vdots(p, r) / denom)[:, None]
-            x = x + lam * p
-            r = r - lam * op_p
-            residual = check_finite(_row_norms(r), live, norm_error)
-            for row, value in zip(live, residual.tolist()):
-                reports[row].residuals.append(value)
-            record_snr(x, live)
-            lam_prime = (vdots(op_p, r) / denom)[:, None]
-            p = r - lam_prime * p
-        for j in np.flatnonzero(residual < tol):
-            reports[live[j]].converged = True
-    finals[live] = x
-    return _finish(finals, reports, stacked)
+            lam = (vdots(run.p, run.r) / denom)[:, None]
+            run.x = run.x + lam * run.p
+            run.r = run.r - lam * op_p
+            run.residual = check_finite(_row_norms(run.r), run.live, norm_error)
+            run.record(run.residual, run.x)
+            lam_prime = (vdots(op_p, run.r) / denom)[:, None]
+            run.p = run.r - lam_prime * run.p
+    return run.stop(run.x, run.residual < run.tol), run.finish()
 
 
 def cg_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10,
@@ -357,8 +276,7 @@ def cg_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10
         raise ValueError("eps must be positive")
     stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
     _, _, _, apply_ps, b = _masked_system(observed, sample_times, freq_support)
-    estimates, reports = conjugate_gradient(apply_ps, b, max_iters, eps, reference)
-    return (estimates, reports) if stacked else (estimates[0], reports[0])
+    return _unstack(*conjugate_gradient(apply_ps, b, max_iters, eps, reference), stacked)
 
 
 def _to_sparse_domain(z, transform):
@@ -414,8 +332,7 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
         x_obs = x_obs.real.astype(np.float64)
     n = x_obs.shape[1]
 
-    reports = [SolverReport(solver="imat") for _ in x_obs]
-    record_snr = _snr_recorder(reports, reference)
+    count = len(x_obs)
     tol = eps * np.maximum(1.0, _row_norms(x_obs[smask].reshape(-1, m)))
     gain = relax * n / m  # density-compensated sample replacement
     cap = max(1, m // 2)
@@ -423,24 +340,18 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
     beta = np.maximum(np.max(np.abs(coeffs), axis=1), 1e-30)[:, None]
     coeffs.fill(0.0)  # the coefficients before the first pass
 
-    # the work arrays hold the live rows only; live maps them to stack rows
-    live = np.arange(len(reports))
-    obs, mask = x_obs, smask
-    x = np.zeros_like(x_obs)
-    finals = np.empty_like(coeffs)  # each row's coefficients when it stopped
-    best_resid = np.full(live.size, math.inf)
-    best_coeffs = coeffs.copy()
-    best_iter = np.zeros(live.size, dtype=int)
-    grow_streak = np.zeros(live.size, dtype=int)
-    prev_resid = np.full(live.size, math.inf)
+    run = _LiveRows("imat", count, reference, obs=x_obs, mask=smask, x=np.zeros_like(x_obs),
+                    coeffs=coeffs, tol=tol, beta=beta, best_resid=np.full(count, math.inf),
+                    best_coeffs=coeffs.copy(), best_iter=np.zeros(count, dtype=int),
+                    grow_streak=np.zeros(count, dtype=int), prev_resid=np.full(count, math.inf))
     for i in range(1, max_iters + 1):
         # x + gain * (...), computed in place: the stack's working set is
         # what bounds its rows
-        coeffs = np.where(mask, obs - x, 0.0)
+        coeffs = np.where(run.mask, run.obs - run.x, 0.0)
         coeffs *= gain
-        coeffs += x
+        coeffs += run.x
         coeffs = _to_sparse_domain(coeffs, transform)
-        keep = np.abs(coeffs) > beta * math.exp(-alpha * i)
+        keep = np.abs(coeffs) > run.beta * math.exp(-alpha * i)
         over = keep.sum(axis=1) > cap
         if over.any():
             order = np.argsort(np.abs(coeffs[over]), axis=1)[:, ::-1]
@@ -448,59 +359,44 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
             largest[np.arange(order.shape[0])[:, None], order] = np.arange(n) < cap
             keep[over] = largest
         coeffs[~keep] = 0.0
-        x = _from_sparse_domain(coeffs, transform)
-        resid = _row_norms((x - obs)[mask].reshape(-1, m))
-        for row, value in zip(live, resid.tolist()):
-            reports[row].residuals.append(value)
-        record_snr(x, live)
-        grow_streak = (grow_streak + 1) * (resid > prev_resid)
-        prev_resid = resid
-        better = resid < best_resid
+        run.coeffs = coeffs
+        run.x = _from_sparse_domain(coeffs, transform)
+        resid = _row_norms((run.x - run.obs)[run.mask].reshape(-1, m))
+        run.record(resid, run.x)
+        run.grow_streak = (run.grow_streak + 1) * (resid > run.prev_resid)
+        run.prev_resid = resid
+        better = resid < run.best_resid
         if better.any():
-            best_resid = np.where(better, resid, best_resid)
-            best_iter[better] = i
-            np.copyto(best_coeffs, coeffs, where=better[:, None])
-        stopped = (resid < tol) | (grow_streak >= 3)
+            run.best_resid = np.where(better, resid, run.best_resid)
+            run.best_iter[better] = i
+            np.copyto(run.best_coeffs, coeffs, where=better[:, None])
+        converged = resid < run.tol
+        stopped = converged | (run.grow_streak >= 3)
         if not stopped.any():
             continue
-        converged = resid < tol
         # divergence brake: the compensated gain can blow up once the
-        # threshold admits a wrong support; such a row ends on its best iterate
-        braked = stopped & ~converged
-        for j in np.flatnonzero(converged):
-            reports[live[j]].converged = True
-        for j in np.flatnonzero(braked):
-            report, kept = reports[live[j]], int(best_iter[j])
-            report.flags.append("residual grew for 3 iterations: kept best iterate")
-            del report.residuals[kept:], report.snrs[kept:]
-        finals[live[converged]] = coeffs[converged]
-        finals[live[braked]] = best_coeffs[braked]
-        going = ~stopped
-        live, obs, mask, x, coeffs, tol, beta = (
-            part[going] for part in (live, obs, mask, x, coeffs, tol, beta))
-        best_resid, best_coeffs, best_iter, grow_streak, prev_resid = (
-            part[going] for part in (best_resid, best_coeffs, best_iter, grow_streak, prev_resid))
-        if not live.size:
+        # threshold admits a wrong support; such a row ends on its best
+        # iterate, its histories cut there
+        braked = (stopped & ~converged)[:, None]
+        if run.retire(stopped, np.where(braked, run.best_coeffs, coeffs), converged,
+                      "residual grew for 3 iterations: kept best iterate",
+                      np.where(converged, i, run.best_iter)):
             break
-    for row in live:
-        reports[row].flags.append("max iterations reached without sample consistency")
-    finals[live] = coeffs
+    finals = run.stop(run.coeffs, flag="max iterations reached without sample consistency")
     # a row's signal is the inverse transform of its final coefficients,
     # bit for bit the iterate the loop computed from them
     signals = _from_sparse_domain(finals, transform)
 
     supports = []
-    for row, report in enumerate(reports):
+    for row, report in enumerate(run.reports):
         support = SupportSet(detected_support(finals[row]), n)
         if refine_support and 0 < len(support) <= m:
             signals[row] = _least_squares_on_support(x_obs[row], smask[row], support, transform)
             report.flags.append("least-squares polish on detected support")
         supports.append(support)
-        report.iterations = len(report.residuals)
-        report._finish()
     if stacked:
-        return signals, supports, reports
-    return signals[0], supports[0], reports[0]
+        return signals, supports, run.finish()
+    return signals[0], supports[0], run.finish()[0]
 
 
 def _least_squares_on_support(x_obs, smask, support, transform):
