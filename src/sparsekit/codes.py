@@ -24,7 +24,6 @@ from .core import (
     read_samples,
     sorted_dft,
     _LiveRows,
-    _row_dots,
     _row_norms,
     _sorted_dft,
     _unitary_dft,
@@ -126,14 +125,16 @@ def _fill_by_recursion(syndrome, h, theta_mask, norm_scale):
     k = h.shape[1] - 1
     start = int(np.flatnonzero(theta_mask)[0])
     blown = np.zeros(len(h), dtype=bool)
-    # tail is h_1 ... h_k, paired with E[r+1] ... E[r+k]
-    run = _LiveRows(None, len(h), spectrum=np.where(theta_mask, syndrome, 0.0), tail=h[:, 1:],
-                    lead=h[:, 0], limit=1e12 * np.maximum(norm_scale, 1e-300))
+    # tail is h_1 ... h_k, paired with E[r+1] ... E[r+k]; it is kept
+    # conjugated, as np.vecdot conjugates its first operand back
+    run = _LiveRows(None, len(h), spectrum=np.where(theta_mask, syndrome, 0.0),
+                    tail=h[:, 1:].conj(), lead=h[:, 0],
+                    limit=1e12 * np.maximum(norm_scale, 1e-300))
     for step in range(n - int(theta_mask.sum())):
         r = (start - 1 - step) % n
         # a contiguous window: a strided dot sums in another order
         window = np.ascontiguousarray(run.spectrum[:, (r + 1 + np.arange(k)) % n])
-        run.spectrum[:, r] = -_row_dots(run.tail, window) / run.lead
+        run.spectrum[:, r] = -np.vecdot(run.tail, window) / run.lead
         over = np.abs(run.spectrum[:, r]) > run.limit
         if np.count_nonzero(over):
             blown[run.live[over]] = True

@@ -171,22 +171,16 @@ def _squared_errors(ref, est):
         return (np.abs(ref - est) ** 2).sum(axis=-1)  # np.sum's reduction, minus its dispatch
 
 
-def _row_dots(a, b):
-    """a[i] @ b[i] for each row i along the last axis, bit for bit: one BLAS
-    dot per row, with the rows' strides kept (a strided dot sums in another
-    order)."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def _row_norms(v):
     """np.linalg.norm of each row of v, bit for bit: the squares of the real
     and imaginary parts are each summed by one strided BLAS dot per row, as
-    the 1-D norm sums them."""
+    the 1-D norm sums them (it sums a contiguous copy of a strided row)."""
+    v = np.ascontiguousarray(v)
     if v.dtype.kind != "c":
-        return np.sqrt(_row_dots(v, v))
-    parts = np.ascontiguousarray(v).view(v.real.dtype).reshape(len(v), -1, 2).swapaxes(1, 2)
-    squares = np.matmul(parts[..., None, :], parts[..., :, None])  # (T, 2, 1, 1)
-    return np.sqrt(squares[:, 0, 0, 0] + squares[:, 1, 0, 0])
+        return np.sqrt(np.vecdot(v, v))
+    parts = v.view(v.real.dtype).reshape(len(v), -1, 2).swapaxes(1, 2)
+    squares = np.vecdot(parts, parts)  # (T, 2)
+    return np.sqrt(squares[:, 0] + squares[:, 1])
 
 
 def _snr_db(ref_energy, err):

@@ -95,25 +95,43 @@ def _sparse_time_instance(n, k, m, rng):
     return _sampled_instance(n, np.sort(rng.choice(n, size=k, replace=False)), m, rng)
 
 
+_STACK_BYTES = 1024 * 1024  # what one stack of trials may add to a run's peak
+
+
+def _stacks(sources, row_bytes):
+    """Consecutive lists of a claim's sources, each at most
+    max(1, _STACK_BYTES // row_bytes) long: the stacks a runner solves, where
+    row_bytes is what one more row adds to the runner's allocation peak, as
+    measured with tracemalloc (README, "Stacks of trials"). A list's
+    sources are drawn only when the caller asks for that list."""
+    rows = max(1, _STACK_BYTES // row_bytes)
+    sources = iter(sources)
+    while stack := list(itertools.islice(sources, rows)):
+        yield stack
+
+
 def run_fig4(params, seed, trials):
     """SNR vs iteration for plain/Chebyshev/CG on a random-sampled bandpass signal.
 
     The trials draw from their own streams, in order, and each solver
-    solves them as one stack."""
+    solves them in stacks (see _stacks)."""
     n = params["n"]
     iters = params["iterations"]
     band = np.arange(params["band_start"], params["band_stop"])
     m = int(round(params["osr"] * band.size))
     support = SupportSet(band, n)
+    solvers = {"plain": sampling.iterative_reconstruct,
+               "chebyshev": sampling.chebyshev_accelerate,
+               "cg": sampling.cg_accelerate}
+    traces = {name: [] for name in solvers}
     sources = _StreamLedger(seed).claim("all trials", (t + 1 for t in range(trials)))
-    signals, observed, times = zip(*(_sampled_instance(n, band, m, rng) for rng in sources))
-    med = {}
-    for name, solver in (("plain", sampling.iterative_reconstruct),
-                         ("chebyshev", sampling.chebyshev_accelerate),
-                         ("cg", sampling.cg_accelerate)):
-        _, reports = solver(np.array(observed), times, support, max_iters=iters, eps=1e-300,
-                            reference=np.array(signals))
-        med[name] = _median_trace([rep.snrs for rep in reports], iters)
+    for stack in _stacks(sources, 160 * n + 192 * iters + 2048):
+        signals, observed, times = zip(*(_sampled_instance(n, band, m, rng) for rng in stack))
+        for name, solver in solvers.items():
+            reports = solver(np.array(observed), times, support, max_iters=iters, eps=1e-300,
+                             reference=np.array(signals))[1]
+            traces[name].extend(np.array(rep.snrs) for rep in reports)
+    med = {name: _median_trace(traces[name], iters) for name in solvers}
     rows = [
         (i + 1, med["plain"][i], med["chebyshev"][i], med["cg"][i])
         for i in range(iters)
@@ -121,26 +139,11 @@ def run_fig4(params, seed, trials):
     return {"fig4.csv": (["iteration", "plain_snr_db", "chebyshev_snr_db", "cg_snr_db"], rows)}
 
 
-_STACK_BYTES = 128 * 1024  # one (rows, n) complex imat stack stays within this
-
-
-def _chunks(trials, rows):
-    """Consecutive trial ranges of rows trials each, the last one shorter."""
-    return [range(start, min(start + rows, trials)) for start in range(0, trials, rows)]
-
-
-def _stack_chunks(trials, n):
-    """Consecutive trial ranges of at most _STACK_BYTES // (16 n) trials (at
-    least one), each one imat stack: fig6's 60-row stack at n=256 raised the
-    peak RSS by 6%, and a bounded chunk caps the stack's working set."""
-    return _chunks(trials, max(1, _STACK_BYTES // (16 * n)))
-
-
 def run_fig6(params, seed, trials):
     """IMAT SNR vs iteration at several sampling rates over the sparsity count.
 
     The trials of one rate draw from their own streams, in order, and are
-    solved in stacks (see _stack_chunks)."""
+    solved in stacks (see _stacks)."""
     n, k = params["n"], params["k"]
     iters = params["iterations"]
     factors = params["rate_factors"]
@@ -150,13 +153,11 @@ def run_fig6(params, seed, trials):
         m = int(factor * k)
         sources = ledger.claim(f"rate {factor}x", (1000 * factor + t for t in range(trials)))
         traces = []
-        for chunk in _stack_chunks(trials, n):
-            signals, observed, times = zip(*(
-                _sparse_time_instance(n, k, m, rng) for rng in itertools.islice(sources, len(chunk))
-            ))
-            _, _, reports = sampling.imat(observed, times, alpha=params["alpha"],
-                                          max_iters=iters, eps=1e-300, reference=signals)
-            traces.extend(rep.snrs for rep in reports)
+        for stack in _stacks(sources, 176 * n + 8192):
+            signals, observed, times = zip(*(_sparse_time_instance(n, k, m, rng) for rng in stack))
+            reports = sampling.imat(observed, times, alpha=params["alpha"], max_iters=iters,
+                                    eps=1e-300, reference=signals)[2]
+            traces.extend(np.array(rep.snrs) for rep in reports)
         columns[factor] = _median_trace(traces, iters)
     header = ["iteration"] + [f"snr_db_rate_{f}x" for f in factors]
     rows = [
@@ -182,7 +183,7 @@ def _fig7_wins(n, k, m, streams):
 def run_fig7(params, seed, trials):
     """Minimal sample count for 80% perfect recovery vs sparsity.
 
-    The trials of one sample count are solved in stacks (see _stack_chunks);
+    The trials of one sample count are solved in stacks (see _stacks);
     none starts once the count is decided, which moves no outcome, as each
     trial draws from its own stream."""
     n = params["n"]
@@ -198,9 +199,9 @@ def run_fig7(params, seed, trials):
             sources = ledger.claim(f"k={k}, m={m}",
                                    (7_000_000 + 1000 * k + 17 * m + t for t in range(trials)))
             wins = losses = 0
-            for chunk in _stack_chunks(trials, n):
-                won = _fig7_wins(n, k, m, itertools.islice(sources, len(chunk)))
-                wins, losses = wins + won, losses + len(chunk) - won
+            for stack in _stacks(sources, 176 * n + 8192):
+                won = _fig7_wins(n, k, m, stack)
+                wins, losses = wins + won, losses + len(stack) - won
                 if wins >= need or losses > trials - need:
                     break  # the sample count is decided
             if wins >= need:
@@ -215,8 +216,8 @@ def run_fig10(params, seed, trials):
     """Block-code erasure recovery: bursts and scattered losses, DFT vs SDFT.
 
     The trials of one erasure count draw from their own streams, in order,
-    and each code decodes them as one stack; a decode whose recursion blew
-    up scores -inf."""
+    and each code decodes them in stacks (see _stacks); a decode whose
+    recursion blew up scores -inf."""
     l, p, q = params["l"], params["p"], params["sdft_q"]
     n = l + p
     dft_code = codes.DftBlockCode(l=l, p=p, q=1)
@@ -227,28 +228,29 @@ def run_fig10(params, seed, trials):
         sizes = range(1, p + 1) if kind == "burst" else range(1, params["scatter_max"] + 1)
         base = 0 if kind == "burst" else 500_000
         for size in sizes:
-            messages, erasures = [], []
+            snrs = ([], [])  # the DFT code's, then the SDFT code's
             sources = ledger.claim(f"{size} {kind} erasures",
                                    (base + size * 1000 + t for t in range(trials)))
-            for rng in sources:
-                messages.append(rng.standard_normal(l))
-                if kind == "burst":
-                    positions = np.arange(1, size + 1)
-                else:
-                    positions = np.sort(rng.choice(n, size=size, replace=False))
-                erasures.append(SupportSet(positions, n))
-            medians = {}
-            for code in (dft_code, sdft_code):
-                codewords = code.encode(np.array(messages))
-                received = codewords.copy()
-                for row, erased in zip(received, erasures):
-                    row[erased.indices] = 0.0
-                repaired, reports = codes.elp_erasure_decode(received, erasures, code)
-                medians[code.q] = float(np.median([
-                    min(snr_db(codeword, estimate), 300.0) if report.converged else -math.inf
-                    for codeword, estimate, report in zip(codewords, repaired, reports)
-                ]))
-            rows.append((kind, size, medians[1], medians[q]))
+            for stack in _stacks(sources, 192 * n + 4096):
+                messages, erasures = [], []
+                for rng in stack:
+                    messages.append(rng.standard_normal(l))
+                    if kind == "burst":
+                        positions = np.arange(1, size + 1)
+                    else:
+                        positions = np.sort(rng.choice(n, size=size, replace=False))
+                    erasures.append(SupportSet(positions, n))
+                for code, values in zip((dft_code, sdft_code), snrs):
+                    codewords = code.encode(np.array(messages))
+                    received = codewords.copy()
+                    for row, erased in zip(received, erasures):
+                        row[erased.indices] = 0.0
+                    repaired, reports = codes.elp_erasure_decode(received, erasures, code)
+                    values.extend(
+                        min(snr_db(codeword, estimate), 300.0) if report.converged else -math.inf
+                        for codeword, estimate, report in zip(codewords, repaired, reports)
+                    )
+            rows.append((kind, size, *(float(np.median(values)) for values in snrs)))
     return {
         "fig10.csv": (["kind", "erasures", "snr_dft_db", "snr_sdft_db"], rows)
     }
@@ -258,27 +260,29 @@ def run_fig15(params, seed, trials):
     """Convolutional erasure decoding SNR vs relative erasure rate.
 
     The trials of one rate draw from their own streams, in order, and are
-    decoded as one stack."""
+    decoded in stacks (see _stacks)."""
     code = codes.ConvCode(params["taps1"], params["taps2"])
     length = params["input_length"]
     ledger = _StreamLedger(seed)
     rows = []
     for rate in params["rates"]:
-        inputs, received, erasures = [], [], []
+        values = []
         sources = ledger.claim(f"rate {rate}", (int(rate * 1000) * 100 + t for t in range(trials)))
-        for rng in sources:
-            x = rng.uniform(-1.0, 1.0, length)
-            y = codes.conv_encode(x, code)
-            capacity = y.size // 2
-            count = int(rate * capacity)
-            positions = np.sort(rng.choice(y.size, size=count, replace=False))
-            y[positions] = 0.0
-            inputs.append(x)
-            received.append(y)
-            erasures.append(SupportSet(positions, y.size))
-        estimates, _ = codes.conv_erasure_decode(np.array(received), erasures, code,
-                                                 max_iters=params["cg_iterations"])
-        values = [min(snr_db(x, est), 300.0) for x, est in zip(inputs, estimates)]
+        for stack in _stacks(sources, 136 * length + 32 * params["cg_iterations"] + 3072):
+            inputs, received, erasures = [], [], []
+            for rng in stack:
+                x = rng.uniform(-1.0, 1.0, length)
+                y = codes.conv_encode(x, code)
+                capacity = y.size // 2
+                count = int(rate * capacity)
+                positions = np.sort(rng.choice(y.size, size=count, replace=False))
+                y[positions] = 0.0
+                inputs.append(x)
+                received.append(y)
+                erasures.append(SupportSet(positions, y.size))
+            estimates = codes.conv_erasure_decode(np.array(received), erasures, code,
+                                                  max_iters=params["cg_iterations"])[0]
+            values.extend(min(snr_db(x, est), 300.0) for x, est in zip(inputs, estimates))
         rows.append((rate, float(np.mean(values))))
     return {"fig15.csv": (["relative_rate", "snr_db"], rows)}
 
@@ -287,34 +291,36 @@ def run_fig17(params, seed, trials):
     """Impulsive-noise convolutional decoding vs impulse variance ratio.
 
     The trials of one ratio draw from their own streams, in order, and are
-    decoded as one stack."""
+    decoded in stacks (see _stacks)."""
     code = codes.ConvCode(params["taps1"], params["taps2"])
     length = params["input_length"]
     ledger = _StreamLedger(seed)
     rows = []
     for ratio in params["variance_ratios"]:
-        inputs, impulses, streams = [], [], []
+        hits, snrs = 0, []
         sources = ledger.claim(f"ratio {ratio}",
                                (int(ratio * 10) * 1000 + t for t in range(trials)))
-        for rng in sources:
-            x = rng.uniform(-1.0, 1.0, length)
-            y = codes.conv_encode(x, code)
-            sigma_y = float(np.std(y))
-            positions = np.sort(rng.choice(y.size, size=params["impulses"], replace=False))
-            noisy = y + params["awgn_floor"] * sigma_y * rng.standard_normal(y.size)
-            noisy[positions] += math.sqrt(ratio) * sigma_y * rng.standard_normal(len(positions))
-            inputs.append(x)
-            impulses.append(positions)
-            streams.append(noisy)
-        estimates, nus, _ = codes.conv_impulsive_decode(
-            np.array(streams), code, alpha=params["alpha"],
-            max_iters=params["iterations"], relax=params["relax"],
-        )
-        hits = sum(
-            set(positions) <= set(detected_support(nu, tol=1e-3))
-            for positions, nu in zip(impulses, nus)
-        )
-        snrs = [snr_db(x, est) for x, est in zip(inputs, estimates)]
+        for stack in _stacks(sources, 136 * length + 64 * params["iterations"] + 2048):
+            inputs, impulses, streams = [], [], []
+            for rng in stack:
+                x = rng.uniform(-1.0, 1.0, length)
+                y = codes.conv_encode(x, code)
+                sigma_y = float(np.std(y))
+                positions = np.sort(rng.choice(y.size, size=params["impulses"], replace=False))
+                noisy = y + params["awgn_floor"] * sigma_y * rng.standard_normal(y.size)
+                noisy[positions] += math.sqrt(ratio) * sigma_y * rng.standard_normal(len(positions))
+                inputs.append(x)
+                impulses.append(positions)
+                streams.append(noisy)
+            estimates, nus = codes.conv_impulsive_decode(
+                np.array(streams), code, alpha=params["alpha"],
+                max_iters=params["iterations"], relax=params["relax"],
+            )[:2]
+            hits += sum(
+                set(positions) <= set(detected_support(nu, tol=1e-3))
+                for positions, nu in zip(impulses, nus)
+            )
+            snrs.extend(snr_db(x, est) for x, est in zip(inputs, estimates))
         rows.append((ratio, hits / trials, float(np.median(snrs))))
     return {"fig17.csv": (["variance_ratio", "detection_rate", "snr_db"], rows)}
 
@@ -343,27 +349,11 @@ def _fig18_error(estimated, truth):
     return float(np.mean(np.min(np.minimum(d, 1.0 - d), axis=0)))
 
 
-_FIG18_ROWS = 32
-_FIG18_BYTES = 512 * 1024  # a stack's series and pseudospectra stay within this
-
-
-def _fig18_chunks(trials, samples, grid_points):
-    """Consecutive trial ranges of at most _FIG18_ROWS trials, and of at most
-    _FIG18_BYTES // (16 samples + 8 grid_points): what a stack holds per row
-    is its complex series and its MUSIC pseudospectrum; its covariances and
-    eigenvectors add 32 p^2 bytes, 8 KiB at p = 16. The registry's sizes
-    give 16 rows. fig18 at 200 trials peaked 0.3 MiB above its one-row
-    allocation peak (tracemalloc) in 16-row stacks, and 0.8 MiB above in
-    32-row ones; a 32-row stack ran it 6% faster."""
-    rows = max(1, min(_FIG18_ROWS, _FIG18_BYTES // (16 * samples + 8 * grid_points)))
-    return _chunks(trials, rows)
-
-
 def run_fig18(params, seed, trials):
     """Line-spectrum estimation accuracy of Prony, Pisarenko, and MUSIC.
 
     The trials draw from their own streams, in order, and each method
-    solves them in consecutive stacks (see _fig18_chunks); the
+    solves them in consecutive stacks (see _stacks); the
     pseudospectrum CSV is one more draw's MUSIC pseudospectrum."""
     m = params["samples"]
     snr = params["snr_db"]
@@ -375,16 +365,15 @@ def run_fig18(params, seed, trials):
     ledger = _StreamLedger(seed)
     sources = ledger.claim("trials", (t + 1 for t in range(trials)))
     errors = {"prony": [], "pisarenko": [], "music": []}
-    for chunk in _fig18_chunks(trials, m, grid.size):
-        y = np.array([_fig18_noisy(clean, snr, rng)
-                      for rng in itertools.islice(sources, len(chunk))])
+    for stack in _stacks(sources, 32 * m + 8 * grid.size):
+        y = np.array([_fig18_noisy(clean, snr, rng) for rng in stack])
         models = spectral.prony(y[:, : 2 * k], k)
         errors["prony"].extend(_fig18_error(model.frequencies.real, truth) for model in models)
-        freqs, _, _ = spectral.pisarenko(spectral.sample_covariance(y, k + 1), k)
+        freqs = spectral.pisarenko(spectral.sample_covariance(y, k + 1), k)[0]
         errors["pisarenko"].extend(_fig18_error(row, truth) for row in freqs)
         covariance = spectral.sample_covariance(y, dimension)
         del y  # MUSIC holds the stack's pseudospectra; the series need not stay alongside
-        _, peaks, _ = spectral.music(covariance, k, grid)
+        peaks = spectral.music(covariance, k, grid)[1]
         errors["music"].extend(_fig18_error(row, truth) for row in peaks)
     rows = [
         (name, float(np.median(vals)), float(np.mean(vals)))
@@ -406,7 +395,7 @@ def run_fig20(params, seed, trials):
 
     One scenario per SNR; each trial's covariance is formed from its own
     stream's snapshots as they are drawn, and the SNR's covariances are
-    enumerated as one stack."""
+    enumerated in stacks (see _stacks)."""
     from . import arrays
 
     n, k, m = params["sensors"], params["sources"], params["snapshots"]
@@ -420,10 +409,12 @@ def run_fig20(params, seed, trials):
             noise_var=1.0, snapshots=m,
         )
         sources = ledger.claim(f"{snr} dB", (int(snr) * 1000 + t + 100000 for t in range(trials)))
-        covariance = arrays.snapshot_covariance(
-            arrays.simulate_snapshots(scenario, rng) for rng in sources
-        )
-        k_hat = arrays.mdl_enumerate(covariance).estimated_k
+        k_hat = np.concatenate([
+            arrays.mdl_enumerate(arrays.snapshot_covariance(
+                arrays.simulate_snapshots(scenario, rng) for rng in stack
+            )).estimated_k
+            for stack in _stacks(sources, 128 * n * n + 1024)
+        ])
         under, correct, over = (int(np.sum(hits)) for hits in (k_hat < k, k_hat == k, k_hat > k))
         rows.append((snr, under / trials, correct / trials, over / trials))
     return {
@@ -703,6 +694,8 @@ def resolve_config(spec):
             )
         config[key] = value
     trials = spec.trials if spec.trials is not None else definition.default_trials
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     return definition, config, trials
 
 
@@ -716,7 +709,7 @@ def _environment(blas_count):
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+    except KeyError:  # a build that does not name its BLAS
         blas = None
     return {
         "blas_threads": blas_count,

@@ -20,7 +20,6 @@ from .core import (
     read_samples,
     _LiveRows,
     _annihilating_filter,
-    _row_dots,
     _row_norms,
     _stack_row,
     _unitary_dft,
@@ -238,10 +237,6 @@ def _conjugate_gradient(apply_op, rhs, max_iters, eps, reference, solver):
         failing[rows[~np.isfinite(values)]] = True
         raise NumericError(what.format(_stack_row(failing)))
 
-    def vdots(a, b):
-        # np.vdot(a[i], b[i]): the plain dot of the conjugate sums the same products
-        return _row_dots(a.conj(), b)
-
     norm_error = "CG residual norm is not finite{}: its squares overflowed"
     with np.errstate(over="ignore", invalid="ignore"):
         residual = check_finite(_row_norms(rhs), np.arange(len(rhs)), norm_error)
@@ -251,19 +246,19 @@ def _conjugate_gradient(apply_op, rhs, max_iters, eps, reference, solver):
             if run.retire(run.residual < run.tol, run.x):
                 break
             op_p = apply_op(run.p, run.rows)
-            denom = check_finite(vdots(run.p, op_p), run.live,
+            denom = check_finite(np.vecdot(run.p, op_p), run.live,
                                  "CG curvature inner product is not finite{}: it overflowed")
             vanished = np.abs(denom) <= 1e-300
             if np.count_nonzero(vanished):
                 op_p, denom = op_p[~vanished], denom[~vanished]
                 if run.retire(vanished, run.x, False, "curvature inner product vanished"):
                     break
-            lam = (vdots(run.p, run.r) / denom)[:, None]
+            lam = (np.vecdot(run.p, run.r) / denom)[:, None]
             run.x = run.x + lam * run.p
             run.r = run.r - lam * op_p
             run.residual = check_finite(_row_norms(run.r), run.live, norm_error)
             run.record(run.residual, run.x)
-            lam_prime = (vdots(op_p, run.r) / denom)[:, None]
+            lam_prime = (np.vecdot(op_p, run.r) / denom)[:, None]
             run.p = run.r - lam_prime * run.p
     return run.stop(run.x, run.residual < run.tol), run.finish()
 

@@ -364,6 +364,28 @@ class TestSnr:
         assert snr_db(ref, ref) == math.inf
 
 
+class TestRowDots:
+    """The per-row norms and dots of the stacked loops equal the 1-D
+    np.linalg.norm and np.vdot of each row, bit for bit."""
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_rows_equal_their_1d_forms(self, kind):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            rows, n = rng.integers(1, 6), rng.integers(1, 301)
+            scale = 10.0 ** rng.uniform(-100, 100)
+            a, b = (rng.standard_normal((2, rows, n)) * scale).astype(kind)
+            if kind is complex:
+                a += 1j * scale * rng.standard_normal((rows, n))
+            for v in (a, a[:, ::2]):
+                norms = core._row_norms(v)
+                assert norms.tobytes() == np.array([np.linalg.norm(row) for row in v]).tobytes()
+            with np.errstate(over="ignore", invalid="ignore"):
+                dots = np.vecdot(a, b)
+                solo = np.array([np.vdot(x, y) for x, y in zip(a, b)])
+            assert dots.tobytes() == solo.tobytes()
+
+
 def _solver_calls():
     """One small call of every public solver; each returns its report."""
     from sparsekit import codes, ofdm, sampling, sca

@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,15 @@ class TestRegistry:
             resolve_config(
                 ExperimentSpec(experiment_id="fig4", overrides={"bogus": 1})
             )
+
+    @pytest.mark.parametrize("trials", [0, -3, "ten"])
+    def test_trials_below_one_rejected_before_any_file(self, trials, tmp_path):
+        # a run of no trials would average nothing: fig18 wrote NaN rows
+        # and fig31 divided by zero
+        with pytest.raises(ValueError,
+                           match=f"^trials must be an integer >= 1, got {trials!r}$"):
+            run_experiment(ExperimentSpec("fig18", trials=trials, out_dir=str(tmp_path)))
+        assert os.listdir(tmp_path) == []
 
 
 def test_package_version_matches_pyproject():
@@ -136,23 +146,118 @@ class TestRunExperiment:
         assert {r[0] for r in errors[1:]} == {"prony", "pisarenko", "music"}
 
 
+def _recorded_heights(monkeypatch):
+    """Make experiments._stacks record its stack heights: one list per
+    call, in call order."""
+    calls, stacks = [], experiments._stacks
+
+    def recording(sources, row_bytes):
+        heights = []
+        calls.append(heights)
+        for stack in stacks(sources, row_bytes):
+            heights.append(len(stack))
+            yield stack
+
+    monkeypatch.setattr(experiments, "_stacks", recording)
+    return calls
+
+
+class TestStacks:
+    """Every stacked runner cuts a grid point's trials into the stacks of
+    experiments._stacks: at most _STACK_BYTES // row_bytes rows each."""
+
+    def test_heights(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_STACK_BYTES", 1000)
+
+        def heights(count, row_bytes):
+            return [len(stack) for stack in experiments._stacks(range(count), row_bytes)]
+
+        assert list(experiments._stacks(range(7), 300)) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert heights(25, 100) == [10, 10, 5]
+        assert heights(20, 100) == [10, 10]
+        assert heights(0, 100) == []
+        assert heights(3, 1001) == [1, 1, 1]  # a row above the budget stacks alone
+        assert heights(2, 10**12) == [1, 1]
+
+    def test_fig7_draws_no_source_past_its_last_stack(self, monkeypatch):
+        built, source = [], experiments.RandomSource
+
+        def counting(seed, stream):
+            built.append(stream)
+            return source(seed, stream)
+
+        monkeypatch.setattr(experiments, "RandomSource", counting)
+        calls = _recorded_heights(monkeypatch)
+        definition = REGISTRY["fig7"]
+        trials = definition.default_trials
+        definition.runner({**definition.defaults, "k_values": [4]}, 11, trials)
+        solved = [sum(heights) for heights in calls]
+        assert len(built) == sum(solved)
+        assert min(solved) < trials  # some sample count stopped before its last trial
+
+    # reduced sizes at which each runner spans three stacks or more
+    MULTI_STACK_RUNS = {
+        "fig4": (50, {"n": 256, "iterations": 10}),
+        "fig6": (11, {"n": 1024, "rate_factors": [2, 4], "iterations": 10}),
+        "fig7": (20, {"k_values": [4]}),
+        "fig10": (80, {"l": 124, "p": 4, "sdft_q": 5, "scatter_max": 2}),
+        "fig15": (70, {"input_length": 200, "rates": [0.3, 0.7]}),
+        "fig17": (80, {"variance_ratios": [5]}),
+        "fig18": (15, {"samples": 4096, "grid_points": 2048}),
+        "fig20": (63, {"sensors": 16, "snapshots": 50, "snr_grid_db": [0, 10]}),
+    }
+
+    @pytest.mark.parametrize("experiment_id", sorted(MULTI_STACK_RUNS))
+    def test_outputs_do_not_depend_on_the_stack_height(self, experiment_id, tmp_path,
+                                                       monkeypatch):
+        trials, overrides = self.MULTI_STACK_RUNS[experiment_id]
+        calls = _recorded_heights(monkeypatch)
+
+        def run(out):
+            calls.clear()
+            run_experiment(ExperimentSpec(experiment_id, seed=11, trials=trials,
+                                          out_dir=str(tmp_path / out), overrides=overrides))
+            return [len(heights) for heights in calls]
+
+        assert max(run("stacks")) >= 3
+        monkeypatch.setattr(experiments, "_STACK_BYTES", 2**62)
+        assert set(run("one")) == {1}
+        names = sorted(name for name in os.listdir(tmp_path / "one") if name.endswith(".csv"))
+        assert names
+        for name in names:
+            stacked, one = (tmp_path / "stacks" / name), (tmp_path / "one" / name)
+            assert stacked.read_bytes() == one.read_bytes()
+
+    @pytest.mark.parametrize("experiment_id, overrides, rows", [
+        ("fig15", {"input_length": 200, "rates": [0.5]}, 33),
+        ("fig17", {"variance_ratios": [5]}, 37),
+    ])
+    def test_working_set_does_not_grow_with_trials(self, experiment_id, overrides, rows,
+                                                    monkeypatch):
+        definition = REGISTRY[experiment_id]
+        params = {**definition.defaults, **overrides}
+        definition.runner(params, 11, 2)  # first-call allocations stay out of the peaks
+        calls = _recorded_heights(monkeypatch)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                definition.runner(params, 11, trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(rows), peak(4 * rows)
+        assert calls == [[rows], [rows] * 4]
+        assert four - one < experiments._STACK_BYTES
+
+
 class TestFig18Stacks:
-    """fig18 solves its trials in consecutive stacks of at most 32 rows and
-    512 KiB of series and pseudospectra."""
-
-    def test_chunk_rows(self):
-        def heights(trials, samples, grid_points):
-            return [len(chunk) for chunk in experiments._fig18_chunks(trials, samples, grid_points)]
-
-        assert heights(200, 1024, 2048) == [16] * 12 + [8]  # the registry's sizes
-        assert heights(33, 1024, 256) == [28, 5]
-        assert heights(20, 4096, 2048) == [6, 6, 6, 2]  # 512 KiB of series and pseudospectra
-        assert heights(70, 64, 64) == [32, 32, 6]
-        assert heights(3, 10**6, 2048) == [1, 1, 1]
-        assert heights(0, 1024, 2048) == []
+    """fig18 solves its trials in consecutive stacks, each method one call
+    per stack."""
 
     def test_errors_equal_one_trial_calls(self, tmp_path):
-        seed, trials, grid_points = 5, 33, 256  # two stacks: 28 rows and 5
+        seed, trials, grid_points = 5, 33, 256  # two stacks: 30 rows and 3
         run_experiment(ExperimentSpec("fig18", seed=seed, trials=trials, out_dir=str(tmp_path),
                                       overrides={"grid_points": grid_points}))
         params = REGISTRY["fig18"].defaults
@@ -287,8 +392,8 @@ def test_manifest_records_the_environment(tmp_path):
 
 
 def test_manifest_blas_is_null_when_numpy_does_not_name_it(tmp_path, monkeypatch):
-    def old_show_config():  # numpy before 1.26 takes no mode
-        return None
+    def old_show_config(mode):  # a build whose config names no BLAS
+        return {"Build Dependencies": {}}
 
     monkeypatch.setattr(np, "show_config", old_show_config)
     manifest = run_experiment(ExperimentSpec("fig4", seed=7, trials=1, out_dir=str(tmp_path),
@@ -307,8 +412,8 @@ def test_run_experiment_restores_the_callers_blas_threads(tmp_path):
 
 class TestImatStackBound:
     """fig6 and fig7 solve their trials in imat stacks of at most
-    128 KiB // (16 n) rows: a 60-row fig6 stack at n=256 raised the peak
-    RSS by 6%. Row counts only, no timing."""
+    _STACK_BYTES // (176 n + 8192) rows, an imat row's measured cost. Row
+    counts only, no timing."""
 
     @staticmethod
     def _stack_rows(monkeypatch, experiment_id, trials, overrides):
@@ -336,7 +441,7 @@ class TestImatStackBound:
         definition = REGISTRY[experiment_id]
         trials = definition.default_trials if trials is None else trials
         n = {**definition.defaults, **overrides}["n"]
-        bound = 128 * 1024 // (16 * n)
+        bound = experiments._STACK_BYTES // (176 * n + 8192)
         rows = self._stack_rows(monkeypatch, experiment_id, trials, overrides)
         assert rows and max(rows) <= bound
         assert max(rows) == min(bound, trials)  # a stack is as tall as allowed
@@ -395,6 +500,18 @@ class TestCli:
     def test_unknown_experiment_exit_code(self, tmp_path, capsys):
         assert cli_main(["run", "fig99", "--out", str(tmp_path)]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3", "ten"])
+    def test_trials_below_one_exit_code(self, trials, tmp_path, capsys):
+        spec_file = tmp_path / "run.yaml"
+        spec_file.write_text(f"experiment: fig18\ntrials: {trials}\n")
+        out = tmp_path / "out"
+        argv = (["run", "--spec", str(spec_file)] if trials == "ten"
+                else ["run", "fig18", "--trials", trials])
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        expected = "'ten'" if trials == "ten" else trials
+        assert capsys.readouterr().err == f"error: trials must be an integer >= 1, got {expected}\n"
+        assert not out.exists()
 
 
 def test_cli_and_harness_import_without_scipy_fft():
