@@ -46,11 +46,20 @@ def build_parser():
 
 
 def _load_spec_file(path):
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise ValueError(f"cannot read spec file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"spec file {path} must hold a mapping")
+    seed = data.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"spec file {path}: seed must be an integer, got {seed!r}")
+    if not isinstance(data.get("params", {}), dict):
+        raise ValueError(f"spec file {path}: params must be a mapping, got {data['params']!r}")
     return data
+
 
 def main(argv=None):
     parser = build_parser()
@@ -62,17 +71,16 @@ def main(argv=None):
             print(f"{'':8s} trials={entry['trials']} defaults={entry['defaults']}")
         return 0
 
-    file_spec = _load_spec_file(args.spec) if args.spec else {}
-    experiment = args.experiment or file_spec.get("experiment")
-    if not experiment:
-        parser.error("give an experiment id or a --spec file naming one")
-    seed = args.seed if args.seed is not None else int(file_spec.get("seed", 0))
-    trials = args.trials if args.trials is not None else file_spec.get("trials")
-    out_dir = args.out or file_spec.get("out") or os.environ.get("SPARSEKIT_OUT", ".")
-    overrides = dict(file_spec.get("params", {}))
-    overrides.update(dict(args.overrides))
-
     try:
+        file_spec = _load_spec_file(args.spec) if args.spec else {}
+        experiment = args.experiment or file_spec.get("experiment")
+        if not experiment:
+            parser.error("give an experiment id or a --spec file naming one")
+        seed = args.seed if args.seed is not None else file_spec.get("seed", 0)
+        trials = args.trials if args.trials is not None else file_spec.get("trials")
+        out_dir = args.out or file_spec.get("out") or os.environ.get("SPARSEKIT_OUT", ".")
+        overrides = dict(file_spec.get("params", {}))
+        overrides.update(dict(args.overrides))
         manifest = run_experiment(
             ExperimentSpec(
                 experiment_id=experiment, seed=seed, trials=trials,

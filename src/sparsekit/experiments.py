@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import platform
 
@@ -680,6 +681,26 @@ def list_experiments():
     ]
 
 
+def _expected_type(value, default):
+    """None when an override fits its registry default's type, else that
+    type in words. An int default takes no bool, a float default takes
+    any number, and a list default a non-empty list, of numbers (int or
+    float) when the default's are numbers."""
+    def number(v):
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    if isinstance(default, list):
+        of_numbers = all(map(number, default))
+        if isinstance(value, list) and value and (not of_numbers or all(map(number, value))):
+            return None
+        return "a non-empty list of numbers" if of_numbers else "a non-empty list"
+    if isinstance(default, float):
+        return None if number(value) else "a number"
+    if isinstance(default, int):
+        return None if isinstance(value, numbers.Integral) and number(value) else "an integer"
+    return None if isinstance(value, str) else "a string"
+
+
 def resolve_config(spec):
     if spec.experiment_id not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
@@ -692,6 +713,10 @@ def resolve_config(spec):
                 f"unknown parameter {key!r} for {spec.experiment_id}; "
                 f"valid: {sorted(config)}"
             )
+        expected = _expected_type(value, config[key])
+        if expected:
+            raise ValueError(f"parameter {key!r} of {spec.experiment_id} takes {expected}, "
+                             f"got {value!r}")
         config[key] = value
     trials = spec.trials if spec.trials is not None else definition.default_trials
     if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
@@ -704,8 +729,6 @@ def _environment(blas_count):
     ran at (None: numpy's OpenBLAS not found, count not set), the BLAS numpy
     was built with (None when numpy does not say), the usable CPUs, the
     thread variables and the versions."""
-    import scipy  # no runner needs it; the bare package import loads no BLAS
-
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
@@ -720,7 +743,6 @@ def _environment(blas_count):
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 
@@ -733,6 +755,10 @@ def run_experiment(spec):
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with blas_threads(1) as blas:
         outputs = definition.runner(config, spec.seed, trials)
+    for filename, (_, rows) in outputs.items():
+        if not rows:
+            raise ValueError(f"{filename} would hold no data rows; check the parameters "
+                             f"of {spec.experiment_id}")
     os.makedirs(spec.out_dir, exist_ok=True)
     digests = {}
     for filename, (header, rows) in outputs.items():

@@ -274,30 +274,12 @@ def cg_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10
     return _unstack(*conjugate_gradient(apply_ps, b, max_iters, eps, reference), stacked)
 
 
-def _to_sparse_domain(z, transform):
-    """Forward transform along the last axis."""
-    if transform == "dft":
-        return _unitary_dft(z)
-    if transform == "dct":
-        import scipy.fft  # lazy: scipy brings a second BLAS, and only the DCT needs it
-        return scipy.fft.dct(z, norm="ortho")
-    raise ValueError(f"unknown transform {transform!r}")
-
-
-def _from_sparse_domain(coeffs, transform):
-    """Inverse transform along the last axis."""
-    if transform == "dft":
-        return _unitary_dft(coeffs, inverse=True)
-    import scipy.fft
-    return scipy.fft.idct(coeffs, norm="ortho")
-
-
-def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, relax=1.0,
+def imat(observed, sample_times, alpha=0.3, max_iters=100, relax=1.0,
          eps=1e-12, refine_support=False, reference=None):
     """Iterative method with adaptive hard thresholding, support unknown.
 
     Alternates relax-weighted replacement of the samples at sample_times with
-    hard thresholding of the transform at the decaying level
+    hard thresholding of the unitary DFT at the decaying level
     beta*exp(-alpha*i), i = 1, 2, ..., max_iters, with alpha positive.
     beta is the peak magnitude of the first density-compensated transform
     (floored at 1e-30). At most half the sample count of transform
@@ -323,15 +305,13 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
         raise ValueError("alpha must be positive")
     stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
     x_obs, smask, m = _retained_samples(observed, sample_times)
-    if transform == "dct":
-        x_obs = x_obs.real.astype(np.float64)
     n = x_obs.shape[1]
 
     count = len(x_obs)
     tol = eps * np.maximum(1.0, _row_norms(x_obs[smask].reshape(-1, m)))
     gain = relax * n / m  # density-compensated sample replacement
     cap = max(1, m // 2)
-    coeffs = _to_sparse_domain(np.where(smask, x_obs, 0.0) * (n / m), transform)
+    coeffs = _unitary_dft(np.where(smask, x_obs, 0.0) * (n / m))
     beta = np.maximum(np.max(np.abs(coeffs), axis=1), 1e-30)[:, None]
     coeffs.fill(0.0)  # the coefficients before the first pass
 
@@ -345,7 +325,7 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
         coeffs = np.where(run.mask, run.obs - run.x, 0.0)
         coeffs *= gain
         coeffs += run.x
-        coeffs = _to_sparse_domain(coeffs, transform)
+        coeffs = _unitary_dft(coeffs)
         keep = np.abs(coeffs) > run.beta * math.exp(-alpha * i)
         over = keep.sum(axis=1) > cap
         if over.any():
@@ -355,7 +335,7 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
             keep[over] = largest
         coeffs[~keep] = 0.0
         run.coeffs = coeffs
-        run.x = _from_sparse_domain(coeffs, transform)
+        run.x = _unitary_dft(coeffs, inverse=True)
         resid = _row_norms((run.x - run.obs)[run.mask].reshape(-1, m))
         run.record(resid, run.x)
         run.grow_streak = (run.grow_streak + 1) * (resid > run.prev_resid)
@@ -380,13 +360,13 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
     finals = run.stop(run.coeffs, flag="max iterations reached without sample consistency")
     # a row's signal is the inverse transform of its final coefficients,
     # bit for bit the iterate the loop computed from them
-    signals = _from_sparse_domain(finals, transform)
+    signals = _unitary_dft(finals, inverse=True)
 
     supports = []
     for row, report in enumerate(run.reports):
         support = SupportSet(detected_support(finals[row]), n)
         if refine_support and 0 < len(support) <= m:
-            signals[row] = _least_squares_on_support(x_obs[row], smask[row], support, transform)
+            signals[row] = _least_squares_on_support(x_obs[row], smask[row], support)
             report.flags.append("least-squares polish on detected support")
         supports.append(support)
     if stacked:
@@ -394,13 +374,12 @@ def imat(observed, sample_times, transform="dft", alpha=0.3, max_iters=100, rela
     return signals[0], supports[0], run.finish()[0]
 
 
-def _least_squares_on_support(x_obs, smask, support, transform):
+def _least_squares_on_support(x_obs, smask, support):
     units = np.zeros((len(support), x_obs.size), dtype=np.complex128)
     units[np.arange(len(support)), support.indices] = 1.0
-    basis = np.ascontiguousarray(_from_sparse_domain(units, transform).T)
+    basis = np.ascontiguousarray(_unitary_dft(units, inverse=True).T)
     coefficients, *_ = np.linalg.lstsq(basis[smask], x_obs[smask], rcond=None)
-    rebuilt = basis @ coefficients
-    return rebuilt if transform == "dft" else rebuilt.real
+    return basis @ coefficients
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,8 +3,7 @@
 MP/OMP (greedy), basis pursuit (l1 via an in-module simplex), FOCUSS
 (reweighted pseudo-inverse), IDE (alternating detection/estimation), and
 SL0 (smoothed-l0 steepest ascent with feasibility projection), plus RIP
-enumeration, the Bernoulli-Gaussian benchmark generator, and union-of-
-subspaces modeling.
+enumeration and the Bernoulli-Gaussian benchmark generator.
 """
 
 import dataclasses
@@ -579,62 +578,3 @@ def bernoulli_gaussian_problem(m, n, rng, p=0.1, sigma_on=1.0, sigma_off=0.01,
     x = a @ s + sigma_noise * rng.standard_normal(m)
     return SparseProblem(mixing=a, observation=x, true_source=s)
 
-
-def ksubspace_fit(data, l, k, initial_partition=None, max_iters=100):
-    """Union-of-subspaces model: alternate SVD fits and nearest-subspace
-    repartition until the summed squared distance stops decreasing.
-
-    Returns (bases, partition, objective trace). Emptied classes are
-    re-seeded with the current worst-fit point and flagged in the trace
-    metadata (last element of the returned tuple).
-    """
-    points = np.asarray(data, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError("data must be (count, dimension)")
-    count, dim = points.shape
-    l, k = int(l), int(k)
-    if l < 1 or count < l or not 1 <= k < dim:
-        raise ValueError("need l >= 1, k in [1, dim) and at least l points")
-    if initial_partition is None:
-        partition = np.arange(count) % l
-    else:
-        partition = np.asarray(initial_partition, dtype=int).copy()
-        if partition.shape != (count,) or partition.min() < 0 or partition.max() >= l:
-            raise ValueError("initial partition must assign each point to [0, l)")
-
-    flags = []
-
-    def subspace_distances(bases):
-        d = np.empty((count, len(bases)))
-        for j, basis in enumerate(bases):
-            proj = points @ basis
-            d[:, j] = np.sum(points**2, axis=1) - np.sum(proj**2, axis=1)
-        return np.maximum(d, 0.0)
-
-    def fit_bases(labels, previous):
-        bases = []
-        for cls in range(l):
-            members = points[labels == cls]
-            if members.shape[0] == 0:
-                if previous is not None:
-                    worst = int(np.argmax(np.min(subspace_distances(previous), axis=1)))
-                else:
-                    worst = int(np.argmax(np.sum(points**2, axis=1)))
-                members = points[worst : worst + 1]
-                flags.append(f"re-seeded empty class {cls}")
-            _, _, vt = np.linalg.svd(members, full_matrices=False)
-            bases.append(vt[:k].T)
-        return bases
-
-    trace = []
-    bases = fit_bases(partition, None)
-    for _ in range(max_iters):
-        distances = subspace_distances(bases)
-        objective = float(np.sum(np.min(distances, axis=1)))
-        if trace and objective >= trace[-1] - 1e-14:
-            trace.append(objective)
-            break
-        trace.append(objective)
-        partition = np.argmin(distances, axis=1)
-        bases = fit_bases(partition, bases)
-    return bases, partition, {"objective_trace": trace, "flags": flags}

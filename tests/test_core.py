@@ -416,7 +416,6 @@ def _solver_calls():
         "conjugate_gradient": lambda: sampling.conjugate_gradient(
             lambda v: 2.0 * v, np.ones(4))[-1],
         "imat": lambda: sampling.imat(observed, smask)[-1],
-        "imat_dct": lambda: sampling.imat(observed.real, smask, transform="dct")[-1],
         "elp_impulsive": lambda: codes.elp_impulsive_decode(codeword, block_code)[-1],
         "conv_erasure": lambda: codes.conv_erasure_decode(
             stream, SupportSet([1, 4], stream.size), conv)[-1],

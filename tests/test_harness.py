@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -62,6 +63,39 @@ class TestRegistry:
             resolve_config(
                 ExperimentSpec(experiment_id="fig4", overrides={"bogus": 1})
             )
+
+    def test_every_registry_default_passes_its_own_check(self):
+        for experiment_id, definition in REGISTRY.items():
+            _, config, _ = resolve_config(
+                ExperimentSpec(experiment_id, overrides=dict(definition.defaults)))
+            assert config == definition.defaults
+
+    @pytest.mark.parametrize("experiment_id,key,value", [
+        ("fig4", "osr", 2),  # a float parameter takes an int
+        ("fig6", "rate_factors", [2.5, 3]),  # ints and floats mix in a list
+        ("fig39", "cnr_grid_db", [20]),
+    ])
+    def test_override_of_a_fitting_type_accepted(self, experiment_id, key, value):
+        _, config, _ = resolve_config(ExperimentSpec(experiment_id, overrides={key: value}))
+        assert config[key] == value
+
+    @pytest.mark.parametrize("experiment_id,key,value,expected", [
+        ("fig4", "n", "abc", "an integer"),
+        ("fig4", "n", True, "an integer"),
+        ("fig4", "n", 64.0, "an integer"),
+        ("fig4", "osr", False, "a number"),
+        ("fig4", "osr", "1.0", "a number"),
+        ("fig39", "constellation", 16, "a string"),
+        ("fig6", "rate_factors", [], "a non-empty list of numbers"),
+        ("fig6", "rate_factors", 2, "a non-empty list of numbers"),
+        ("fig6", "rate_factors", [2, "x"], "a non-empty list of numbers"),
+        ("fig6", "rate_factors", [2, True], "a non-empty list of numbers"),
+    ])
+    def test_override_of_the_wrong_type_rejected(self, experiment_id, key, value, expected):
+        with pytest.raises(ValueError) as caught:
+            resolve_config(ExperimentSpec(experiment_id, overrides={key: value}))
+        assert str(caught.value) == (f"parameter {key!r} of {experiment_id} takes {expected}, "
+                                     f"got {value!r}")
 
     @pytest.mark.parametrize("trials", [0, -3, "ten"])
     def test_trials_below_one_rejected_before_any_file(self, trials, tmp_path):
@@ -384,7 +418,7 @@ def test_manifest_records_the_environment(tmp_path):
         environment = json.load(fh)["environment"]
     assert environment == manifest.environment
     assert set(environment) == {"blas_threads", "blas", "nproc", "OMP_NUM_THREADS",
-                                "OPENBLAS_NUM_THREADS", "python", "numpy", "scipy"}
+                                "OPENBLAS_NUM_THREADS", "python", "numpy"}
     assert environment["blas_threads"] == (None if core._openblas() is None else 1)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert environment["blas"] == f"{blas['name']} {blas['version']}"
@@ -513,14 +547,68 @@ class TestCli:
         assert capsys.readouterr().err == f"error: trials must be an integer >= 1, got {expected}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fig4", "--set", "n=abc"], "parameter 'n' of fig4 takes an integer, got 'abc'"),
+        (["fig6", "--set", "iterations=0"], "fig6.csv would hold no data rows; "
+                                            "check the parameters of fig6"),
+    ], ids=["wrong type", "no data rows"])
+    def test_bad_override_exit_code(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", *argv, "--trials", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
-def test_cli_and_harness_import_without_scipy_fft():
-    # scipy (with its own BLAS) is loaded only when imat runs a DCT
+    @pytest.mark.parametrize("text,message", [
+        ("experiment: fig4\nseed: abc\n", "seed must be an integer, got 'abc'"),
+        (None, "cannot read spec file"),
+        ("experiment: fig4\nparams: [1, 2]\n", "params must be a mapping, got [1, 2]"),
+    ], ids=["seed", "missing file", "params"])
+    def test_bad_spec_file_exit_code(self, text, message, tmp_path, capsys):
+        spec_file = tmp_path / "run.yaml"
+        if text is not None:
+            spec_file.write_text(text)
+        out = tmp_path / "out"
+        argv = ["run", "--spec", str(spec_file), "--trials", "1", "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_a_cli_run_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: importing the CLI and running an
+    # experiment, manifest included, loads none of it
     src = os.path.dirname(os.path.dirname(sparsekit.__file__))
-    probe = "import sys, sparsekit.cli, sparsekit.experiments; print('scipy.fft' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    probe = ("import sys, sparsekit.cli\n"
+             "from sparsekit.experiments import ExperimentSpec, run_experiment\n"
+             "run_experiment(ExperimentSpec('fig4', trials=1, out_dir=sys.argv[1]))\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "fig4_manifest.json").exists()
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    """Every package outside the standard library that a sparsekit module
+    imports, at top level or inside a function, is a [project] dependency,
+    and every dependency is imported."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    import_names = {"PyYAML": "yaml"}
+    declared = {import_names.get(name, name)
+                for name in (re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in declared)}
+    imported = set()
+    for module in pkgutil.iter_modules(sparsekit.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"sparsekit.{module.name}")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared
 
 
 def test_no_module_starts_a_process():

@@ -311,26 +311,7 @@ class TestImat:
         est, _, _ = imat(marked, smask)
         assert np.array_equal(est, imat(observed, smask)[0])
 
-    def test_dct_transform_variant(self):
-        rng = RandomSource(33)
-        n, k, m = 128, 5, 50
-        coeff_idx = np.sort(rng.choice(n, size=k, replace=False))
-        coeffs = np.zeros(n)
-        coeffs[coeff_idx] = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
-        import scipy.fft
-
-        x = scipy.fft.idct(coeffs, norm="ortho")
-        times = np.sort(rng.choice(n, size=m, replace=False))
-        observed = np.zeros(n)
-        observed[times] = x[times]
-        smask = SupportSet(times, n)
-        est, support, _ = imat(observed, smask, transform="dct", max_iters=300)
-        assert snr_db(x, est) > 60
-
-    @pytest.mark.parametrize("transform", ["dft", "dct"])
-    def test_support_polish_equals_the_per_column_basis(self, transform):
-        import scipy.fft
-
+    def test_support_polish_equals_the_per_column_basis(self):
         from sparsekit.sampling import _least_squares_on_support
 
         rng = RandomSource(34)
@@ -344,47 +325,39 @@ class TestImat:
             for col, j in enumerate(support.indices):
                 unit = np.zeros(n, dtype=np.complex128)
                 unit[j] = 1.0
-                basis[:, col] = (np.fft.ifft(unit) * math.sqrt(n) if transform == "dft"
-                                 else scipy.fft.idct(unit, norm="ortho"))
+                basis[:, col] = np.fft.ifft(unit) * math.sqrt(n)
             coefficients, *_ = np.linalg.lstsq(basis[smask], x_obs[smask], rcond=None)
             expected = basis @ coefficients
-            expected = expected if transform == "dft" else expected.real
-            polished = _least_squares_on_support(x_obs, smask, support, transform)
+            polished = _least_squares_on_support(x_obs, smask, support)
             assert polished.tobytes() == expected.tobytes()
 
 
-def reference_imat(observed, smask, transform="dft", alpha=0.3, max_iters=100, relax=1.0,
+def reference_imat(observed, smask, alpha=0.3, max_iters=100, relax=1.0,
                    eps=1e-12, refine_support=False, reference=None):
     """The one-signal IMAT loop, written out: np.linalg.norm per residual,
     snr_db per iterate, best iterate kept as a tuple. Returns (signal,
     support indices, residuals, snrs, flags, converged)."""
-    from sparsekit.core import detected_support
-    from sparsekit.sampling import (
-        _from_sparse_domain,
-        _least_squares_on_support,
-        _to_sparse_domain,
-    )
+    from sparsekit.core import _unitary_dft, detected_support
+    from sparsekit.sampling import _least_squares_on_support
 
     mask = smask.mask()
     x_obs = np.where(mask, np.asarray(observed, dtype=complex), 0.0)
-    if transform == "dct":
-        x_obs = x_obs.real.astype(np.float64)
     n, m = x_obs.size, len(smask)
-    first = _to_sparse_domain(np.where(mask, x_obs, 0.0) * (n / m), transform)
+    first = _unitary_dft(np.where(mask, x_obs, 0.0) * (n / m))
     beta = max(float(np.max(np.abs(first))), 1e-30)
     x = np.zeros_like(x_obs)
-    coeffs = np.zeros_like(_to_sparse_domain(x, transform))
+    coeffs = np.zeros_like(x)
     best, grow, prev = (math.inf, x, coeffs, 0), 0, math.inf
     residuals, snrs, flags, converged = [], [], [], False
     for i in range(1, max_iters + 1):
-        coeffs = _to_sparse_domain(x + relax * n / m * np.where(mask, x_obs - x, 0.0), transform)
+        coeffs = _unitary_dft(x + relax * n / m * np.where(mask, x_obs - x, 0.0))
         magnitudes = np.abs(coeffs)
         keep = magnitudes > beta * math.exp(-alpha * i)
         if keep.sum() > max(1, m // 2):
             keep = np.zeros(n, dtype=bool)
             keep[np.argsort(magnitudes)[::-1][: max(1, m // 2)]] = True
         coeffs[~keep] = 0.0
-        x = _from_sparse_domain(coeffs, transform)
+        x = _unitary_dft(coeffs, inverse=True)
         resid = float(np.linalg.norm((x - x_obs)[mask]))
         residuals.append(resid)
         if reference is not None:
@@ -404,12 +377,12 @@ def reference_imat(observed, smask, transform="dft", alpha=0.3, max_iters=100, r
         flags.append("max iterations reached without sample consistency")
     support = detected_support(coeffs)
     if refine_support and 0 < support.size <= m:
-        x = _least_squares_on_support(x_obs, mask, SupportSet(support, n), transform)
+        x = _least_squares_on_support(x_obs, mask, SupportSet(support, n))
         flags.append("least-squares polish on detected support")
     return x, support, residuals, snrs, flags, converged
 
 
-def imat_stack(n, sparsity, counts, seed, transform="dft"):
+def imat_stack(n, sparsity, counts, seed):
     """Signals, observations and sample times of one sparse instance per
     sample count in counts; sparsity is one count for every row or a list
     with one per row."""
@@ -418,8 +391,6 @@ def imat_stack(n, sparsity, counts, seed, transform="dft"):
             for t, (s, m) in enumerate(zip(sparsities, counts))]
     signals = np.array([x for x, *_ in rows])
     observed = np.array([obs for _, obs, _, _ in rows])
-    if transform == "dct":
-        signals, observed = signals.real, observed.real
     return signals, observed, [smask for _, _, smask, _ in rows]
 
 
@@ -433,7 +404,6 @@ class TestStackedImat:
         # the silent rows detect no support, so they skip the polish
         "refined support": (256, [8, 8, 0, 8, 8, 0, 8], [32] * 7,
                             dict(alpha=0.1, max_iters=300, refine_support=True)),
-        "dct": (128, 5, [50] * 7, dict(transform="dct", max_iters=300)),
         "one row": (256, 8, [32], dict(alpha=0.2, max_iters=60, eps=1e-300)),
     }
 
@@ -441,8 +411,7 @@ class TestStackedImat:
     @pytest.mark.parametrize("with_reference", [False, True])
     def test_rows_equal_solo_runs(self, case, with_reference):
         n, sparsity, counts, kwargs = self.CASES[case]
-        signals, observed, times = imat_stack(n, sparsity, counts, seed=42,
-                                              transform=kwargs.get("transform", "dft"))
+        signals, observed, times = imat_stack(n, sparsity, counts, seed=42)
         references = signals if with_reference else None
         estimates, supports, reports = imat(observed, times, reference=references, **kwargs)
         assert estimates.shape == observed.shape

@@ -15,7 +15,6 @@ from sparsekit.sca import (
     bernoulli_gaussian_problem,
     focuss,
     ide,
-    ksubspace_fit,
     matching_pursuit,
     rip_constant,
     simplex_solve,
@@ -626,55 +625,3 @@ class TestBernoulliGaussian:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             bernoulli_gaussian_problem(4, 8, RandomSource(116), p=1.5)
-
-
-class TestKSubspace:
-    def test_single_subspace_least_squares(self):
-        rng = RandomSource(117)
-        basis = np.linalg.qr(rng.standard_normal((5, 2)))[0]
-        coords = rng.standard_normal((40, 2))
-        data = coords @ basis.T
-        bases, partition, info = ksubspace_fit(data, l=1, k=2)
-        assert info["objective_trace"][-1] < 1e-12
-        # recovered basis spans the same plane
-        proj = bases[0] @ bases[0].T
-        assert np.max(np.abs(data - data @ proj)) < 1e-10
-
-    def test_two_planes_clean(self):
-        rng = RandomSource(118)
-        b1 = np.linalg.qr(rng.standard_normal((3, 2)))[0]
-        b2 = np.linalg.qr(rng.standard_normal((3, 2)))[0]
-        d1 = rng.standard_normal((30, 2)) @ b1.T
-        d2 = rng.standard_normal((30, 2)) @ b2.T
-        data = np.vstack([d1, d2])
-        labels = np.r_[np.zeros(30, dtype=int), np.ones(30, dtype=int)]
-        init = labels.copy()
-        init[::7] = 1 - init[::7]  # corrupt the initial partition a little
-        bases, partition, info = ksubspace_fit(data, l=2, k=2, initial_partition=init)
-        assert info["objective_trace"][-1] < 1e-10
-        agreement = max(
-            np.mean(partition == labels), np.mean(partition == 1 - labels)
-        )
-        assert agreement == 1.0
-
-    def test_empty_class_is_reseeded_and_flagged(self):
-        # on exactly collinear data both classes fit the x axis with equal
-        # distances, so argmin hands every point to class 0 and empties class 1
-        data = np.array([[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0], [4.0, 0.0], [0.5, 0.0]])
-        for partition in (np.zeros(5, dtype=int), np.array([0, 0, 0, 0, 1])):
-            bases, labels, info = ksubspace_fit(data, l=2, k=1, initial_partition=partition)
-            assert set(info["flags"]) == {"re-seeded empty class 1"}
-            assert len(bases) == 2 and np.array_equal(labels, np.zeros(5, dtype=int))
-            assert info["objective_trace"][-1] == 0.0
-
-    def test_noisy_objective_monotone(self):
-        rng = RandomSource(119)
-        b1 = np.linalg.qr(rng.standard_normal((3, 2)))[0]
-        b2 = np.linalg.qr(rng.standard_normal((3, 2)))[0]
-        data = np.vstack([
-            rng.standard_normal((25, 2)) @ b1.T + 0.05 * rng.standard_normal((25, 3)),
-            rng.standard_normal((25, 2)) @ b2.T + 0.05 * rng.standard_normal((25, 3)),
-        ])
-        _, _, info = ksubspace_fit(data, l=2, k=2)
-        trace = np.array(info["objective_trace"])
-        assert np.all(np.diff(trace) <= 1e-12)
