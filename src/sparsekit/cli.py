@@ -16,11 +16,23 @@ import yaml
 from .experiments import ExperimentSpec, list_experiments, run_experiment
 
 
+def _load_yaml(stream, what):
+    """yaml.safe_load(stream); invalid YAML raises a one-line ValueError
+    that names what was read and where it went wrong."""
+    try:
+        return yaml.safe_load(stream)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        detail = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}" if mark
+                  else " ".join(str(exc).split()))
+        raise ValueError(f"{what} is not valid YAML: {detail}") from exc
+
+
 def _parse_override(text):
     if "=" not in text:
-        raise argparse.ArgumentTypeError(f"--set expects key=value, got {text!r}")
+        raise ValueError(f"--set expects key=value, got {text!r}")
     key, raw = text.split("=", 1)
-    return key, yaml.safe_load(raw)
+    return key, _load_yaml(raw, f"--set {key}")
 
 
 def build_parser():
@@ -37,7 +49,7 @@ def build_parser():
     runp.add_argument("--out", default=None, help="output directory")
     runp.add_argument("--trials", type=int, default=None)
     runp.add_argument(
-        "--set", dest="overrides", type=_parse_override, action="append",
+        "--set", dest="overrides", action="append",
         default=[], metavar="KEY=VALUE", help="override an experiment parameter",
     )
 
@@ -48,7 +60,7 @@ def build_parser():
 def _load_spec_file(path):
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+            data = _load_yaml(fh, f"spec file {path}") or {}
     except OSError as exc:
         raise ValueError(f"cannot read spec file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -80,7 +92,7 @@ def main(argv=None):
         trials = args.trials if args.trials is not None else file_spec.get("trials")
         out_dir = args.out or file_spec.get("out") or os.environ.get("SPARSEKIT_OUT", ".")
         overrides = dict(file_spec.get("params", {}))
-        overrides.update(dict(args.overrides))
+        overrides.update(_parse_override(text) for text in args.overrides)
         manifest = run_experiment(
             ExperimentSpec(
                 experiment_id=experiment, seed=seed, trials=trials,

@@ -24,11 +24,13 @@ from .core import (
     read_samples,
     sorted_dft,
     _LiveRows,
+    _as_stack,
     _row_norms,
     _sorted_dft,
     _unitary_dft,
+    _unstack,
 )
-from .sampling import _conjugate_gradient as conjugate_gradient  # stacked; reports named by the caller
+from .sampling import conjugate_gradient
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,16 +164,11 @@ def elp_erasure_decode(received, erasures, code):
     and its report carries InstabilityError's message as its flag. Every
     report's wall_time spans the whole stack.
     """
-    stacked = np.ndim(getattr(received, "values", received)) == 2
-    if stacked:
-        values = np.asarray(received, dtype=np.complex128)
-    else:
-        values, erasures = as_values(received)[None], [erasures]
+    stacked, received, (erasures,) = _as_stack(received, {"erasure set": erasures})
+    values = np.array([as_values(row) for row in received])
     n = code.n
     if values.shape[1] != n:
         raise ValueError(f"received length {values.shape[1]} != n = {n}")
-    if len(erasures) != len(values):
-        raise ValueError("a stack needs one erasure set per row")
     k = len(erasures[0])
     if any(len(erased) != k for erased in erasures):
         raise ValueError("every row of a stack must have the same number of erasures")
@@ -370,14 +367,11 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     its own decode bit for bit, and the call returns a (T, input_length)
     array of estimates and a list of T reports.
     """
-    y = np.asarray(received, dtype=np.float64)
-    if y.ndim > 2:
+    stacked, y, (erasures,) = _as_stack(np.asarray(received, dtype=np.float64),
+                                        {"erasure set": erasures})
+    y = np.asarray(y)
+    if y.ndim != 2:
         raise ValueError("received must be one stream or a (T, L) stack of streams")
-    stacked = y.ndim == 2
-    if not stacked:
-        y, erasures = y.reshape(1, -1), [erasures]
-    if len(erasures) != len(y):
-        raise ValueError("a stack needs one erasure set per row")
     length = y.shape[1]
     if length % 2:
         raise ValueError("received stream must have even length (rate 1/2)")
@@ -390,12 +384,11 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     def normal_op(v, rows):
         return _matvecs(g.T, keep[rows] * _matvecs(g, v))
 
-    estimates, reports = conjugate_gradient(normal_op, _matvecs(g.T, keep * y), max_iters,
-                                            1e-10, None, "conv-erasure-cg")
+    estimates, reports = conjugate_gradient(normal_op, _matvecs(g.T, keep * y), max_iters, 1e-10)
     for erased, report in zip(erasures, reports):
         if len(erased) > length // 2:
             report.flags.append("erasure rate above capacity 1/2")
-    return (estimates, reports) if stacked else (estimates[0], reports[0])
+    return _unstack((estimates, reports), stacked)
 
 
 def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
@@ -422,10 +415,10 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    y = read_samples(np.asarray(received, dtype=np.float64))
-    if y.ndim > 2:
+    stacked, stack, _ = _as_stack(np.asarray(received, dtype=np.float64), {})
+    stack = read_samples(np.asarray(stack))
+    if stack.ndim != 2:
         raise ValueError("received must be one stream or a (T, L) stack of streams")
-    stack = np.atleast_2d(y)
     input_length = stack.shape[1] // 2 - code.taps + 1
     g, projector, problem = _conv_operators(tuple(code.h1), tuple(code.h2), input_length)
     if projector is None:
@@ -447,7 +440,4 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
         run.record(norms)
     run.stop(nu, norms <= tolerances)
     estimates = np.array([np.linalg.lstsq(g, row, rcond=None)[0] for row in stack - nu])
-    reports = run.finish()
-    if y.ndim < 2:
-        return estimates[0], nu[0], reports[0]
-    return estimates, nu, reports
+    return _unstack((estimates, nu, run.finish()), stacked)

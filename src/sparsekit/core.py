@@ -251,6 +251,25 @@ class SolverReport:
         return self
 
 
+def _as_stack(values, companions):
+    """(stacked, values, companions): a stack is values whose array (a
+    signal's .values) has exactly two dimensions, and each companion (a
+    dict by name, returned as a list; None passes) must count its T rows,
+    else ValueError; one signal and its companions become one-row lists."""
+    if np.ndim(getattr(values, "values", values)) != 2:
+        return False, [values], [None if item is None else [item] for item in companions.values()]
+    for name, item in companions.items():
+        if item is not None and len(item) != len(values):
+            raise ValueError(f"a stack needs one {name} per row: "
+                             f"got {len(item)} for {len(values)} rows")
+    return True, values, list(companions.values())
+
+
+def _unstack(result, stacked):
+    """A stack's tuple result, or each item's row 0 for a one-signal call."""
+    return result if stacked else tuple(item[0] for item in result)
+
+
 class _LiveRows:
     """The one driver of every stacked loop: the rows of a (T, ...) stack
     that an iterative solver still runs, their histories and their reports.
@@ -265,7 +284,7 @@ class _LiveRows:
     retire() freezes stopped rows and drops them from the work arrays;
     stop() freezes the rest and returns every row's final value; finish()
     writes each report once, its snrs by snr_db's expression. Solver None
-    keeps no reports; a reference count other than T raises ValueError.
+    keeps no reports.
     """
 
     def __init__(self, solver, count, references=None, **work):
@@ -280,8 +299,6 @@ class _LiveRows:
         self._history = np.empty((32, 2, count))
         if references is not None:
             self._refs = np.array([as_values(ref) for ref in references])
-            if len(self._refs) != count:
-                raise ValueError(f"need one reference per row: got {len(self._refs)} for {count} rows")
             self._energies = [float(np.sum(np.abs(ref) ** 2)) for ref in self._refs]
             self._work.append("_refs")
 

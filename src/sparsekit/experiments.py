@@ -243,10 +243,7 @@ def run_fig10(params, seed, trials):
                     erasures.append(SupportSet(positions, n))
                 for code, values in zip((dft_code, sdft_code), snrs):
                     codewords = code.encode(np.array(messages))
-                    received = codewords.copy()
-                    for row, erased in zip(received, erasures):
-                        row[erased.indices] = 0.0
-                    repaired, reports = codes.elp_erasure_decode(received, erasures, code)
+                    repaired, reports = codes.elp_erasure_decode(codewords, erasures, code)
                     values.extend(
                         min(snr_db(codeword, estimate), 300.0) if report.converged else -math.inf
                         for codeword, estimate, report in zip(codewords, repaired, reports)
@@ -277,7 +274,6 @@ def run_fig15(params, seed, trials):
                 capacity = y.size // 2
                 count = int(rate * capacity)
                 positions = np.sort(rng.choice(y.size, size=count, replace=False))
-                y[positions] = 0.0
                 inputs.append(x)
                 received.append(y)
                 erasures.append(SupportSet(positions, y.size))

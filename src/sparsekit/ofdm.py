@@ -175,6 +175,8 @@ def _interpolate_pilots(ls, cfg):
 
 MIMAT_ALPHA = 0.6  # growth rate of the MIMAT threshold beta*exp(MIMAT_ALPHA*i)
 MIMAT_ITERS = 10  # threshold-and-MMSE iterations before the support cleanup
+REFINE_PRUNE_SIGMA = 2.4  # standard errors a tap kept by the cleanup must clear
+REFINE_ADD_SIGMA = 3.0  # standard errors of residual a tap it adds must explain
 
 
 def estimate_mimat(rx_block, cfg, snr_linear=1e12):
@@ -264,17 +266,16 @@ def _pilot_dictionary(cfg):
     return dictionary, gram
 
 
-def _refine_support(ls_values, projections, dictionary, gram, support, report,
-                    prune_sigma=2.4, add_sigma=3.0):
+def _refine_support(ls_values, projections, dictionary, gram, support, report):
     """Backward-prune / residual-augment the tap support; return it with its
     least-squares gains.
 
-    Drops the weakest tap while any falls below prune_sigma standard
+    Drops the weakest tap while any falls below REFINE_PRUNE_SIGMA standard
     errors; adds the best out-of-support tap while the pilot residual
-    supports one at add_sigma standard errors. Noiseless inputs leave an
-    exact support untouched (the residual variance estimate collapses).
-    The dictionary D holds one pilot column per candidate delay in [0, cp),
-    gram is D^H D and projections is D^H ls_values.
+    supports one at REFINE_ADD_SIGMA standard errors. Noiseless inputs
+    leave an exact support untouched (the residual variance estimate
+    collapses). The dictionary D holds one pilot column per candidate delay
+    in [0, cp), gram is D^H D and projections is D^H ls_values.
 
     A step after an added tap, or the first, does one eigendecomposition
     V diag(lam) V^H of gram[S, S] and keeps the eigenvalues above
@@ -309,7 +310,7 @@ def _refine_support(ls_values, projections, dictionary, gram, support, report,
         dof = max(pilot_count - support.size, 1)
         sigma2 = max(float(np.vdot(residual, residual).real / dof), 1e-300)
         stderr = np.sqrt(covariance * sigma2)
-        margin = np.abs(gains) - prune_sigma * stderr
+        margin = np.abs(gains) - REFINE_PRUNE_SIGMA * stderr
         if support.size > 1 and (margin < 0).any():
             weakest = int(np.argmin(margin))
             if inverse is not None:
@@ -324,7 +325,7 @@ def _refine_support(ls_values, projections, dictionary, gram, support, report,
         scores = np.abs(residual.conj() @ dictionary) ** 2 / pilot_count
         scores[support] = -np.inf
         best = int(np.argmax(scores))
-        if scores[best] > add_sigma**2 * sigma2:
+        if scores[best] > REFINE_ADD_SIGMA**2 * sigma2:
             support = np.insert(support, np.searchsorted(support, best), best)
             inverse = None
         else:

@@ -20,24 +20,12 @@ from .core import (
     read_samples,
     _LiveRows,
     _annihilating_filter,
+    _as_stack,
     _row_norms,
     _stack_row,
     _unitary_dft,
+    _unstack,
 )
-
-
-def _as_stack(observed, sample_times, reference):
-    """(stacked, observed, sample_times, reference) with one signal, its
-    sample_times and reference made a one-row stack. A (T, n) stack passes
-    as it is; a sample_times or reference count other than T raises
-    ValueError."""
-    if np.ndim(getattr(observed, "values", observed)) != 2:
-        return False, [observed], [sample_times], None if reference is None else [reference]
-    if len(sample_times) != len(observed):
-        raise ValueError("a stack needs one sample_times per row")
-    if reference is not None and len(reference) != len(observed):
-        raise ValueError(f"need one reference per row: got {len(reference)} for {len(observed)} rows")
-    return True, observed, sample_times, reference
 
 
 def _retained_samples(observed, sample_times):
@@ -113,11 +101,6 @@ def estimate_frame_bounds(sample_times, freq_support):
 _DIVERGED = "residual grew for 3 consecutive iterations"
 
 
-def _unstack(estimates, reports, stacked):
-    """The stack's return value, or the one row's for a one-signal call."""
-    return (estimates, reports) if stacked else (estimates[0], reports[0])
-
-
 def iterative_reconstruct(observed, sample_times, freq_support, max_iters=500, relax=1.0,
                           eps=1e-10, reference=None):
     """Alternating projections between sample data and transform support.
@@ -143,7 +126,8 @@ def iterative_reconstruct(observed, sample_times, freq_support, max_iters=500, r
         raise ValueError("relaxation must lie in (0, 2)")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
+    stacked, observed, (sample_times, reference) = _as_stack(
+        observed, {"sample_times": sample_times, "reference": reference})
     x_obs, smask, m, apply_ps, b = _masked_system(observed, sample_times, freq_support)
 
     count = len(x_obs)
@@ -166,7 +150,7 @@ def iterative_reconstruct(observed, sample_times, freq_support, max_iters=500, r
         if run.retire(converged | ~(resid <= 1e100), x_new, converged,
                       "iterate overflowed; stopping"):
             break
-    return _unstack(run.stop(run.x), run.finish(), stacked)
+    return _unstack((run.stop(run.x), run.finish()), stacked)
 
 
 def chebyshev_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10,
@@ -180,7 +164,8 @@ def chebyshev_accelerate(observed, sample_times, freq_support, max_iters=500, ep
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
+    stacked, observed, (sample_times, reference) = _as_stack(
+        observed, {"sample_times": sample_times, "reference": reference})
     x_obs, smask, m, apply_ps, b = _masked_system(observed, sample_times, freq_support)
     bound_a, bound_b = _frame_bounds(sample_times, freq_support)
     gain = (2.0 / (bound_a + bound_b))[:, None]
@@ -199,7 +184,7 @@ def chebyshev_accelerate(observed, sample_times, freq_support, max_iters=500, ep
         run.x_prev, run.x_cur = run.x_cur, x_next
         if run.retire(converged, x_next):
             break
-    return _unstack(run.stop(run.x_cur), run.finish(), stacked)
+    return _unstack((run.stop(run.x_cur), run.finish()), stacked)
 
 
 def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
@@ -219,16 +204,9 @@ def conjugate_gradient(apply_op, rhs, max_iters=500, eps=1e-12, reference=None):
     The call returns a (T, N) array of estimates and a list of T reports;
     every report's wall_time spans the whole stack.
     """
-    if np.ndim(rhs) == 2:
-        return _conjugate_gradient(apply_op, rhs, max_iters, eps, reference, "cg")
-    estimates, reports = _conjugate_gradient(lambda p, rows: apply_op(p[0])[None], rhs[None],
-                                             max_iters, eps,
-                                             None if reference is None else [reference], "cg")
-    return estimates[0], reports[0]
-
-
-def _conjugate_gradient(apply_op, rhs, max_iters, eps, reference, solver):
-    """conjugate_gradient of a (T, N) stack, its reports named solver."""
+    stacked, rhs, (reference,) = _as_stack(rhs, {"reference": reference})
+    rhs = np.asarray(rhs)
+    op = apply_op if stacked else lambda p, rows: apply_op(p[0])[None]
 
     def check_finite(values, rows, what):
         if np.count_nonzero(np.isfinite(values)) == values.size:
@@ -240,12 +218,12 @@ def _conjugate_gradient(apply_op, rhs, max_iters, eps, reference, solver):
     norm_error = "CG residual norm is not finite{}: its squares overflowed"
     with np.errstate(over="ignore", invalid="ignore"):
         residual = check_finite(_row_norms(rhs), np.arange(len(rhs)), norm_error)
-        run = _LiveRows(solver, len(rhs), reference, x=np.zeros_like(rhs), r=rhs.copy(),
+        run = _LiveRows("cg", len(rhs), reference, x=np.zeros_like(rhs), r=rhs.copy(),
                         p=rhs.copy(), residual=residual, tol=eps * np.maximum(residual, 1.0))
         for _ in range(max_iters):
             if run.retire(run.residual < run.tol, run.x):
                 break
-            op_p = apply_op(run.p, run.rows)
+            op_p = op(run.p, run.rows)
             denom = check_finite(np.vecdot(run.p, op_p), run.live,
                                  "CG curvature inner product is not finite{}: it overflowed")
             vanished = np.abs(denom) <= 1e-300
@@ -260,7 +238,7 @@ def _conjugate_gradient(apply_op, rhs, max_iters, eps, reference, solver):
             run.record(run.residual, run.x)
             lam_prime = (np.vecdot(op_p, run.r) / denom)[:, None]
             run.p = run.r - lam_prime * run.p
-    return run.stop(run.x, run.residual < run.tol), run.finish()
+    return _unstack((run.stop(run.x, run.residual < run.tol), run.finish()), stacked)
 
 
 def cg_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10,
@@ -269,9 +247,10 @@ def cg_accelerate(observed, sample_times, freq_support, max_iters=500, eps=1e-10
     must be positive. Takes a stack as iterative_reconstruct does."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
+    stacked, observed, (sample_times, reference) = _as_stack(
+        observed, {"sample_times": sample_times, "reference": reference})
     _, _, _, apply_ps, b = _masked_system(observed, sample_times, freq_support)
-    return _unstack(*conjugate_gradient(apply_ps, b, max_iters, eps, reference), stacked)
+    return _unstack(conjugate_gradient(apply_ps, b, max_iters, eps, reference), stacked)
 
 
 def imat(observed, sample_times, alpha=0.3, max_iters=100, relax=1.0,
@@ -303,7 +282,8 @@ def imat(observed, sample_times, alpha=0.3, max_iters=100, relax=1.0,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    stacked, observed, sample_times, reference = _as_stack(observed, sample_times, reference)
+    stacked, observed, (sample_times, reference) = _as_stack(
+        observed, {"sample_times": sample_times, "reference": reference})
     x_obs, smask, m = _retained_samples(observed, sample_times)
     n = x_obs.shape[1]
 
@@ -369,9 +349,7 @@ def imat(observed, sample_times, alpha=0.3, max_iters=100, relax=1.0,
             signals[row] = _least_squares_on_support(x_obs[row], smask[row], support)
             report.flags.append("least-squares polish on detected support")
         supports.append(support)
-    if stacked:
-        return signals, supports, run.finish()
-    return signals[0], supports[0], run.finish()[0]
+    return _unstack((signals, supports, run.finish()), stacked)
 
 
 def _least_squares_on_support(x_obs, smask, support):

@@ -131,9 +131,10 @@ def _refactor(e, b, c, basis, mirrored):
 
 
 PIVOT_BUDGET = 100_000  # per simplex phase
+SIMPLEX_TOL = 1e-9  # a reduced cost below -SIMPLEX_TOL is negative
 
 
-def _simplex_phase(e, b, c, basis, mirrored, tol=1e-9):
+def _simplex_phase(e, b, c, basis, mirrored):
     """Tableau pivots, Dantzig rule with a Bland fallback after stalls.
 
     The LP's matrix is [E, -E, R] with the first `mirrored` columns of e
@@ -161,17 +162,17 @@ def _simplex_phase(e, b, c, basis, mirrored, tol=1e-9):
     since_refactor = 0
     while pivots <= PIVOT_BUDGET:
         if bland:
-            negatives = np.flatnonzero(cost_row < -tol)
+            negatives = np.flatnonzero(cost_row < -SIMPLEX_TOL)
             entering = int(negatives[0]) if negatives.size else -1
         else:
             entering = int(cost_row.argmin())
-            if cost_row[entering] >= -tol:
+            if cost_row[entering] >= -SIMPLEX_TOL:
                 entering = -1
         if entering < 0:
             # verify on a freshly refactorized tableau before accepting
             tableau, rhs, cost_row = _refactor(e, b, c, basis, k)
             since_refactor = 0
-            if np.min(cost_row) >= -tol:
+            if np.min(cost_row) >= -SIMPLEX_TOL:
                 return pivots
             continue
         sign = -1.0 if k <= entering < 2 * k else 1.0
@@ -415,11 +416,12 @@ def ide(problem, schedule=None, start_fractions=IDE_START_FRACTIONS):
     rounding pick the estimate.
     """
     if schedule is not None:
-        return _ide_pass(problem, schedule)
+        estimate, report = _ide_pass(problem, schedule)
+        return estimate, report._finish()
+    started = time.perf_counter()
     a, x = problem.mixing, problem.observation
     norms = np.linalg.norm(a, axis=0)
     top = float(np.max(np.abs((a.T @ x) / norms)))
-    started = time.perf_counter()
     best = None
     for frac in start_fractions:
         candidate, report = _ide_pass(
@@ -429,11 +431,12 @@ def ide(problem, schedule=None, start_fractions=IDE_START_FRACTIONS):
         if best is None or (report.converged and (not best[2] or size < best[0])):
             best = (size, (candidate, report), report.converged)
     estimate, report = best[1]
-    report.wall_time = time.perf_counter() - started
-    return estimate, report
+    report.started = started  # the winner's wall_time spans every pass
+    return estimate, report._finish()
 
 
 def _ide_pass(problem, schedule):
+    """One IDE pass over schedule: the estimate and its unfinished report."""
     a, x = problem.mixing, problem.observation
     m, n = a.shape
     report = SolverReport(solver="ide")
@@ -481,7 +484,7 @@ def _ide_pass(problem, schedule):
         report.iterations += 1
         report.residuals.append(float(np.linalg.norm(a @ s - x)))
     _set_converged(report, x)
-    return s, report._finish()
+    return s, report
 
 
 def _ridged(p_mat):

@@ -248,7 +248,7 @@ def music(covariance, k, grid):
         projected = basis[:, k:].conj().T @ steering
         denom = np.sum(np.abs(projected) ** 2, axis=0)
         pseudospectrum[row] = 1.0 / np.maximum(denom, 1e-300)
-        chosen = _pick_peaks(pseudospectrum[row], k, min_separation=2)
+        chosen = _pick_peaks(pseudospectrum[row], k)
         peaks.append(np.sort(grid[chosen]))
         shortfall[row] = len(chosen) < k
     if covariance.matrix.ndim == 2:
@@ -267,8 +267,8 @@ def _steering(m, grid_bytes):
     return steering
 
 
-def _pick_peaks(values, count, min_separation=2):
-    """Greedy local-maxima selection with a minimum index separation."""
+def _pick_peaks(values, count):
+    """Greedy local-maxima selection, the chosen peaks two or more apart."""
     n = values.size
     if count <= 0:
         return np.array([], dtype=int)
@@ -279,7 +279,7 @@ def _pick_peaks(values, count, min_separation=2):
     order = candidates[np.argsort(values[candidates])[::-1]]
     chosen = []
     for idx in order:
-        if all(abs(idx - c) >= min_separation for c in chosen):
+        if all(abs(idx - c) >= 2 for c in chosen):
             chosen.append(int(idx))
         if len(chosen) == count:
             break

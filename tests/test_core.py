@@ -432,10 +432,22 @@ def _solver_calls():
 
 
 class TestSolverReport:
-    def test_every_public_solver_times_itself(self):
+    def test_every_public_solver_times_itself(self, monkeypatch):
+        # the returned report is finished once, and no write after that
+        # moves the wall_time it stamped
+        finish = SolverReport._finish
+        stamps = []
+
+        def counted(report):
+            stamps.append((report, finish(report).wall_time))
+            return report
+
+        monkeypatch.setattr(SolverReport, "_finish", counted)
         for name, call in _solver_calls().items():
+            stamps.clear()
             report = call()
             assert report.wall_time > 0.0, name
+            assert [stamp for seen, stamp in stamps if seen is report] == [report.wall_time], name
 
     def test_finish_stamps_time_since_construction(self):
         report = SolverReport(solver="probe")

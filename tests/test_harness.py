@@ -551,7 +551,10 @@ class TestCli:
         (["fig4", "--set", "n=abc"], "parameter 'n' of fig4 takes an integer, got 'abc'"),
         (["fig6", "--set", "iterations=0"], "fig6.csv would hold no data rows; "
                                             "check the parameters of fig6"),
-    ], ids=["wrong type", "no data rows"])
+        (["fig4", "--set", "n=["], "--set n is not valid YAML: expected the node content, "
+                                   "but found '<stream end>' at line 1, column 2"),
+        (["fig4", "--set", "n"], "--set expects key=value, got 'n'"),
+    ], ids=["wrong type", "no data rows", "invalid yaml", "no equals sign"])
     def test_bad_override_exit_code(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli_main(["run", *argv, "--trials", "1", "--out", str(out)]) == 2
@@ -562,7 +565,8 @@ class TestCli:
         ("experiment: fig4\nseed: abc\n", "seed must be an integer, got 'abc'"),
         (None, "cannot read spec file"),
         ("experiment: fig4\nparams: [1, 2]\n", "params must be a mapping, got [1, 2]"),
-    ], ids=["seed", "missing file", "params"])
+        ("experiment: [fig4", "is not valid YAML"),
+    ], ids=["seed", "missing file", "params", "invalid yaml"])
     def test_bad_spec_file_exit_code(self, text, message, tmp_path, capsys):
         spec_file = tmp_path / "run.yaml"
         if text is not None:

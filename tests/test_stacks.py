@@ -194,7 +194,7 @@ class TestConvErasureStacks:
         solos = [conv_erasure_decode(stream, erased, FIG15_CODE, max_iters=max_iters)
                  for stream, erased in zip(streams, erasures)]
         assert_rows_equal_solo(estimates, reports, solos)
-        assert [report.solver for report in reports] == ["conv-erasure-cg"] * len(streams)
+        assert [report.solver for report in reports] == ["cg"] * len(streams)
 
 
 def block_stack(code, positions_per_row, seed, noise=0.0):
