@@ -27,6 +27,7 @@ from .core import (
     _as_stack,
     _row_norms,
     _sorted_dft,
+    _stack_row,
     _unitary_dft,
     _unstack,
 )
@@ -146,11 +147,20 @@ def _fill_by_recursion(syndrome, h, theta_mask, norm_scale):
     return filled, blown
 
 
+def _check_ambient_lengths(erasures, length):
+    """ValueError, naming a stack's first failing row, unless every erasure
+    set's ambient length is the signal length."""
+    mismatch = np.array([erased.n != length for erased in erasures])
+    if mismatch.any():
+        raise ValueError(f"ambient lengths must match the signal length{_stack_row(mismatch)}")
+
+
 def elp_erasure_decode(received, erasures, code):
     """Repair erased samples of a block codeword via the locator recursion.
 
     Erased entries of `received` are ignored (read as zero); a non-finite
-    retained one raises ValueError. Works in the code's transform domain
+    retained one, or an erasure set whose ambient length is not the code
+    length n, raises ValueError. Works in the code's transform domain
     (DFT or sorted DFT), where the known syndrome bins pin the erasure
     spectrum and the recursion extends it to all bins. Returns the repaired
     codeword; a recursion that blows up raises InstabilityError.
@@ -169,6 +179,7 @@ def elp_erasure_decode(received, erasures, code):
     n = code.n
     if values.shape[1] != n:
         raise ValueError(f"received length {values.shape[1]} != n = {n}")
+    _check_ambient_lengths(erasures, n)
     k = len(erasures[0])
     if any(len(erased) != k for erased in erasures):
         raise ValueError("every row of a stack must have the same number of erasures")
@@ -359,7 +370,8 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     Solves the normal equations of the masked generator system with
     conjugate gradients (residual 1e-10); above-capacity erasure rates show
     up as a non-converged report, not an exception. Erased samples are
-    ignored; a non-finite retained one raises ValueError.
+    ignored; a non-finite retained one, or an erasure set whose ambient
+    length is not the stream length, raises ValueError.
 
     received may also be a (T, L) stack of streams with a list of T erasure
     sets; an erasure-set count other than T raises ValueError. The rows run
@@ -375,10 +387,10 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
     length = y.shape[1]
     if length % 2:
         raise ValueError("received stream must have even length (rate 1/2)")
+    _check_ambient_lengths(erasures, length)
     input_length = length // 2 - code.taps + 1
     g, _, _ = _conv_operators(tuple(code.h1), tuple(code.h2), input_length)
-    keep = np.array([~erased.mask() if len(erased) else np.ones(length, dtype=bool)
-                     for erased in erasures])
+    keep = ~np.array([erased.mask() for erased in erasures])
     y = read_samples(y, ~keep)
 
     def normal_op(v, rows):

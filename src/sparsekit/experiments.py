@@ -232,7 +232,7 @@ def run_fig10(params, seed, trials):
             snrs = ([], [])  # the DFT code's, then the SDFT code's
             sources = ledger.claim(f"{size} {kind} erasures",
                                    (base + size * 1000 + t for t in range(trials)))
-            for stack in _stacks(sources, 192 * n + 4096):
+            for stack in _stacks(sources, 224 * n + 2560):
                 messages, erasures = [], []
                 for rng in stack:
                     messages.append(rng.standard_normal(l))

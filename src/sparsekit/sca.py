@@ -156,6 +156,7 @@ def _simplex_phase(e, b, c, basis, mirrored):
     m = e.shape[0]
     k = mirrored
     tableau, rhs, cost_row = _refactor(e, b, c, basis, k)
+    update = np.empty_like(tableau)  # the rank-1 update, written in place
     pivots = 0
     stall = 0
     bland = False
@@ -188,7 +189,8 @@ def _simplex_phase(e, b, c, basis, mirrored):
         tableau[row] /= pivot
         rhs[row] /= pivot
         column[row] = 0.0
-        tableau -= column[:, None] * tableau[row]
+        np.multiply(column[:, None], tableau[row], out=update)
+        tableau -= update
         rhs -= column * rhs[row]
         np.maximum(rhs, 0.0, out=rhs)
         decrease = -cost_row[entering] * rhs[row]
@@ -207,29 +209,44 @@ def _simplex_phase(e, b, c, basis, mirrored):
     raise RuntimeError("pivot budget exceeded")
 
 
-def simplex_solve(cost, eq_matrix, eq_rhs):
-    """Two-phase simplex for min c'u s.t. Eu = b, u >= 0.
+CRASH_COND_LIMIT = 1e12  # a crash basis at or above this condition number is not used
 
-    An E of the form [F, -F] with equal cost halves (basis pursuit's split
-    into positive and negative parts) is pivoted on F alone; see
-    _simplex_phase. Returns (solution, objective, basis, pivots): u, c'u,
-    the basic column indices and the pivot count of both phases. Raises
-    ValueError on infeasible systems and RuntimeError on unbounded ones.
+
+def _crash_basis(f, b):
+    """A feasible basis of [F, -F] u = b, u >= 0 built from m columns of F,
+    or None when the ranking's solves fail or the chosen columns have
+    cond >= CRASH_COND_LIMIT (rank-deficient or inconsistent systems).
+
+    The columns are ranked by |s| after a short reweighted least-norm
+    solve: s = F'(F F')^-1 b, then three passes of s = W F'(F W F')^-1 b
+    with W = diag|s|. The top m, in index order, form B, and each column
+    whose entry of B^-1 b is negative is swapped for its mirror -f_j, which
+    makes every basic value non-negative (a crash basis; Bixby 1992).
     """
-    e = np.asarray(eq_matrix, dtype=np.float64)
-    b = np.asarray(eq_rhs, dtype=np.float64).copy()
-    c = np.asarray(cost, dtype=np.float64)
-    m, n = e.shape
-    half = n // 2
-    mirrored = half if (
-        n % 2 == 0 and np.array_equal(e[:, half:], -e[:, :half])
-        and np.array_equal(c[half:], c[:half])
-    ) else 0
-    flip = b < 0
-    e = np.where(flip[:, None], -e[:, : n - mirrored], e[:, : n - mirrored])
-    b = np.where(flip, -b, b)
+    m, n = f.shape
+    try:
+        with np.errstate(all="ignore"):
+            s = f.T @ np.linalg.solve(f @ f.T, b)
+            for _ in range(3):
+                w = np.abs(s)
+                s = w * (f.T @ np.linalg.solve((f * w) @ f.T, b))
+        basis = np.sort(np.argsort(-np.abs(s), kind="stable")[:m])
+        b_mat = f[:, basis]
+        if not np.linalg.cond(b_mat) < CRASH_COND_LIMIT:
+            return None
+        x_basic = np.linalg.solve(b_mat, b)
+    except np.linalg.LinAlgError:
+        return None
+    return np.where(x_basic < 0.0, basis + n, basis)
 
-    # phase 1: minimize the artificial total
+
+def _phase_one(e, b, mirrored):
+    """Phase 1 from m artificial columns: a feasible basis of E u = b,
+    u >= 0 (b >= 0), with the rows of redundant constraints dropped.
+    Returns (e, b, basis, pivots); raises ValueError on infeasible systems.
+    """
+    m, n_e = e.shape
+    n = n_e + mirrored
     e1 = np.hstack([e, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
@@ -258,7 +275,38 @@ def simplex_solve(cost, eq_matrix, eq_rhs):
         kept = np.setdiff1d(np.arange(m), basis[redundant] - n)
         e, b = e[kept], b[kept]
         basis = basis[~redundant]
+    return e, b, basis, pivots
 
+
+def simplex_solve(cost, eq_matrix, eq_rhs):
+    """Simplex for min c'u s.t. Eu = b, u >= 0.
+
+    An E of the form [F, -F] with equal cost halves (basis pursuit's split
+    into positive and negative parts) is pivoted on F alone; see
+    _simplex_phase. Such an LP with m <= F's column count starts phase 2
+    from a crash basis (_crash_basis) and skips phase 1; any other LP, and
+    one whose crash fails, runs phase 1 first. Returns (solution,
+    objective, basis, pivots): u, c'u, the basic column indices and the
+    pivot count of every phase run. Raises ValueError on infeasible
+    systems and RuntimeError on unbounded ones.
+    """
+    e = np.asarray(eq_matrix, dtype=np.float64)
+    b = np.asarray(eq_rhs, dtype=np.float64).copy()
+    c = np.asarray(cost, dtype=np.float64)
+    m, n = e.shape
+    half = n // 2
+    mirrored = half if (
+        n % 2 == 0 and np.array_equal(e[:, half:], -e[:, :half])
+        and np.array_equal(c[half:], c[:half])
+    ) else 0
+    flip = b < 0
+    e = np.where(flip[:, None], -e[:, : n - mirrored], e[:, : n - mirrored])
+    b = np.where(flip, -b, b)
+
+    basis = _crash_basis(e, b) if 0 < mirrored and m <= mirrored else None
+    pivots = 0
+    if basis is None:
+        e, b, basis, pivots = _phase_one(e, b, mirrored)
     pivots += _simplex_phase(e, b, c, basis, mirrored)
     solution = np.zeros(n)
     solution[basis] = np.linalg.solve(_columns(e, mirrored, basis), b)

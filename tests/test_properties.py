@@ -144,6 +144,31 @@ def sparse_systems(draw):
     return a, a @ s
 
 
+@st.composite
+def bp_systems(draw):
+    """(A, x, scale): a wide, square or tall Gaussian A of rank r, full or
+    drawn (a product of m x r and r x n Gaussian factors when r < min(m, n)), x
+    consistent (A s with a sparse s), generic (a Gaussian vector, which
+    only a full-row-rank A reaches) or zero, and one common scale
+    10^k, |k| <= 100."""
+    m = draw(st.integers(2, 10))
+    n = draw(st.one_of(st.integers(m + 1, 2 * m + 4), st.just(m), st.integers(1, m - 1)))
+    rank = draw(st.one_of(st.just(min(m, n)), st.integers(1, min(m, n))))
+    rng = RandomSource(draw(st.integers(0, 2**31)))
+    a = rng.standard_normal((m, n))
+    if rank < min(m, n):
+        a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    kind = draw(st.sampled_from(["consistent", "generic", "zero"]))
+    if kind == "consistent":
+        s = np.zeros(n)
+        k = draw(st.integers(1, n))
+        s[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+        x = a @ s
+    else:
+        x = rng.standard_normal(m) if kind == "generic" else np.zeros(m)
+    return a, x, 10.0 ** draw(st.integers(-100, 100))
+
+
 class TestBasisPursuitProperties:
     @PROPERTY_SETTINGS
     @given(sparse_systems())
@@ -158,6 +183,27 @@ class TestBasisPursuitProperties:
         assert reference.status == 0
         assert abs(np.abs(estimate).sum() - reference.fun) <= 1e-9 * max(reference.fun, 1.0)
         assert np.linalg.norm(a @ estimate - x) <= 1e-8 * max(np.linalg.norm(x), 1.0)
+        assert report.converged
+
+    @PROPERTY_SETTINGS
+    @given(bp_systems())
+    def test_l1_optimum_or_infeasibility_matches_highs(self, system):
+        # HiGHS solves the unscaled LP; basis pursuit gets A and x under one
+        # common scale, which leaves the minimizer unchanged
+        from scipy.optimize import linprog
+
+        a, x, scale = system
+        n = a.shape[1]
+        reference = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=x,
+                            bounds=(0, None), method="highs")
+        assert reference.status in (0, 2)  # optimal or infeasible
+        problem = SparseProblem(mixing=scale * a, observation=scale * x)
+        if reference.status == 2:
+            with pytest.raises(ValueError, match="infeasible"):
+                basis_pursuit(problem)
+            return
+        estimate, report = basis_pursuit(problem)
+        assert math.isclose(np.abs(estimate).sum(), reference.fun, rel_tol=1e-9)
         assert report.converged
 
 

@@ -128,6 +128,17 @@ def bp_probe_problems():
 
 
 class TestBasisPursuit:
+    @staticmethod
+    def spy_on_phases(monkeypatch):
+        """The `mirrored` argument of every _simplex_phase call, in order."""
+        import sparsekit.sca as sca_module
+
+        mirrored = []
+        phase = sca_module._simplex_phase
+        monkeypatch.setattr(sca_module, "_simplex_phase",
+                            lambda *args: mirrored.append(args[4]) or phase(*args))
+        return mirrored
+
     @pytest.mark.parametrize("scale_a,scale_x", [
         (1e3, 1e3), (1e4, 1e4), (1e5, 1e5), (1e6, 1e6), (1e6, 1.0), (1e-12, 1e-12)])
     def test_estimate_does_not_depend_on_the_scale(self, scale_a, scale_x):
@@ -160,17 +171,21 @@ class TestBasisPursuit:
         assert np.linalg.norm(problem.mixing @ s - problem.observation) < 1e-8
         assert report.converged  # includes the independent certificate
 
-    def test_infeasible_rejected(self):
+    def test_infeasible_rejected(self, monkeypatch):
+        # the crash finds no basis of the rank-1 A and leaves phase 1 to reject it
         a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
         problem = SparseProblem(mixing=a, observation=np.array([1.0, 0.0]))
+        mirrored = self.spy_on_phases(monkeypatch)
         with pytest.raises(ValueError, match="infeasible"):
             basis_pursuit(problem)
+        assert mirrored == [2]
 
     @pytest.mark.parametrize("shape", ["ones", "rank3"])
-    def test_rank_deficient_consistent_system_reaches_the_l1_optimum(self, shape):
-        # Phase 1 leaves artificials that no column can replace: each stands
-        # for a redundant constraint, which must be dropped, not patched with
-        # an arbitrary column into a singular basis.
+    def test_rank_deficient_consistent_system_reaches_the_l1_optimum(self, shape, monkeypatch):
+        # No m columns form a crash basis, so phase 1 runs. It leaves
+        # artificials that no column can replace: each stands for a
+        # redundant constraint, which must be dropped, not patched with an
+        # arbitrary column into a singular basis.
         from scipy.optimize import linprog
 
         if shape == "ones":
@@ -180,10 +195,12 @@ class TestBasisPursuit:
             rng = RandomSource(120)
             a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 12))
             x = a @ np.r_[1.5, 0.0, 0.0, -0.7, np.zeros(8)]
+        n = a.shape[1]
+        mirrored = self.spy_on_phases(monkeypatch)
         s, report = basis_pursuit(SparseProblem(mixing=a, observation=x))
+        assert mirrored == [n, n]
         assert report.converged
         assert np.linalg.norm(a @ s - x) < 1e-9 * max(1.0, np.linalg.norm(x))
-        n = a.shape[1]
         reference = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=x,
                             bounds=(0, None), method="highs")
         assert abs(np.abs(s).sum() - reference.fun) < 1e-12 * max(1.0, reference.fun)
@@ -216,22 +233,18 @@ class TestBasisPursuit:
             assert half_u.tobytes() == full_u.tobytes()
 
     def test_nearly_mirrored_lp_takes_the_generic_path(self, monkeypatch):
-        # [E, -E + 1e-3 P] is not basis pursuit's split: it must be pivoted
-        # column by column, and still reach the optimum
+        # basis pursuit's split LP starts phase 2 from a crash basis;
+        # [E, -E + 1e-3 P] is not that split: it must be pivoted column by
+        # column through both phases, and still reach the optimum
         from scipy.optimize import linprog
-
-        import sparsekit.sca as sca_module
 
         rng = RandomSource(121)
         e = rng.standard_normal((8, 20))
         x = e @ np.r_[1.2, 0.0, -0.8, np.zeros(17)]
-        mirrored = []
-        phase = sca_module._simplex_phase
-        monkeypatch.setattr(sca_module, "_simplex_phase",
-                            lambda *args: mirrored.append(args[4]) or phase(*args))
+        mirrored = self.spy_on_phases(monkeypatch)
 
         basis_pursuit(SparseProblem(mixing=e, observation=x))
-        assert mirrored == [20, 20]
+        assert mirrored == [20]
 
         mirrored.clear()
         eq = np.hstack([e, -e + 1e-3 * rng.standard_normal((8, 20))])
@@ -241,6 +254,28 @@ class TestBasisPursuit:
         assert abs(objective - reference.fun) <= 1e-9 * max(reference.fun, 1.0)
         assert np.linalg.norm(eq @ solution - x) <= 1e-9 * np.linalg.norm(x)
         assert np.all(solution >= 0.0)
+
+    @pytest.mark.parametrize("shape", ["tall", "zero"])
+    def test_a_tall_system_or_a_zero_observation_runs_both_phases(self, shape, monkeypatch):
+        # m columns of a tall A cannot be chosen, and a zero observation
+        # leaves the crash's reweighting no weight: phase 1 runs
+        from scipy.optimize import linprog
+
+        rng = RandomSource(123)
+        if shape == "tall":
+            a = rng.standard_normal((12, 6))
+            x = a @ np.r_[0.0, 2.0, 0.0, 0.0, -1.0, 0.0]
+        else:
+            a = rng.standard_normal((8, 16))
+            x = np.zeros(8)
+        n = a.shape[1]
+        mirrored = self.spy_on_phases(monkeypatch)
+        s, report = basis_pursuit(SparseProblem(mixing=a, observation=x))
+        assert mirrored == [n, n]
+        assert report.converged
+        reference = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=x,
+                            bounds=(0, None), method="highs")
+        assert abs(np.abs(s).sum() - reference.fun) <= 1e-12 * max(1.0, reference.fun)
 
     def test_simplex_standalone(self):
         # min -x1 - 2 x2 s.t. x1 + x2 + u1 = 4, x1 + 3 x2 + u2 = 6

@@ -306,6 +306,27 @@ class TestStackChecks:
         with no_work(), pytest.raises(ValueError, match="one erasure set per row"):
             conv_erasure_decode(np.array([y, y]), [SupportSet([1], y.size)], FIG15_CODE)
 
+    def test_conv_erasure_ambient_lengths(self, no_work):
+        y = conv_encode(np.ones(20), FIG15_CODE)
+        erasures = [SupportSet([1], y.size), SupportSet([], y.size), SupportSet([1], y.size + 2)]
+        with no_work():
+            with pytest.raises(ValueError, match="must match the signal length in stack row 2$"):
+                conv_erasure_decode(np.array([y, y, y]), erasures, FIG15_CODE)
+            with pytest.raises(ValueError, match="must match the signal length$"):
+                conv_erasure_decode(y, erasures[2], FIG15_CODE)
+            with pytest.raises(ValueError, match="must match the signal length$"):
+                conv_erasure_decode(y, SupportSet([], 5), FIG15_CODE)
+
+    def test_elp_erasure_ambient_lengths(self, no_work):
+        code = DftBlockCode(l=8, p=8)
+        received, erasures = block_stack(code, [[1], [3], [5]], seed=1)
+        erasures[1] = SupportSet([3], 20)
+        with no_work():
+            with pytest.raises(ValueError, match="must match the signal length in stack row 1$"):
+                elp_erasure_decode(received, erasures, code)
+            with pytest.raises(ValueError, match="must match the signal length$"):
+                elp_erasure_decode(received[1], SupportSet([1], 20), code)
+
     def test_elp_erasure_companions(self, no_work):
         code = DftBlockCode(l=8, p=8)
         received, erasures = block_stack(code, [[1, 2], [3, 4], [5, 9]], seed=1)
