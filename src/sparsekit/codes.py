@@ -25,9 +25,9 @@ from .core import (
     sorted_dft,
     _LiveRows,
     _as_stack,
+    _check_ambient_lengths,
     _row_norms,
     _sorted_dft,
-    _stack_row,
     _unitary_dft,
     _unstack,
 )
@@ -145,14 +145,6 @@ def _fill_by_recursion(syndrome, h, theta_mask, norm_scale):
     filled = run.stop(run.spectrum)
     filled[blown] = 0.0
     return filled, blown
-
-
-def _check_ambient_lengths(erasures, length):
-    """ValueError, naming a stack's first failing row, unless every erasure
-    set's ambient length is the signal length."""
-    mismatch = np.array([erased.n != length for erased in erasures])
-    if mismatch.any():
-        raise ValueError(f"ambient lengths must match the signal length{_stack_row(mismatch)}")
 
 
 def elp_erasure_decode(received, erasures, code):

@@ -473,6 +473,14 @@ def _stack_row(failing):
     return f" in stack row {np.flatnonzero(failing)[0]}" if np.size(failing) > 1 else ""
 
 
+def _check_ambient_lengths(index_sets, length):
+    """ValueError, naming a stack's first failing row, unless every index
+    set's ambient length is the signal length."""
+    mismatch = np.array([indices.n != length for indices in index_sets])
+    if mismatch.any():
+        raise ValueError(f"ambient lengths must match the signal length{_stack_row(mismatch)}")
+
+
 def hermitian_eig(matrix):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 

@@ -21,6 +21,7 @@ from .core import (
     _LiveRows,
     _annihilating_filter,
     _as_stack,
+    _check_ambient_lengths,
     _row_norms,
     _stack_row,
     _unitary_dft,
@@ -35,10 +36,10 @@ def _retained_samples(observed, sample_times):
     non-finite retained sample raise ValueError; a stack's error names its
     row."""
     x_obs = np.array([as_values(row) for row in observed])
-    if any(times.n != x_obs.shape[1] for times in sample_times):
-        raise ValueError("ambient lengths must match the signal length")
-    if any(len(times) == 0 for times in sample_times):
-        raise ValueError("need at least one retained sample")
+    _check_ambient_lengths(sample_times, x_obs.shape[1])
+    empty = np.array([len(times) == 0 for times in sample_times])
+    if empty.any():
+        raise ValueError(f"need at least one retained sample{_stack_row(empty)}")
     m = len(sample_times[0])
     if any(len(times) != m for times in sample_times):
         raise ValueError("every row of a stack must retain the same number of samples")

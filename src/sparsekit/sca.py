@@ -130,7 +130,7 @@ def _refactor(e, b, c, basis, mirrored):
     return tableau, np.maximum(rhs, 0.0), cost_row
 
 
-PIVOT_BUDGET = 100_000  # per simplex phase
+PIVOT_BUDGET = 100_000  # per simplex solve
 SIMPLEX_TOL = 1e-9  # a reduced cost below -SIMPLEX_TOL is negative
 
 
@@ -138,7 +138,7 @@ def _simplex_phase(e, b, c, basis, mirrored):
     """Tableau pivots, Dantzig rule with a Bland fallback after stalls.
 
     The LP's matrix is [E, -E, R] with the first `mirrored` columns of e
-    as E and the rest as R (a generic LP has mirrored=0, so e is the whole
+    as E and the rest as R (mirrored=0 reads e as R alone, the whole
     matrix); c and the int array basis index that full column space. Only
     B^-1 e is stored: column k + j of B^-1 [E, -E, R] is read as minus
     column j, and since IEEE negation is exact every pivot, ratio and
@@ -240,88 +240,71 @@ def _crash_basis(f, b):
     return np.where(x_basic < 0.0, basis + n, basis)
 
 
-def _phase_one(e, b, mirrored):
-    """Phase 1 from m artificial columns: a feasible basis of E u = b,
-    u >= 0 (b >= 0), with the rows of redundant constraints dropped.
-    Returns (e, b, basis, pivots); raises ValueError on infeasible systems.
+def _reduced_basis(f, b):
+    """The LP [F, -F] u = b, u >= 0 restated on F's row space, for inputs
+    the crash cannot take, with a feasible basis: (F', b', basis).
+
+    With F = U S V' and the r singular values above numpy's rank cutoff
+    (s_0 max(m, n) eps), F' = S_r V_r' and b' = U_r' b have r rows and the
+    same solutions. A b farther than 1e-7 max(1, ||b||_1) from U's range
+    raises ValueError. The basis holds r columns of F', each the one of
+    largest norm orthogonal to those already picked; each column whose
+    entry of B^-1 b' is negative is swapped for its mirror.
     """
-    m, n_e = e.shape
-    n = n_e + mirrored
-    e1 = np.hstack([e, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = np.arange(n, n + m)
-    pivots = _simplex_phase(e1, b, c1, basis, mirrored)
-    x_basic = np.linalg.solve(_columns(e1, mirrored, basis), b)
-    infeasibility = float(np.sum(x_basic[basis >= n]))
-    if infeasibility > 1e-7 * max(1.0, float(np.abs(b).sum())):
+    m, n = f.shape
+    u, s, vt = np.linalg.svd(f, full_matrices=False)
+    r = int(np.count_nonzero(s > s[0] * max(m, n) * np.finfo(float).eps))
+    b_r = u[:, :r].T @ b
+    if np.linalg.norm(b - u[:, :r] @ b_r) > 1e-7 * max(1.0, float(np.abs(b).sum())):
         raise ValueError("infeasible system: observation not in the range of the matrix")
-
-    # drive leftover (degenerate, zero-valued) artificials out of the basis
-    for row in range(m):
-        if basis[row] >= n:
-            b_inv_e = np.linalg.solve(_columns(e1, mirrored, basis), e)
-            pivot_col = next(
-                (j for j in range(n) if j not in basis
-                 and abs(b_inv_e[row, j - mirrored if j >= mirrored else j]) > 1e-9),
-                None,
-            )
-            if pivot_col is not None:
-                basis[row] = pivot_col
-
-    # an artificial no structural column can replace has a zero row of
-    # B^-1 E: the constraint it stands for is a combination of the others
-    redundant = basis >= n
-    if redundant.any():
-        kept = np.setdiff1d(np.arange(m), basis[redundant] - n)
-        e, b = e[kept], b[kept]
-        basis = basis[~redundant]
-    return e, b, basis, pivots
+    f_r = s[:r, None] * vt[:r]
+    basis = np.empty(r, dtype=int)
+    rest = f_r.copy()
+    for i in range(r):
+        basis[i] = np.argmax(np.linalg.norm(rest, axis=0))
+        q = rest[:, basis[i]] / np.linalg.norm(rest[:, basis[i]])
+        rest -= np.outer(q, q @ rest)  # the picked column is now zero
+    x_basic = np.linalg.solve(f_r[:, basis], b_r)
+    return f_r, b_r, np.where(x_basic < 0.0, basis + n, basis)
 
 
 def simplex_solve(cost, eq_matrix, eq_rhs):
-    """Simplex for min c'u s.t. Eu = b, u >= 0.
+    """Simplex for min c'u s.t. [F, -F] u = b, u >= 0 with equal cost
+    halves: basis pursuit's split into positive and negative parts. Any
+    other LP raises ValueError.
 
-    An E of the form [F, -F] with equal cost halves (basis pursuit's split
-    into positive and negative parts) is pivoted on F alone; see
-    _simplex_phase. Such an LP with m <= F's column count starts phase 2
-    from a crash basis (_crash_basis) and skips phase 1; any other LP, and
-    one whose crash fails, runs phase 1 first. Returns (solution,
+    One phase of pivots (_simplex_phase, on F alone) runs from a crash
+    basis (_crash_basis), or, for an F taller than wide, a rank-deficient
+    F, a zero b or an ill-conditioned crash, from a basis of the LP
+    restated on F's row space (_reduced_basis). Returns (solution,
     objective, basis, pivots): u, c'u, the basic column indices and the
-    pivot count of every phase run. Raises ValueError on infeasible
-    systems and RuntimeError on unbounded ones.
+    pivot count. Raises ValueError on infeasible systems and RuntimeError
+    on unbounded ones.
     """
     e = np.asarray(eq_matrix, dtype=np.float64)
-    b = np.asarray(eq_rhs, dtype=np.float64).copy()
+    b = np.asarray(eq_rhs, dtype=np.float64)
     c = np.asarray(cost, dtype=np.float64)
     m, n = e.shape
     half = n // 2
-    mirrored = half if (
-        n % 2 == 0 and np.array_equal(e[:, half:], -e[:, :half])
-        and np.array_equal(c[half:], c[:half])
-    ) else 0
-    flip = b < 0
-    e = np.where(flip[:, None], -e[:, : n - mirrored], e[:, : n - mirrored])
-    b = np.where(flip, -b, b)
-
-    basis = _crash_basis(e, b) if 0 < mirrored and m <= mirrored else None
-    pivots = 0
+    if not (n % 2 == 0 and np.array_equal(e[:, half:], -e[:, :half])
+            and np.array_equal(c[half:], c[:half])):
+        raise ValueError("simplex_solve takes [F, -F] with equal cost halves")
+    f = e[:, :half]
+    basis = _crash_basis(f, b) if m <= half else None
     if basis is None:
-        e, b, basis, pivots = _phase_one(e, b, mirrored)
-    pivots += _simplex_phase(e, b, c, basis, mirrored)
+        f, b, basis = _reduced_basis(f, b)
+    pivots = _simplex_phase(f, b, c, basis, half)
     solution = np.zeros(n)
-    solution[basis] = np.linalg.solve(_columns(e, mirrored, basis), b)
+    solution[basis] = np.linalg.solve(_columns(f, half, basis), b)
     return solution, float(c @ solution), basis.tolist(), pivots
 
 
-def verify_reduced_costs(cost, eq_matrix, basis, tol=1e-9):
-    """Independent optimality certificate: all reduced costs >= -tol."""
+def verify_reduced_costs(cost, eq_matrix, basis):
+    """Independent optimality certificate: all reduced costs >= -SIMPLEX_TOL."""
     e = np.asarray(eq_matrix, dtype=np.float64)
     c = np.asarray(cost, dtype=np.float64)
-    cols = [v for v in basis if v < e.shape[1]]
-    b_mat = e[:, cols]
-    y, *_ = np.linalg.lstsq(b_mat.T, c[cols], rcond=None)
-    reduced = c - e.T @ y
-    return float(reduced.min()) >= -tol
+    y, *_ = np.linalg.lstsq(e[:, basis].T, c[basis], rcond=None)
+    return float((c - e.T @ y).min()) >= -SIMPLEX_TOL
 
 
 BP_RESCALE_EXPONENT = 8  # binary exponent of max|A| or max|x| beyond which BP rescales

@@ -19,7 +19,6 @@ from sparsekit.sca import (
     rip_constant,
     simplex_solve,
     sl0,
-    verify_reduced_costs,
 )
 
 
@@ -172,20 +171,22 @@ class TestBasisPursuit:
         assert report.converged  # includes the independent certificate
 
     def test_infeasible_rejected(self, monkeypatch):
-        # the crash finds no basis of the rank-1 A and leaves phase 1 to reject it
+        # the crash finds no basis of the rank-1 A, and the reduced basis
+        # rejects x, which is off A's range, before any pivot
         a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
         problem = SparseProblem(mixing=a, observation=np.array([1.0, 0.0]))
         mirrored = self.spy_on_phases(monkeypatch)
         with pytest.raises(ValueError, match="infeasible"):
             basis_pursuit(problem)
-        assert mirrored == [2]
+        assert mirrored == []
 
-    @pytest.mark.parametrize("shape", ["ones", "rank3"])
+    @pytest.mark.parametrize("shape", ["ones", "rank3", "repeated"])
     def test_rank_deficient_consistent_system_reaches_the_l1_optimum(self, shape, monkeypatch):
-        # No m columns form a crash basis, so phase 1 runs. It leaves
-        # artificials that no column can replace: each stands for a
-        # redundant constraint, which must be dropped, not patched with an
-        # arbitrary column into a singular basis.
+        # No m columns form a crash basis, so the one phase starts from the
+        # LP restated on A's row space: its redundant constraints are
+        # dropped, not patched with an arbitrary column into a singular basis.
+        # With A's first three columns equal, the first r columns of the
+        # restated LP are dependent: its basis must be picked, not taken.
         from scipy.optimize import linprog
 
         if shape == "ones":
@@ -194,11 +195,13 @@ class TestBasisPursuit:
         else:
             rng = RandomSource(120)
             a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 12))
+            if shape == "repeated":
+                a[:, 1:3] = a[:, :1]
             x = a @ np.r_[1.5, 0.0, 0.0, -0.7, np.zeros(8)]
         n = a.shape[1]
         mirrored = self.spy_on_phases(monkeypatch)
         s, report = basis_pursuit(SparseProblem(mixing=a, observation=x))
-        assert mirrored == [n, n]
+        assert mirrored == [n]
         assert report.converged
         assert np.linalg.norm(a @ s - x) < 1e-9 * max(1.0, np.linalg.norm(x))
         reference = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=x,
@@ -233,11 +236,9 @@ class TestBasisPursuit:
             assert half_u.tobytes() == full_u.tobytes()
 
     def test_nearly_mirrored_lp_takes_the_generic_path(self, monkeypatch):
-        # basis pursuit's split LP starts phase 2 from a crash basis;
-        # [E, -E + 1e-3 P] is not that split: it must be pivoted column by
-        # column through both phases, and still reach the optimum
-        from scipy.optimize import linprog
-
+        # basis pursuit's split LP runs one phase from a crash basis;
+        # [E, -E + 1e-3 P] is not that split, and simplex_solve has no
+        # generic path for it: it is rejected before any phase runs
         rng = RandomSource(121)
         e = rng.standard_normal((8, 20))
         x = e @ np.r_[1.2, 0.0, -0.8, np.zeros(17)]
@@ -248,17 +249,17 @@ class TestBasisPursuit:
 
         mirrored.clear()
         eq = np.hstack([e, -e + 1e-3 * rng.standard_normal((8, 20))])
-        solution, objective, _, _ = simplex_solve(np.ones(40), eq, x)
-        assert mirrored == [0, 0]
-        reference = linprog(np.ones(40), A_eq=eq, b_eq=x, bounds=(0, None), method="highs")
-        assert abs(objective - reference.fun) <= 1e-9 * max(reference.fun, 1.0)
-        assert np.linalg.norm(eq @ solution - x) <= 1e-9 * np.linalg.norm(x)
-        assert np.all(solution >= 0.0)
+        with pytest.raises(ValueError, match=r"takes \[F, -F\] with equal cost halves"):
+            simplex_solve(np.ones(40), eq, x)
+        with pytest.raises(ValueError, match=r"takes \[F, -F\] with equal cost halves"):
+            simplex_solve(np.r_[np.ones(20), 2.0 * np.ones(20)], np.hstack([e, -e]), x)
+        assert mirrored == []
 
     @pytest.mark.parametrize("shape", ["tall", "zero"])
-    def test_a_tall_system_or_a_zero_observation_runs_both_phases(self, shape, monkeypatch):
+    def test_a_tall_system_or_a_zero_observation_runs_one_phase(self, shape, monkeypatch):
         # m columns of a tall A cannot be chosen, and a zero observation
-        # leaves the crash's reweighting no weight: phase 1 runs
+        # leaves the crash's reweighting no weight: the one phase starts
+        # from the reduced basis
         from scipy.optimize import linprog
 
         rng = RandomSource(123)
@@ -271,34 +272,33 @@ class TestBasisPursuit:
         n = a.shape[1]
         mirrored = self.spy_on_phases(monkeypatch)
         s, report = basis_pursuit(SparseProblem(mixing=a, observation=x))
-        assert mirrored == [n, n]
+        assert mirrored == [n]
         assert report.converged
         reference = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=x,
                             bounds=(0, None), method="highs")
         assert abs(np.abs(s).sum() - reference.fun) <= 1e-12 * max(1.0, reference.fun)
 
-    def test_simplex_standalone(self):
-        # min -x1 - 2 x2 s.t. x1 + x2 + u1 = 4, x1 + 3 x2 + u2 = 6
-        cost = np.array([-1.0, -2.0, 0.0, 0.0])
-        eq = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-        rhs = np.array([4.0, 6.0])
-        solution, objective, basis, _ = simplex_solve(cost, eq, rhs)
-        assert abs(objective - (-5.0)) < 1e-10
-        assert np.allclose(solution[:2], [3.0, 1.0], atol=1e-10)
-        assert verify_reduced_costs(cost, eq, basis)
-
-    def test_simplex_drives_a_degenerate_artificial_out(self):
-        # phase 1 ends with the artificial of x2 = 0 basic at zero; a
-        # structural column replaces it and both constraints are kept
+    @pytest.mark.parametrize("n", [64, 192])
+    def test_an_ill_conditioned_crash_runs_one_phase(self, n, monkeypatch):
+        # no natural input has a full-rank A whose crash has cond >= 1e12;
+        # a crash that returns None stands for one, and the one phase
+        # starts from the reduced basis
+        import sparsekit.sca as sca_module
         from scipy.optimize import linprog
 
-        cost, eq, rhs = [1.0, 1.0], [[1.0, 1.0], [0.0, -1.0]], [1.0, 0.0]
-        solution, objective, basis, _ = simplex_solve(cost, eq, rhs)
-        reference = linprog(cost, A_eq=eq, b_eq=rhs, bounds=(0, None), method="highs")
-        assert sorted(basis) == [0, 1]
-        assert abs(objective - reference.fun) < 1e-12
-        assert np.allclose(solution, reference.x, atol=1e-12)
-        assert np.allclose(solution, [1.0, 0.0], atol=1e-12)
+        monkeypatch.setattr(sca_module, "_crash_basis", lambda f, b: None)
+        mirrored = self.spy_on_phases(monkeypatch)
+        for stream in range(3):
+            problem = bernoulli_gaussian_problem(n // 2, n, RandomSource(124, stream=stream),
+                                                 sigma_noise=0.01)
+            mirrored.clear()
+            s, report = basis_pursuit(problem)
+            assert mirrored == [n]
+            assert report.converged
+            a, x = problem.mixing, problem.observation
+            reference = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=x,
+                                bounds=(0, None), method="highs")
+            assert abs(np.abs(s).sum() - reference.fun) <= 1e-9 * max(1.0, reference.fun)
 
 
 class TestFocuss:

@@ -35,6 +35,7 @@ from sparsekit.sampling import (
     cg_accelerate,
     chebyshev_accelerate,
     conjugate_gradient,
+    imat,
     iterative_reconstruct,
 )
 from sparsekit.spectral import (
@@ -293,6 +294,28 @@ class TestStackChecks:
                 solver(observed, mixed, support)
             with pytest.raises(ValueError, match="one reference per row: got 2 for 3"):
                 solver(observed, times, support, reference=signals[:2])
+
+    @pytest.mark.parametrize("solver", MASKED_SOLVERS + [imat], ids=lambda f: f.__name__)
+    def test_masked_ambient_lengths(self, solver, no_work):
+        observed = np.ones((3, 16))
+        times = [SupportSet(np.arange(4), 16)] * 2 + [SupportSet(np.arange(4), 20)]
+        support = () if solver is imat else (SupportSet(np.arange(2), 16),)
+        with no_work():
+            with pytest.raises(ValueError, match="must match the signal length in stack row 2$"):
+                solver(observed, times, *support)
+            with pytest.raises(ValueError, match="must match the signal length$"):
+                solver(observed[2], times[2], *support)
+
+    @pytest.mark.parametrize("solver", MASKED_SOLVERS + [imat], ids=lambda f: f.__name__)
+    def test_masked_empty_row(self, solver, no_work):
+        observed = np.ones((3, 16))
+        times = [SupportSet(np.arange(4), 16), SupportSet([], 16), SupportSet(np.arange(4), 16)]
+        support = () if solver is imat else (SupportSet(np.arange(2), 16),)
+        with no_work():
+            with pytest.raises(ValueError, match="need at least one retained sample in stack row 1$"):
+                solver(observed, times, *support)
+            with pytest.raises(ValueError, match="need at least one retained sample$"):
+                solver(observed[1], times[1], *support)
 
     def test_conjugate_gradient_references(self):
         def apply_op(p, rows):
