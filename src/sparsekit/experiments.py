@@ -523,6 +523,11 @@ def ser_sweep(cfg, profile, cnr_grid, blocks, seed, doppler_rho=None,
     blocks * cfg.data_carriers.size symbols from its own streams (see
     _StreamLedger). Each call claims its streams afresh, so fig40's calls,
     one per drift rate, rerun the same blocks.
+
+    A CNR point's blocks are linked, estimated, equalized and decided in
+    stacks (see _stacks); MIMAT estimates one block at a time. Each block
+    draws its drift step, its data and its noise from its own source, in
+    that order, and the drift advances block by block.
     """
     results = {(c, e): 0 for c in cnr_grid for e in estimators}
     ledger = _StreamLedger(seed)
@@ -533,22 +538,21 @@ def ser_sweep(cfg, profile, cnr_grid, blocks, seed, doppler_rho=None,
         channel = None if doppler_rho is None else ofdm.TimeVaryingChannel(profile, doppler_rho)
         sources = ledger.claim(f"CNR {cnr} dB",
                                (int(cnr * 10) * 100_000 + b for b in range(blocks)))
-        for rng in sources:
-            current = channel.step(rng) if channel else profile
-            data = rng.integers(0, cfg.symbols().size, dc.size)
-            tx = ofdm.map_symbols(data, cfg)
-            rx = ofdm.ofdm_link(tx, current, cfg, cnr, rng)
+        for stack in _stacks(sources, 144 * cfg.n + 1024):
+            current = [channel.step(rng) for rng in stack] if channel else profile
+            data = np.array([rng.integers(0, cfg.symbols().size, dc.size) for rng in stack])
+            rx = ofdm.ofdm_link(ofdm.map_symbols(data, cfg), current, cfg, cnr, stack)
             for name in estimators:
                 if name == "ideal":
-                    estimate = (static_truth if channel is None
-                                else ofdm.channel_frequency_response(current, cfg))
+                    estimate = (np.broadcast_to(static_truth, rx.shape) if channel is None else
+                                np.array([ofdm.channel_frequency_response(p, cfg) for p in current]))
                 elif name == "linear":
                     estimate = ofdm.estimate_linear(rx, cfg)
                 else:
-                    _, estimate, _ = ofdm.estimate_mimat(rx, cfg, snr_linear)
-                eq, _ = ofdm.equalize(rx[dc], estimate[dc], "zf")
+                    estimate = np.array([ofdm.estimate_mimat(row, cfg, snr_linear)[1] for row in rx])
+                eq, _ = ofdm.equalize(rx[:, dc], estimate[:, dc], "zf")
                 decisions = ofdm.nearest_symbols(eq, cfg)
-                results[(cnr, name)] += int(np.sum(decisions != data))
+                results[(cnr, name)] += int(np.count_nonzero(decisions != data))
     return results
 
 

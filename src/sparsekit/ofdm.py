@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import SolverReport, SupportSet, read_samples
+from .core import SolverReport, SupportSet, _as_stack, read_samples
 
 QAM16 = np.array(
     [(re + 1j * im) for re in (-3, -1, 1, 3) for im in (-3, -1, 1, 3)],
@@ -72,7 +72,8 @@ class OfdmConfig:
     """Subcarrier geometry: guards, comb pilots, constellation, CP length.
 
     The sorted carrier index sets ``active``, ``pilots`` (a SupportSet) and
-    ``data_carriers`` are derived once, at construction.
+    ``data_carriers``, and the pilot values, are derived once, at
+    construction.
     """
 
     n: int = 256
@@ -84,6 +85,7 @@ class OfdmConfig:
     active: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     pilots: SupportSet = dataclasses.field(init=False, repr=False, compare=False)
     data_carriers: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _pilot_values: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.constellation not in CONSTELLATIONS:
@@ -102,11 +104,15 @@ class OfdmConfig:
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "pilots", pilots)
         object.__setattr__(self, "data_carriers", np.setdiff1d(active, pilots.indices))
+        idx = pilots.indices
+        values = np.exp(1j * np.pi * (idx * (idx + 1) % (2 * self.n)) / self.n)
+        values.flags.writeable = False
+        object.__setattr__(self, "_pilot_values", values)
 
     def pilot_values(self):
-        # fixed unit-magnitude pilot pattern, known at the receiver
-        idx = self.pilots.indices
-        return np.exp(1j * np.pi * (idx * (idx + 1) % (2 * self.n)) / self.n)
+        """The fixed unit-magnitude pilot pattern known at the receiver
+        (read-only)."""
+        return self._pilot_values
 
     def symbols(self):
         return CONSTELLATIONS[self.constellation]
@@ -122,34 +128,52 @@ def channel_frequency_response(profile, cfg):
 
 
 def map_symbols(data_indices, cfg):
-    """Frequency-domain block: pilots at their comb, data on the rest."""
-    block = np.zeros(cfg.n, dtype=np.complex128)
-    block[cfg.pilots.indices] = cfg.pilot_values()
-    block[cfg.data_carriers] = cfg.symbols()[data_indices]
-    return block
+    """Frequency-domain block: pilots at their comb, data on the rest.
+
+    A (B, data carriers) stack of indices gives a (B, n) stack of blocks
+    (see core._as_stack).
+    """
+    stacked, data, _ = _as_stack(data_indices, {})
+    blocks = np.zeros((len(data), cfg.n), dtype=np.complex128)
+    blocks[:, cfg.pilots.indices] = cfg.pilot_values()
+    blocks[:, cfg.data_carriers] = cfg.symbols()[np.asarray(data)]
+    return blocks if stacked else blocks[0]
 
 
 def ofdm_link(tx_block, profile, cfg, cnr_db, rng):
     """Per-carrier channel multiply plus noise at the requested CNR.
 
     Noise lands on active carriers only; guard carriers stay exactly zero.
+    tx_block may also be a (B, n) stack of blocks (see core._as_stack),
+    with rng a list of B noise sources and profile one profile for every
+    block or a list of B, one per block. Each row is scaled by its own
+    signal power, draws its noise from its own source and equals its own
+    link bit for bit.
     """
-    response = channel_frequency_response(profile, cfg)
-    rx = response * tx_block
-    active = cfg.active
+    shared = isinstance(profile, ChannelProfile)
+    stacked, tx, (profiles, sources) = _as_stack(
+        tx_block, {"channel profile": None if shared else profile, "noise source": rng})
+    if shared:
+        response = channel_frequency_response(profile, cfg)
+    else:
+        response = np.array([channel_frequency_response(p, cfg) for p in profiles])
+    rx = response * np.asarray(tx)
     if cnr_db is not None:
-        signal_power = float(np.mean(np.abs(rx[active]) ** 2))
-        sigma = math.sqrt(signal_power / 10 ** (cnr_db / 10.0))
-        noise = np.zeros(cfg.n, dtype=np.complex128)
-        noise[active] = rng.complex_normal(active.size, scale=sigma)
+        active = cfg.active
+        noise = np.zeros_like(rx)
+        for row, noise_row, source in zip(rx, noise, sources):
+            signal_power = float(np.mean(np.abs(row[active]) ** 2))
+            sigma = math.sqrt(signal_power / 10 ** (cnr_db / 10.0))
+            noise_row[active] = source.complex_normal(active.size, scale=sigma)
         rx = rx + noise
-    return rx
+    return rx if stacked else rx[0]
 
 
 def pilot_least_squares(rx_block, cfg):
-    """LS channel values at the pilot carriers: rx / known pilot; a
-    non-finite received pilot raises ValueError."""
-    pilots = read_samples(rx_block[cfg.pilots.indices], what="received pilots")
+    """LS channel values at the pilot carriers: rx / known pilot, per row
+    of a (B, n) stack; a non-finite received pilot raises ValueError,
+    naming its stack row."""
+    pilots = read_samples(rx_block[..., cfg.pilots.indices], what="received pilots")
     return pilots / cfg.pilot_values()
 
 
@@ -157,20 +181,26 @@ def estimate_linear(rx_block, cfg):
     """Linear interpolation of the pilot LS values across the active band.
 
     Edges extend the nearest pilot value; guard carriers return zero.
+    rx_block may also be a (B, n) stack of blocks (see core._as_stack),
+    which gives a (B, n) stack of estimates.
     """
-    return _interpolate_pilots(pilot_least_squares(rx_block, cfg), cfg)
+    stacked, rx, _ = _as_stack(rx_block, {})
+    estimates = _interpolate_pilots(pilot_least_squares(np.asarray(rx), cfg), cfg)
+    return estimates if stacked else estimates[0]
 
 
 def _interpolate_pilots(ls, cfg):
+    """The (B, n) interpolated estimates of a (B, pilots) stack of LS values."""
     idx = cfg.pilots.indices
     if idx.size < 2:
         raise ValueError("need at least two pilots to interpolate")
     active = cfg.active
-    estimate = np.zeros(cfg.n, dtype=np.complex128)
-    estimate[active] = np.interp(active, idx, ls.real) + 1j * np.interp(
-        active, idx, ls.imag
-    )
-    return estimate
+    estimates = np.zeros((len(ls), cfg.n), dtype=np.complex128)
+    for values, estimate in zip(ls, estimates):
+        estimate[active] = np.interp(active, idx, values.real) + 1j * np.interp(
+            active, idx, values.imag
+        )
+    return estimates
 
 
 MIMAT_ALPHA = 0.6  # growth rate of the MIMAT threshold beta*exp(MIMAT_ALPHA*i)
@@ -203,10 +233,10 @@ def estimate_mimat(rx_block, cfg, snr_linear=1e12):
     n = cfg.n
     cp = cfg.cp_length
     pilot_count = cfg.pilots.indices.size
-    dictionary, gram = _pilot_dictionary(cfg)
+    basis, dictionary, gram = _delay_basis(cfg)
     ls_values = pilot_least_squares(rx_block, cfg)
     projections = dictionary.conj().T @ ls_values
-    h_time = np.fft.ifft(_interpolate_pilots(ls_values, cfg))
+    h_time = np.fft.ifft(_interpolate_pilots(ls_values[None], cfg)[0])
     floor = float(np.median(np.abs(h_time[:cp])))
     beta = max(0.25 * floor, 1e-12 * float(np.max(np.abs(h_time))), 1e-30)
 
@@ -246,24 +276,28 @@ def estimate_mimat(rx_block, cfg, snr_linear=1e12):
 
     support, gains = _refine_support(ls_values, projections, dictionary, gram, support, report)
     profile = ChannelProfile(delays=support, gains=gains)
-    response = channel_frequency_response(profile, cfg)
+    response = basis.take(profile.delays, axis=1) @ profile.gains
     return profile, response, report._finish()
 
 
 @functools.lru_cache(maxsize=8)
-def _pilot_dictionary(cfg):
-    """Pilot-to-delay dictionary D = exp(-2pi j pilots x [0, cp) / n) and its
-    Gram matrix D^H D, both read-only and built once per geometry.
+def _delay_basis(cfg):
+    """Carrier-by-delay basis E = exp(-2pi j [0, n) x [0, cp) / n), its pilot
+    rows D (the pilot-to-delay dictionary) and the Gram matrix D^H D, all
+    read-only and built once per geometry.
 
     Every support MIMAT tries is a column subset of D; its normal matrix is
-    the matching principal submatrix of the Gram matrix.
+    the matching principal submatrix of the Gram matrix, and the frequency
+    response of its taps is the matching column subset of E times their
+    gains. Each entry is channel_frequency_response's, bit for bit.
     """
-    pilots = cfg.pilots.indices
-    dictionary = np.exp(-2j * np.pi * np.outer(pilots, np.arange(cfg.cp_length)) / cfg.n)
+    carriers = np.arange(cfg.n)
+    basis = np.exp(-2j * np.pi * np.outer(carriers, np.arange(cfg.cp_length)) / cfg.n)
+    dictionary = basis[cfg.pilots.indices]
     gram = dictionary.conj().T @ dictionary
-    dictionary.flags.writeable = False
-    gram.flags.writeable = False
-    return dictionary, gram
+    for matrix in (basis, dictionary, gram):
+        matrix.flags.writeable = False
+    return basis, dictionary, gram
 
 
 def _refine_support(ls_values, projections, dictionary, gram, support, report):
@@ -313,11 +347,13 @@ def _refine_support(ls_values, projections, dictionary, gram, support, report):
         margin = np.abs(gains) - REFINE_PRUNE_SIGMA * stderr
         if support.size > 1 and (margin < 0).any():
             weakest = int(np.argmin(margin))
+            rest = np.arange(support.size - 1)
+            rest[weakest:] += 1
             if inverse is not None:
-                rest = np.flatnonzero(np.arange(support.size) != weakest)
-                inverse = inverse[np.ix_(rest, rest)] - np.outer(
-                    inverse[rest, weakest], inverse[weakest, rest]) / inverse[weakest, weakest]
-            support = np.delete(support, weakest)
+                column, row = inverse[rest, weakest], inverse[weakest, rest]
+                inverse = (inverse[rest[:, None], rest]
+                           - column[:, None] * row / inverse[weakest, weakest])
+            support = support[rest]
             continue
         if support.size == cp or support.size >= pilot_count // 2:
             return support, gains
@@ -339,26 +375,50 @@ def equalize(rx_block, channel_estimate, method="zf", snr_linear=None):
     """Per-carrier one-tap equalization, zero-forcing or MMSE.
 
     ZF flags carriers whose estimate is numerically zero (returned as the
-    second value); MMSE needs the operating SNR.
+    second value); MMSE needs the operating SNR. rx_block may also be a
+    (B, c) stack of carrier values with a (B, c) stack of estimates (see
+    core._as_stack): the call returns the (B, c) equalized stack and a
+    list of B dead-carrier index arrays.
     """
-    h = np.asarray(channel_estimate, dtype=np.complex128)
+    stacked, rx, (h,) = _as_stack(rx_block, {"channel estimate": channel_estimate})
+    rx, h = np.asarray(rx), np.asarray(h, dtype=np.complex128)
     if method == "zf":
         dead = np.abs(h) < 1e-12
-        safe = np.where(dead, 1.0, h)
-        return np.where(dead, 0.0, rx_block / safe), np.flatnonzero(dead)
-    if method == "mmse":
+        equalized = np.where(dead, 0.0, rx / np.where(dead, 1.0, h))
+    elif method == "mmse":
         if snr_linear is None:
             raise ValueError("MMSE equalization needs the SNR")
-        weight = np.conj(h) / (np.abs(h) ** 2 + 1.0 / snr_linear)
-        return weight * rx_block, np.array([], dtype=int)
-    raise ValueError(f"unknown equalization method {method!r}")
+        dead = np.zeros(h.shape, dtype=bool)
+        equalized = np.conj(h) / (np.abs(h) ** 2 + 1.0 / snr_linear) * rx
+    else:
+        raise ValueError(f"unknown equalization method {method!r}")
+    dead = [np.flatnonzero(row) for row in dead]
+    return (equalized, dead) if stacked else (equalized[0], dead[0])
 
 
 def nearest_symbols(values, cfg):
-    """Hard decisions: indices of the nearest constellation points."""
+    """Hard decisions: indices of the nearest constellation points, per row
+    of a (B, c) stack (see core._as_stack).
+
+    A running minimum over the points, in place, keeps argmin's first point
+    on a tie (an index moves only on a strictly smaller distance) without
+    forming the (values x points) distance array. A value's distances are
+    NaN to every point or to none, so np.minimum keeps the same minimum.
+    """
+    stacked, values, _ = _as_stack(values, {})
+    values = np.asarray(values)
     table = cfg.symbols()
-    distances = np.abs(values[:, None] - table[None, :])
-    return np.argmin(distances, axis=1)
+    best = np.abs(values - table[0])
+    indices = np.zeros(best.shape, dtype=np.intp)
+    difference = np.empty(best.shape, dtype=np.result_type(values, table))
+    distance = np.empty_like(best)
+    closer = np.empty(best.shape, dtype=bool)
+    for point in range(1, table.size):
+        np.abs(np.subtract(values, table[point], out=difference), out=distance)
+        np.less(distance, best, out=closer)
+        np.minimum(best, distance, out=best)
+        indices[closer] = point
+    return indices if stacked else indices[0]
 
 
 def ser_from_counts(errors, symbols):

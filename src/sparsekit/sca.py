@@ -300,10 +300,21 @@ def simplex_solve(cost, eq_matrix, eq_rhs):
 
 
 def verify_reduced_costs(cost, eq_matrix, basis):
-    """Independent optimality certificate: all reduced costs >= -SIMPLEX_TOL."""
+    """Independent optimality certificate: all reduced costs >= -SIMPLEX_TOL.
+
+    The multipliers y solve B'y = c_B by LU when the basis B is square, as
+    every crash basis is, and by least squares when a reduced basis of a
+    tall or rank-deficient E has fewer columns than E has rows. A singular
+    B fails the certificate.
+    """
     e = np.asarray(eq_matrix, dtype=np.float64)
     c = np.asarray(cost, dtype=np.float64)
-    y, *_ = np.linalg.lstsq(e[:, basis].T, c[basis], rcond=None)
+    b_t = e[:, basis].T
+    try:
+        y = (np.linalg.solve(b_t, c[basis]) if b_t.shape[0] == b_t.shape[1]
+             else np.linalg.lstsq(b_t, c[basis], rcond=None)[0])
+    except np.linalg.LinAlgError:
+        return False
     return float((c - e.T @ y).min()) >= -SIMPLEX_TOL
 
 

@@ -262,6 +262,26 @@ class TestStacks:
             stacked, one = (tmp_path / "stacks" / name), (tmp_path / "one" / name)
             assert stacked.read_bytes() == one.read_bytes()
 
+    @pytest.mark.parametrize("experiment_id", ["fig39", "fig40"])
+    def test_ofdm_outputs_do_not_depend_on_the_stack_height(self, experiment_id, tmp_path,
+                                                            monkeypatch):
+        # 1-row stacks against one stack per CNR point; fig40's drift runs
+        # block by block either way
+        trials, overrides = 5, {"cnr_grid_db": [15.0, 25.0]}
+        calls = _recorded_heights(monkeypatch)
+
+        def run(out, budget):
+            monkeypatch.setattr(experiments, "_STACK_BYTES", budget)
+            calls.clear()
+            run_experiment(ExperimentSpec(experiment_id, seed=11, trials=trials,
+                                          out_dir=str(tmp_path / out), overrides=overrides))
+            return {height for heights in calls for height in heights}
+
+        assert run("rows", 1) == {1}
+        assert run("one", 2**62) == {trials}
+        name = f"{experiment_id}.csv"
+        assert (tmp_path / "rows" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
     @pytest.mark.parametrize("experiment_id, overrides, rows", [
         ("fig15", {"input_length": 200, "rates": [0.5]}, 33),
         ("fig17", {"variance_ratios": [5]}, 37),

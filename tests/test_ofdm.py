@@ -247,7 +247,7 @@ class TestMimat:
         # downdate carries a rank-one correction; a run of prunes on one
         # eigh must still end at the least-squares gains of the survivors
         cfg = OfdmConfig()
-        dictionary, gram = ofdm._pilot_dictionary(cfg)
+        _, dictionary, gram = ofdm._delay_basis(cfg)
         profile = brazil_d_like_profile()
         rng = RandomSource(149, stream=1)
         ls = dictionary[:, profile.delays] @ profile.gains + 0.05 * rng.complex_normal(
@@ -264,10 +264,32 @@ class TestMimat:
         assert np.linalg.norm(gains - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     def test_pilot_dictionary_is_built_once_per_geometry_and_read_only(self):
-        dictionary, gram = ofdm._pilot_dictionary(OfdmConfig(guard_left=0, guard_right=0))
-        again = ofdm._pilot_dictionary(OfdmConfig(guard_left=0, guard_right=0))
-        assert again[0] is dictionary and again[1] is gram
-        assert not dictionary.flags.writeable and not gram.flags.writeable
+        # one cache holds the carrier-by-delay basis, its pilot rows (the
+        # dictionary) and their Gram matrix
+        cfg = OfdmConfig(guard_left=0, guard_right=0)
+        built = ofdm._delay_basis(cfg)
+        again = ofdm._delay_basis(OfdmConfig(guard_left=0, guard_right=0))
+        assert all(a is b for a, b in zip(again, built))
+        assert not any(matrix.flags.writeable for matrix in built)
+        basis, dictionary, _ = built
+        assert basis.shape == (cfg.n, cfg.cp_length)
+        assert dictionary.tobytes() == basis[cfg.pilots.indices].tobytes()
+
+    @pytest.mark.parametrize("geometry", [{}, {"guard_left": 0, "guard_right": 0},
+                                          {"n": 64, "cp_length": 16, "guard_left": 3}])
+    def test_delay_basis_entries_are_the_responses_bit_for_bit(self, geometry):
+        # the basis stands in for channel_frequency_response's matrix and for
+        # the dictionary built from the pilots alone: every entry is the
+        # same elementwise expression, so no bit moves
+        cfg = OfdmConfig(**geometry)
+        basis, dictionary, _ = ofdm._delay_basis(cfg)
+        delays = np.arange(cfg.cp_length)
+        pilots = cfg.pilots.indices
+        fresh = np.exp(-2j * np.pi * np.outer(pilots, delays) / cfg.n)
+        assert dictionary.tobytes() == fresh.tobytes()
+        profile = ChannelProfile(delays[1::7], RandomSource(150).complex_normal(delays[1::7].size))
+        response = basis.take(profile.delays, axis=1) @ profile.gains
+        assert response.tobytes() == channel_frequency_response(profile, cfg).tobytes()
 
     def test_support_size_non_increasing_noiseless(self):
         rng = RandomSource(137)

@@ -170,6 +170,27 @@ class TestBasisPursuit:
         assert np.linalg.norm(problem.mixing @ s - problem.observation) < 1e-8
         assert report.converged  # includes the independent certificate
 
+    def test_certificate_solves_a_square_basis_by_lu(self, monkeypatch):
+        # a crash basis is square: the multipliers come from one LU solve,
+        # with no SVD, and they certify the optimum the simplex reached
+        import sparsekit.sca as sca_module
+
+        problem = bernoulli_gaussian_problem(32, 64, RandomSource(125), sigma_noise=0.01)
+        eq = np.hstack([problem.mixing, -problem.mixing])
+        _, _, basis, _ = simplex_solve(np.ones(128), eq, problem.observation)
+        assert len(basis) == 32
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: pytest.fail("lstsq"))
+        assert sca_module.verify_reduced_costs(np.ones(128), eq, basis)
+
+    def test_a_singular_basis_fails_the_certificate(self):
+        # a basis with a repeated column has no multipliers: LU raises
+        # LinAlgError, and the certificate fails rather than raising
+        import sparsekit.sca as sca_module
+
+        eq = np.hstack([np.eye(3), -np.eye(3)])
+        assert sca_module.verify_reduced_costs(np.ones(6), eq, [0, 1, 2])
+        assert not sca_module.verify_reduced_costs(np.ones(6), eq, [0, 1, 1])
+
     def test_infeasible_rejected(self, monkeypatch):
         # the crash finds no basis of the rank-1 A, and the reduced basis
         # rejects x, which is off A's range, before any pivot

@@ -2,8 +2,10 @@
 
 Covers the stack form of iterative_reconstruct, chebyshev_accelerate,
 cg_accelerate, conjugate_gradient, conv_erasure_decode and
-elp_erasure_decode, and of the spectral estimators sample_covariance,
-prony, pisarenko and music with the polynomial_roots they share. Examples
+elp_erasure_decode, of the spectral estimators sample_covariance,
+prony, pisarenko and music with the polynomial_roots they share, and of
+the OFDM link layers map_symbols, ofdm_link, pilot_least_squares,
+estimate_linear, equalize and nearest_symbols. Examples
 are drawn deterministically (``derandomize=True``) and without a
 per-example deadline.
 """
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit import codes, sampling
+from sparsekit import codes, ofdm, sampling
 from sparsekit.codes import (
     ConvCode,
     DftBlockCode,
@@ -31,6 +33,16 @@ from sparsekit.core import (
     polynomial_roots,
 )
 from sparsekit.experiments import _sampled_instance
+from sparsekit.ofdm import (
+    ChannelProfile,
+    OfdmConfig,
+    TimeVaryingChannel,
+    equalize,
+    estimate_linear,
+    map_symbols,
+    nearest_symbols,
+    ofdm_link,
+)
 from sparsekit.sampling import (
     cg_accelerate,
     chebyshev_accelerate,
@@ -570,3 +582,130 @@ class TestSpectralStackErrorsNameTheRow:
         stack = np.array([tones.matrix, np.diag([3.0, 2.0, 1.0])])
         with pytest.raises(ValueError, match="leading coefficient must be nonzero in stack row 1$"):
             pisarenko(CovarianceEstimate(stack, snapshots=3), 2)
+
+
+OFDM_GEOMETRIES = [
+    {},
+    {"guard_left": 0, "guard_right": 0},
+    {"n": 64, "cp_length": 16, "guard_left": 3, "guard_right": 2, "constellation": "qpsk"},
+]
+
+
+@st.composite
+def ofdm_stacks(draw):
+    """(cfg, data, sources, profiles): a (B, data carriers) stack of symbol
+    indices, one noise source per row and one drifted profile per row."""
+    cfg = OfdmConfig(**draw(st.sampled_from(OFDM_GEOMETRIES)))
+    rows = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 10**6))
+    rng = RandomSource(seed)
+    data = rng.integers(0, cfg.symbols().size, (rows, cfg.data_carriers.size))
+    channel = TimeVaryingChannel(ChannelProfile([0, 2, 9], [1.0, 0.5j, -0.3]), 0.9)
+    profiles = [channel.step(rng) for _ in range(rows)]
+    return cfg, data, [RandomSource(seed, stream=1 + row) for row in range(rows)], profiles
+
+
+def ofdm_received(cfg, data, seed, cnr_db=20.0):
+    """A (B, n) stack of received blocks through a fixed three-tap channel."""
+    sources = [RandomSource(seed, stream=1 + row) for row in range(len(data))]
+    profile = ChannelProfile([0, 2, 9], [1.0, 0.5j, -0.3])
+    return ofdm_link(map_symbols(data, cfg), profile, cfg, cnr_db, sources)
+
+
+class TestOfdmStacks:
+    """Each row of a stacked OFDM call equals its one-block call bit for
+    bit; a one-block call is a one-row stack."""
+
+    @STACK_SETTINGS
+    @given(ofdm_stacks())
+    def test_map_symbols_rows(self, case):
+        cfg, data, _, _ = case
+        blocks = map_symbols(data, cfg)
+        assert blocks.shape == (len(data), cfg.n)
+        for row, indices in zip(blocks, data):
+            solo = map_symbols(indices, cfg)
+            assert solo.shape == (cfg.n,) and row.tobytes() == solo.tobytes()
+
+    @STACK_SETTINGS
+    @given(ofdm_stacks(), st.sampled_from([None, 5.0, 30.0]), st.booleans())
+    def test_ofdm_link_rows(self, case, cnr_db, drift):
+        # each row scales its noise by its own signal power, draws it from
+        # its own source and, under drift, goes through its own profile
+        cfg, data, sources, profiles = case
+        tx = map_symbols(data, cfg)
+        shared = profiles[0]
+        rx = ofdm_link(tx, profiles if drift else shared, cfg, cnr_db, sources)
+        assert rx.shape == tx.shape
+        for row, (block, source) in enumerate(zip(tx, sources)):
+            fresh = RandomSource(source.seed, source.stream)
+            solo = ofdm_link(block, profiles[row] if drift else shared, cfg, cnr_db, fresh)
+            assert solo.shape == (cfg.n,) and rx[row].tobytes() == solo.tobytes()
+            assert fresh.bit_generator.state == source.bit_generator.state
+
+    @STACK_SETTINGS
+    @given(ofdm_stacks())
+    def test_linear_estimate_rows(self, case):
+        cfg, data, _, _ = case
+        rx = ofdm_received(cfg, data, seed=int(data.sum()))
+        ls = ofdm.pilot_least_squares(rx, cfg)
+        estimates = estimate_linear(rx, cfg)
+        assert estimates.shape == rx.shape
+        for row, block in enumerate(rx):
+            assert ls[row].tobytes() == ofdm.pilot_least_squares(block, cfg).tobytes()
+            solo = estimate_linear(block, cfg)
+            assert solo.shape == (cfg.n,) and estimates[row].tobytes() == solo.tobytes()
+
+    @STACK_SETTINGS
+    @given(ofdm_stacks(), st.sampled_from(["zf", "mmse"]))
+    def test_equalize_rows(self, case, method):
+        cfg, data, _, _ = case
+        rx = ofdm_received(cfg, data, seed=int(data.sum()))
+        dc = cfg.data_carriers
+        estimate = estimate_linear(rx, cfg)[:, dc]
+        estimate[:, ::7] = 0.0  # dead carriers
+        equalized, dead = equalize(rx[:, dc], estimate, method, snr_linear=100.0)
+        assert equalized.shape == estimate.shape and len(dead) == len(rx)
+        for row in range(len(rx)):
+            solo, solo_dead = equalize(rx[row, dc], estimate[row], method, snr_linear=100.0)
+            assert equalized[row].tobytes() == solo.tobytes()
+            assert dead[row].tobytes() == solo_dead.tobytes()
+        if method == "zf":
+            assert dead[0].tolist() == list(range(0, dc.size, 7))
+
+    @STACK_SETTINGS
+    @given(ofdm_stacks(), st.sampled_from([0.0, 0.3, 3.0]))
+    def test_nearest_symbols_rows(self, case, noise):
+        # exact ties (0 is equidistant from the inner points) go to the
+        # first nearest point, as argmin over the distances does
+        cfg, data, sources, _ = case
+        table = cfg.symbols()
+        values = np.array([table[indices] + source.complex_normal(indices.size, scale=noise)
+                           for indices, source in zip(data, sources)])
+        values[:, ::5] = 0.0
+        decisions = nearest_symbols(values, cfg)
+        expected = np.argmin(np.abs(values[..., None] - table), axis=-1)
+        assert decisions.tobytes() == expected.tobytes()
+        for row, block in enumerate(values):
+            solo = nearest_symbols(block, cfg)
+            assert solo.shape == block.shape and decisions[row].tobytes() == solo.tobytes()
+
+    def test_companions_must_count_the_rows(self):
+        cfg = OfdmConfig()
+        tx = map_symbols(np.zeros((3, cfg.data_carriers.size), dtype=int), cfg)
+        profile = ChannelProfile([0], [1.0])
+        sources = [RandomSource(0, stream=row) for row in range(3)]
+        with pytest.raises(ValueError, match="^a stack needs one noise source per row: got 2"):
+            ofdm_link(tx, profile, cfg, 20.0, sources[:2])
+        with pytest.raises(ValueError, match="^a stack needs one channel profile per row: got 1"):
+            ofdm_link(tx, [profile], cfg, 20.0, sources)
+        with pytest.raises(ValueError, match="^a stack needs one channel estimate per row: got 2"):
+            equalize(tx, tx[:2])
+
+    def test_non_finite_pilot_names_its_row(self):
+        cfg = OfdmConfig()
+        rx = ofdm_received(cfg, np.zeros((3, cfg.data_carriers.size), dtype=int), seed=3)
+        rx[1, cfg.pilots.indices[4]] = np.nan
+        with pytest.raises(ValueError, match="finite in stack row 1$"):
+            estimate_linear(rx, cfg)
+        with pytest.raises(ValueError, match="finite$"):
+            estimate_linear(rx[1], cfg)
