@@ -315,31 +315,16 @@ def layout_search_exhaustive(n, k, objective="peak-sidelobe", grid_points=512,
     side = np.abs(u_grid) > halfwidth
     basis = np.exp(-2j * np.pi * THINNING_SPACING * np.outer(np.arange(n), u_grid))
 
-    key = "peak_ratio" if objective == "peak-sidelobe" else "energy"
     best_value = math.inf
     best_positions = None
-    chunk = []
-    for combo in itertools.combinations(range(n), k):
-        chunk.append(combo)
-        if len(chunk) == 2048:
-            best_value, best_positions = _scan_chunk(
-                chunk, basis, side, k, key, best_value, best_positions)
-            chunk = []
-    if chunk:
-        best_value, best_positions = _scan_chunk(
-            chunk, basis, side, k, key, best_value, best_positions)
+    combos = itertools.combinations(range(n), k)
+    while chunk := list(itertools.islice(combos, 2048)):
+        power = np.abs(basis[np.array(chunk)].sum(axis=1)[:, side]) ** 2 / k**2
+        values = power.max(axis=1) if objective == "peak-sidelobe" else power.sum(axis=1) * k**2
+        arg = int(np.argmin(values))
+        if values[arg] < best_value:
+            best_value, best_positions = float(values[arg]), chunk[arg]
 
     layout = ArrayLayout(positions=np.array(best_positions, dtype=float))
     metrics = _sidelobe_metrics(layout, u_grid, halfwidth)
     return layout, metrics
-
-
-def _scan_chunk(chunk, basis, side, k, key, best_value, best_positions):
-    idx = np.array(chunk)
-    patterns = basis[idx].sum(axis=1)  # (batch, grid)
-    power = np.abs(patterns[:, side]) ** 2 / k**2
-    values = power.max(axis=1) if key == "peak_ratio" else power.sum(axis=1) * k**2
-    arg = int(np.argmin(values))
-    if values[arg] < best_value:
-        return float(values[arg]), chunk[arg]
-    return best_value, best_positions

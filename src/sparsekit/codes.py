@@ -293,8 +293,11 @@ def _convolution_matrix(taps, length):
 
 
 def conv_encode(signal, code):
-    """Interleave the two FIR branch outputs sample by sample."""
-    x = np.asarray(signal, dtype=np.float64).reshape(-1)
+    """Interleave the two FIR branch outputs sample by sample; the signal
+    must be one-dimensional."""
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("signal must be one-dimensional")
     branch1 = np.convolve(x, code.h1)
     branch2 = np.convolve(x, code.h2)
     out = np.empty(branch1.size * 2)
@@ -323,31 +326,31 @@ def conv_parity_check(code, input_length):
 
 
 @functools.lru_cache(maxsize=8)
-def _conv_operators(h1, h2, input_length):
-    """Generator G and parity projector P = H (H^T H)^-1 H^T of the code with
-    tap tuples h1, h2 at one input length, built once and shared by every
-    decode of that pair; both arrays are read-only.
-
-    Returns (G, P, problem). When the parity construction fails its
-    annihilation check or H^T H has cond > 1e12, P is None and problem says
-    why; the erasure decoder needs G only. With m = input_length + taps - 1,
-    an entry holds 8 * (2m * input_length + 4m^2) bytes of arrays (141 KB for
-    6 taps at input length 50); at most 8 entries are kept.
-    """
-    code = ConvCode(h1, h2)
-    g = code.generator_matrix(input_length)
+def _generator(h1, h2, input_length):
+    """Read-only generator matrix of the code with tap tuples h1, h2 at one
+    input length, built once and shared by every decode of that pair. An
+    entry holds 16 m * input_length bytes, m = input_length + taps - 1
+    (44 KB for 6 taps at input length 50); at most 8 entries are kept."""
+    g = ConvCode(h1, h2).generator_matrix(input_length)
     g.flags.writeable = False
-    try:
-        h = conv_parity_check(code, input_length)
-    except NumericError as exc:
-        return g, None, str(exc)
+    return g
+
+
+@functools.lru_cache(maxsize=8)
+def _parity_projector(h1, h2, input_length):
+    """Read-only parity projector P = H (H^T H)^-1 H^T of the code with tap
+    tuples h1, h2 at one input length, cached as _generator is. Raises
+    NumericError when the parity construction fails its annihilation check
+    or H^T H has cond > 1e12; a failure is not cached. An entry holds
+    32 m^2 bytes (97 KB for 6 taps at input length 50)."""
+    h = conv_parity_check(ConvCode(h1, h2), input_length)
     gram = h.T @ h
     condition = np.linalg.cond(gram)
     if condition > 1e12:
-        return g, None, f"parity projector rank-deficient: cond = {condition:.3e}"
+        raise NumericError(f"parity projector rank-deficient: cond = {condition:.3e}")
     projector = h @ np.linalg.solve(gram, h.T)
     projector.flags.writeable = False
-    return g, projector, None
+    return projector
 
 
 def _matvecs(matrix, v):
@@ -381,7 +384,7 @@ def conv_erasure_decode(received, erasures, code, max_iters=200):
         raise ValueError("received stream must have even length (rate 1/2)")
     _check_ambient_lengths(erasures, length)
     input_length = length // 2 - code.taps + 1
-    g, _, _ = _conv_operators(tuple(code.h1), tuple(code.h2), input_length)
+    g = _generator(tuple(code.h1), tuple(code.h2), input_length)
     keep = ~np.array([erased.mask() for erased in erasures])
     y = read_samples(y, ~keep)
 
@@ -423,10 +426,11 @@ def conv_impulsive_decode(received, code, alpha=0.02, max_iters=300, relax=1.9):
     stack = read_samples(np.asarray(stack))
     if stack.ndim != 2:
         raise ValueError("received must be one stream or a (T, L) stack of streams")
+    if stack.shape[1] % 2:
+        raise ValueError("received stream must have even length (rate 1/2)")
     input_length = stack.shape[1] // 2 - code.taps + 1
-    g, projector, problem = _conv_operators(tuple(code.h1), tuple(code.h2), input_length)
-    if projector is None:
-        raise NumericError(problem)
+    projector = _parity_projector(tuple(code.h1), tuple(code.h2), input_length)
+    g = _generator(tuple(code.h1), tuple(code.h2), input_length)
 
     run = _LiveRows("conv-impulsive-imat", len(stack))
     noise_image = _matvecs(projector, stack)

@@ -63,11 +63,12 @@ def _fmt(value):
 
 def write_csv(path, header, rows):
     """The one CSV format: a header line, then LF-terminated rows whose
-    floats are written by repr (round-trip exact) and ints/bools plainly."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    floats are written by repr (round-trip exact) and ints/bools plainly.
+    Returns the bytes written."""
+    payload = "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]).encode()
+    with open(path, "wb") as fh:
+        fh.write(payload)
+    return payload
 
 
 def _wrap_like(template, values):
@@ -86,9 +87,7 @@ class ComplexSignal:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("signal must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
-            raise ValueError("signal entries must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", read_samples(values, what="signal entries"))
 
     def __len__(self):
         return self.values.size
@@ -132,11 +131,11 @@ class SupportSet:
     n: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp).reshape(-1)
-        idx = np.sort(idx)
+        given = np.asarray(self.indices, dtype=np.intp).reshape(-1)
+        idx = np.unique(given)
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
             raise ValueError(f"indices must lie in [0, {self.n})")
-        if idx.size != np.unique(idx).size:
+        if idx.size != given.size:
             raise ValueError("indices must be unique")
         object.__setattr__(self, "indices", idx)
 
@@ -493,9 +492,7 @@ def hermitian_eig(matrix):
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square, or a stack of square matrices")
-    nonfinite = ~np.all(np.isfinite(a), axis=(-2, -1))
-    if np.any(nonfinite):
-        raise ValueError(f"matrix entries must be finite{_stack_row(nonfinite)}")
+    read_samples(a.reshape(a.shape[:-2] + (-1,)), what="matrix entries")
     adjoint = a.conj().swapaxes(-2, -1)
     scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
     skewed = np.max(np.abs(a - adjoint), axis=(-2, -1)) > 1e-10 * scale
@@ -526,9 +523,7 @@ def polynomial_roots(coefficients):
     rows = h.reshape(-1, h.shape[-1])
     if rows.shape[1] < 2:
         raise ValueError("need a polynomial of degree >= 1")
-    nonfinite = ~np.isfinite(rows).all(axis=1)
-    if nonfinite.any():
-        raise ValueError(f"coefficients must be finite{_stack_row(nonfinite)}")
+    read_samples(rows, what="coefficients")
     vanishing = rows[:, 0] == 0
     if vanishing.any():
         raise ValueError(f"leading coefficient must be nonzero{_stack_row(vanishing)}")

@@ -167,11 +167,6 @@ def run_fig6(params, seed, trials):
     return {"fig6.csv": (header, rows)}
 
 
-def fig7_recovered(n, k, m, rng):
-    """One trial of the sparse-recovery success experiment (100 dB criterion)."""
-    return _fig7_wins(n, k, m, [rng]) == 1
-
-
 def _fig7_wins(n, k, m, streams):
     """Trials of the recovery experiment that succeed, one per stream,
     solved as one imat stack."""
@@ -763,9 +758,7 @@ def run_experiment(spec):
     digests = {}
     for filename, (header, rows) in outputs.items():
         path = os.path.join(spec.out_dir, filename)
-        write_csv(path, header, rows)
-        with open(path, "rb") as fh:
-            digests[filename] = hashlib.sha256(fh.read()).hexdigest()
+        digests[filename] = hashlib.sha256(write_csv(path, header, rows)).hexdigest()
     manifest = RunManifest(
         toolkit_version=__version__,
         experiment_id=spec.experiment_id,

@@ -171,8 +171,11 @@ def ofdm_link(tx_block, profile, cfg, cnr_db, rng):
 
 def pilot_least_squares(rx_block, cfg):
     """LS channel values at the pilot carriers: rx / known pilot, per row
-    of a (B, n) stack; a non-finite received pilot raises ValueError,
-    naming its stack row."""
+    of a (B, n) stack. A block whose length is not cfg.n, or a non-finite
+    received pilot, raises ValueError; the latter names its stack row."""
+    carriers = np.shape(rx_block)[-1:]
+    if carriers != (cfg.n,):
+        raise ValueError(f"a block must hold cfg.n = {cfg.n} carriers, not {sum(carriers)}")
     pilots = read_samples(rx_block[..., cfg.pilots.indices], what="received pilots")
     return pilots / cfg.pilot_values()
 
@@ -226,8 +229,11 @@ def estimate_mimat(rx_block, cfg, snr_linear=1e12):
     final cleanup prunes taps below 2.4 standard errors, pulls in any tap
     the pilot residual still supports at 3 standard errors, and re-solves
     the survivors by plain least squares (shrinkage helps detection but
-    biases values). Returns (ChannelProfile, frequency response, report).
+    biases values). rx_block is one block: a stack raises ValueError.
+    Returns (ChannelProfile, frequency response, report).
     """
+    if np.ndim(rx_block) != 1:
+        raise ValueError("estimate_mimat takes one block, not a stack")
     report = SolverReport(solver="mimat")
 
     n = cfg.n
@@ -426,15 +432,6 @@ def ser_from_counts(errors, symbols):
     (1.96 sigma) binomial half-width."""
     rate = errors / symbols
     return rate, 1.96 * math.sqrt(max(rate * (1.0 - rate), 1e-300) / symbols)
-
-
-def qam16_awgn_ser_theory(es_n0_db):
-    """Closed-form 16-QAM symbol error rate over AWGN."""
-    gamma = 10 ** (es_n0_db / 10.0)
-    q_arg = math.sqrt(0.2 * gamma)
-    q_val = 0.5 * math.erfc(q_arg / math.sqrt(2.0))
-    p_side = 1.5 * q_val
-    return 1.0 - (1.0 - p_side) ** 2
 
 
 class TimeVaryingChannel:

@@ -58,8 +58,7 @@ def _masked_system(observed, sample_times, freq_support):
     """
     x_obs, smask, m = _retained_samples(observed, sample_times)
     n = x_obs.shape[1]
-    if freq_support.n != n:
-        raise ValueError("ambient lengths must match the signal length")
+    _check_ambient_lengths([freq_support], n)
     t = len(freq_support)
     if t > m:
         raise ValueError(

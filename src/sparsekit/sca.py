@@ -249,7 +249,11 @@ def _reduced_basis(f, b):
     same solutions. A b farther than 1e-7 max(1, ||b||_1) from U's range
     raises ValueError. The basis holds r columns of F', each the one of
     largest norm orthogonal to those already picked; each column whose
-    entry of B^-1 b' is negative is swapped for its mirror.
+    entry of B^-1 b' is negative is swapped for its mirror. Those squared
+    norms are downdated by each picked direction's projections, and
+    recomputed where cancellation has left less than 1e-8 of their value;
+    only the picked column is orthogonalized (twice, against the directions
+    before it).
     """
     m, n = f.shape
     u, s, vt = np.linalg.svd(f, full_matrices=False)
@@ -259,11 +263,21 @@ def _reduced_basis(f, b):
         raise ValueError("infeasible system: observation not in the range of the matrix")
     f_r = s[:r, None] * vt[:r]
     basis = np.empty(r, dtype=int)
-    rest = f_r.copy()
+    directions = np.empty((r, r))
+    norms = np.einsum("ij,ij->j", f_r, f_r)  # squared, orthogonal to the picked columns
+    baseline = norms.copy()
     for i in range(r):
-        basis[i] = np.argmax(np.linalg.norm(rest, axis=0))
-        q = rest[:, basis[i]] / np.linalg.norm(rest[:, basis[i]])
-        rest -= np.outer(q, q @ rest)  # the picked column is now zero
+        picked = basis[i] = np.argmax(norms)
+        v = f_r[:, picked]
+        for _ in range(2):
+            v = v - directions[:i].T @ (directions[:i] @ v)
+        directions[i] = v / np.linalg.norm(v)
+        norms -= (directions[i] @ f_r) ** 2
+        norms[picked] = -np.inf
+        stale = np.isfinite(norms) & (norms < 1e-8 * baseline)  # lost to cancellation
+        if stale.any():
+            rest = f_r[:, stale] - directions[: i + 1].T @ (directions[: i + 1] @ f_r[:, stale])
+            norms[stale] = baseline[stale] = np.einsum("ij,ij->j", rest, rest)
     x_basic = np.linalg.solve(f_r[:, basis], b_r)
     return f_r, b_r, np.where(x_basic < 0.0, basis + n, basis)
 

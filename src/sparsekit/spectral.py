@@ -143,17 +143,6 @@ def _covariance(cov):
     return cov
 
 
-def exact_tone_covariance(model, dimension, noise_variance=0.0):
-    """A diag(|b|^2) A^H + sigma^2 I for uncorrelated tones."""
-    steering = np.exp(
-        2j * np.pi * np.outer(np.arange(dimension), model.frequencies)
-    )
-    powers = np.abs(model.weights) ** 2
-    cov = (steering * powers[None, :]) @ steering.conj().T
-    cov += noise_variance * np.eye(dimension)
-    return CovarianceEstimate(matrix=cov, snapshots=dimension)
-
-
 def prony(samples, k):
     """Fit k complex exponentials (f in cycles/sample) to the first 2k samples.
 

@@ -10,12 +10,10 @@ import time
 
 import numpy as np
 
+from oracles import exact_tone_covariance
 from sparsekit import arrays, codes, ofdm, sampling, sca, spectral
 from sparsekit.core import RandomSource, SupportSet, detected_support, snr_db
-from sparsekit.experiments import (
-    _sparse_time_instance,
-    fig7_recovered,
-)
+from sparsekit.experiments import _fig7_wins, _sparse_time_instance
 
 
 def report_pass(number, message):
@@ -63,9 +61,9 @@ class TestCriterion2PhaseTransition:
             m = 2 * k
             while m <= n:
                 wins = sum(
-                    fig7_recovered(
+                    _fig7_wins(
                         n, k, m,
-                        RandomSource(0, stream=7_000_000 + 1000 * k + 17 * m + t),
+                        [RandomSource(0, stream=7_000_000 + 1000 * k + 17 * m + t)],
                     )
                     for t in range(20)
                 )
@@ -248,7 +246,7 @@ class TestCriterion5SpectralSuite:
                 amplitudes=rng.uniform(0.5, 1.5, 2),
                 phases=np.zeros(2),
             )
-            cov = spectral.exact_tone_covariance(truth, 3, noise_variance=0.2)
+            cov = exact_tone_covariance(truth, 3, noise_variance=0.2)
             freqs, sigma2, _ = spectral.pisarenko(cov, 2)
             roots = np.exp(2j * np.pi * freqs)
             h = np.array([1.0, -(roots[0] + roots[1]), roots[0] * roots[1]])

@@ -191,6 +191,26 @@ class TestConvCode:
         code = ConvCode(EX_TAPS_1, EX_TAPS_2)
         assert not np.any(conv_encode(np.zeros(10), code))
 
+    @pytest.mark.parametrize("shape", [(), (2, 5)])
+    def test_encode_rejects_input_that_is_not_one_stream(self, shape):
+        # a (2, 5) array was flattened into one 30-sample stream
+        with pytest.raises(ValueError, match="signal must be one-dimensional"):
+            conv_encode(np.ones(shape), ConvCode(EX_TAPS_1, EX_TAPS_2))
+
+    @pytest.mark.parametrize("decoder", ["impulsive", "erasure"])
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_decoders_reject_an_odd_length_stream(self, decoder, rows):
+        code = ConvCode(EX_TAPS_1, EX_TAPS_2)
+        y = conv_encode(RandomSource(53).uniform(-1.0, 1.0, 20), code)[:-1]
+        erasures = SupportSet([], y.size)
+        if rows is not None:
+            y, erasures = np.tile(y, (rows, 1)), [erasures] * rows
+        with pytest.raises(ValueError, match=r"received stream must have even length \(rate 1/2\)"):
+            if decoder == "impulsive":
+                conv_impulsive_decode(y, code)
+            else:
+                conv_erasure_decode(y, erasures, code)
+
     def test_parity_annihilates(self):
         rng = RandomSource(52)
         code = ConvCode(EX_TAPS_1, EX_TAPS_2)
@@ -411,37 +431,58 @@ class TestStackedImpulsiveDecode:
 
 class TestCachedConvOperators:
     def test_codes_and_lengths_never_share_operators(self):
-        from sparsekit.codes import _conv_operators
+        from sparsekit.codes import _generator, _parity_projector
 
-        first = _conv_operators(tuple(EX_TAPS_1), tuple(EX_TAPS_2), 20)
-        swapped = _conv_operators(tuple(EX_TAPS_2), tuple(EX_TAPS_1), 20)
-        longer = _conv_operators(tuple(EX_TAPS_1), tuple(EX_TAPS_2), 21)
         code = ConvCode(EX_TAPS_1, EX_TAPS_2)
-        assert np.array_equal(first[0], code.generator_matrix(20))
-        assert np.array_equal(swapped[0], ConvCode(EX_TAPS_2, EX_TAPS_1).generator_matrix(20))
-        assert np.array_equal(longer[0], code.generator_matrix(21))
-        assert not np.array_equal(first[1], swapped[1])
-        assert longer[1].shape == (2 * 26, 2 * 26) != first[1].shape
-        assert _conv_operators(tuple(EX_TAPS_1), tuple(EX_TAPS_2), 20)[1] is first[1]
+        keys = {"first": (tuple(EX_TAPS_1), tuple(EX_TAPS_2), 20),
+                "swapped": (tuple(EX_TAPS_2), tuple(EX_TAPS_1), 20),
+                "longer": (tuple(EX_TAPS_1), tuple(EX_TAPS_2), 21)}
+        generators = {name: _generator(*key) for name, key in keys.items()}
+        projectors = {name: _parity_projector(*key) for name, key in keys.items()}
+        assert np.array_equal(generators["first"], code.generator_matrix(20))
+        assert np.array_equal(generators["swapped"],
+                              ConvCode(EX_TAPS_2, EX_TAPS_1).generator_matrix(20))
+        assert np.array_equal(generators["longer"], code.generator_matrix(21))
+        assert not np.array_equal(projectors["first"], projectors["swapped"])
+        assert projectors["longer"].shape == (2 * 26, 2 * 26) != projectors["first"].shape
+        for name, key in keys.items():
+            assert _generator(*key) is generators[name]
+            assert _parity_projector(*key) is projectors[name]
 
     def test_cached_arrays_are_read_only(self):
-        from sparsekit.codes import _conv_operators
+        from sparsekit.codes import _generator, _parity_projector
 
-        generator, projector, problem = _conv_operators(tuple(EX_TAPS_1), tuple(EX_TAPS_2), 20)
-        assert problem is None
-        for array in (generator, projector):
+        key = (tuple(EX_TAPS_1), tuple(EX_TAPS_2), 20)
+        for array in (_generator(*key), _parity_projector(*key)):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
+    def test_the_erasure_decoder_builds_no_projector(self, monkeypatch):
+        from sparsekit import codes
+
+        def refuse(*key):
+            raise AssertionError("the erasure decoder asked for the parity projector")
+
+        monkeypatch.setattr(codes, "_parity_projector", refuse)
+        code = ConvCode(EX_TAPS_1, EX_TAPS_2)
+        x = RandomSource(64).uniform(-1.0, 1.0, 20)
+        y = conv_encode(x, code)
+        est, report = conv_erasure_decode(y, SupportSet([3, 8], y.size), code)
+        assert report.converged and np.max(np.abs(est - x)) < 1e-8
+
     def test_rank_deficient_parity_fails_only_the_impulsive_decoder(self):
         # equal branches leave H^T H singular; the erasure decoder needs G alone
+        from sparsekit.codes import _parity_projector
+
         code = ConvCode([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         x = np.arange(10.0)
         y = conv_encode(x, code)
-        for _ in range(2):  # the second call reads the cached entry
-            with pytest.raises(NumericError, match="rank-deficient"):
+        for _ in range(2):  # a failure is not cached, so each call builds anew
+            misses = _parity_projector.cache_info().misses
+            with pytest.raises(NumericError, match="parity projector rank-deficient: cond = "):
                 conv_impulsive_decode(y, code)
+            assert _parity_projector.cache_info().misses == misses + 1
             est, _ = conv_erasure_decode(y, SupportSet([1], y.size), code)
             assert np.max(np.abs(est - x)) < 1e-8
 

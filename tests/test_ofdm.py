@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import qam16_awgn_ser_theory
 from sparsekit import ofdm
 from sparsekit.core import RandomSource, SolverReport
 from sparsekit.experiments import ser_sweep
@@ -21,7 +22,6 @@ from sparsekit.ofdm import (
     map_symbols,
     nearest_symbols,
     ofdm_link,
-    qam16_awgn_ser_theory,
     ser_from_counts,
 )
 
@@ -152,6 +152,21 @@ class TestNonFinitePilots:
         marked = rx.copy()
         marked[self.CFG64.data_carriers] = np.nan
         assert np.array_equal(estimate_linear(marked, self.CFG64), estimate_linear(rx, self.CFG64))
+
+
+class TestBlockShape:
+    @pytest.mark.parametrize("estimator, shape", [
+        (estimate_linear, (255,)), (estimate_linear, (512,)), (estimate_linear, (3, 255)),
+        (estimate_mimat, (255,)), (estimate_mimat, (512,))])
+    def test_a_block_of_another_length_is_rejected(self, estimator, shape):
+        # the pilot indices were read from any block that reached them
+        with pytest.raises(ValueError, match=f"must hold cfg.n = 256 carriers, not {shape[-1]}$"):
+            estimator(np.ones(shape, dtype=complex), CFG)
+
+    @pytest.mark.parametrize("rows", [1, 3, 60])  # 60 is the default geometry's pilot count
+    def test_mimat_takes_one_block(self, rows):
+        with pytest.raises(ValueError, match="estimate_mimat takes one block, not a stack"):
+            estimate_mimat(np.ones((rows, 256), dtype=complex), CFG)
 
 
 class TestMimat:

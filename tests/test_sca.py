@@ -229,6 +229,25 @@ class TestBasisPursuit:
                             bounds=(0, None), method="highs")
         assert abs(np.abs(s).sum() - reference.fun) < 1e-12 * max(1.0, reference.fun)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_reduced_basis_picks_no_column_twice_over(self, seed):
+        # Every column appears twice and the singular values fall to 1e-9.
+        # A twin's downdated squared norm is cancellation noise, about 1e-16
+        # of its first value and above the 1e-18 left in the weakest true
+        # direction, so the pick must recompute such norms: without that it
+        # takes a twin at each of these seeds.
+        from sparsekit.sca import _reduced_basis
+
+        rng = RandomSource(124, stream=seed)
+        u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        v = np.linalg.qr(rng.standard_normal((12, 6)))[0]
+        a = (u * np.logspace(0, -9, 6)) @ v.T
+        a[:, 1::2] = a[:, ::2]
+        f_r, _, basis = _reduced_basis(a, a[:, 0] + a[:, 4])
+        columns = basis % 12
+        assert len(set(columns // 2)) == 6
+        assert np.linalg.cond(f_r[:, columns]) < 1e11
+
     def test_half_tableau_pivots_as_the_full_one(self, monkeypatch):
         # reading the -A columns as negated A columns is exact, so the pivots,
         # their count and the solution equal those of the full [A, -A] tableau

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import exact_tone_covariance
 from sparsekit.core import RandomSource
 from sparsekit.spectral import (
     CovarianceEstimate,
     SpectralModel,
     default_grid,
-    exact_tone_covariance,
     music,
     periodogram,
     pisarenko,

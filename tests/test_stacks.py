@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exact_tone_covariance
 from sparsekit import codes, ofdm, sampling
 from sparsekit.codes import (
     ConvCode,
@@ -54,7 +55,6 @@ from sparsekit.spectral import (
     CovarianceEstimate,
     SpectralModel,
     default_grid,
-    exact_tone_covariance,
     music,
     pisarenko,
     prony,
